@@ -3,7 +3,10 @@
 Four canonical points — P1 and P8, each under quarter-scale OLTP and
 DSS with *explicit* workload parameters (so ``REPRO_SCALE`` cannot
 perturb them) — are pinned as SHA-256 digests of the deterministic
-measurement payload in ``tests/golden/digests.json``.
+measurement payload in ``tests/golden/digests.json``.  Three multi-node
+points (a cross-node ISA spinlock, four-node OLTP and a fixed-seed
+four-node fuzz program) pin the protocol engines, directory and
+interconnect the single-chip points never reach.
 
 The digest covers :meth:`RunResult.payload_tuple` exactly — every field
 the harness documents as deterministic — so any unintentional behaviour
@@ -23,6 +26,8 @@ import os
 
 import pytest
 
+from repro.fuzz import generate, params_for
+from repro.fuzz.runner import FuzzFactory
 from repro.harness import Job, run_jobs
 from repro.harness.experiments import DssFactory, OltpFactory
 from repro.harness.runner import run_workload
@@ -38,6 +43,12 @@ OLTP_Q = OltpParams(transactions=20, warmup_transactions=38)
 DSS_Q = DssParams(rows=65, warmup_rows=10)
 ISA_MEMCPY = IsaKernelParams(kernel="memcpy", iterations=8)
 ISA_SPINLOCK = IsaKernelParams(kernel="spinlock", iterations=4)
+#: the benchmark's multi-node OLTP point (cold-miss heavy: most misses
+#: cross the interconnect to a remote home engine)
+OLTP_X4 = OltpParams(transactions=2, warmup_transactions=3)
+#: the CI fuzz seed on four nodes, shrunk to a tier-1 budget
+FUZZ_X4 = FuzzFactory(
+    generate(params_for(2026, total_ops=800, nodes=4)).canonical_json())
 
 #: name -> (config, factory, units_attr, num_nodes)
 CANONICAL = {
@@ -51,6 +62,9 @@ CANONICAL = {
                       "iterations", 1),
     "P8x4-isa-spinlock": ("P8", IsaKernelFactory(ISA_SPINLOCK),
                           "iterations", 4),
+    # the multi-node protocol path: home/remote engines, TSRF, router
+    "P8x4-oltp": ("P8", OltpFactory(OLTP_X4), "transactions", 4),
+    "P8x4-fuzz-2026": ("P8", FUZZ_X4, "ops", 4),
 }
 
 
