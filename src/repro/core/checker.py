@@ -294,16 +294,28 @@ def audit_tsrf(system, quiesced: bool = True,
     occupancy 0) and no message may still be parked waiting for an entry.
     Mid-run (``quiesced=False``) an entry older than *timeout_ps* is
     reported as leaked — the software equivalent of the RAS watchdog's
-    timed-out-transaction scan.  Returns total TSRF entries inspected.
+    timed-out-transaction scan.  At any time, the TSRF's O(1) live count
+    must equal a scan of its entries (and allocations minus frees), with
+    the high-water mark between it and the file size.  Returns total TSRF
+    entries inspected.
     """
     trace = _trace_of(system)
     inspected = 0
     now = system.sim.now
     for node in system.nodes:
         for engine in (node.home_engine, node.remote_engine):
-            inspected += len(engine.tsrf.entries)
+            tsrf = engine.tsrf
+            inspected += len(tsrf.entries)
+            busy = [e for e in tsrf.entries if e.valid]
+            if (tsrf.live != len(busy)
+                    or tsrf.live != tsrf.allocations - tsrf.frees
+                    or not tsrf.live <= tsrf.high_water <= len(tsrf.entries)):
+                raise CoherenceViolation(decorate_violation(
+                    f"{engine.name}: TSRF counters out of step with its "
+                    f"entries: live={tsrf.live}, scan={len(busy)}, "
+                    f"allocations-frees={tsrf.allocations - tsrf.frees}, "
+                    f"high_water={tsrf.high_water}", trace))
             if quiesced:
-                busy = [e for e in engine.tsrf.entries if e.valid]
                 if busy:
                     raise CoherenceViolation(decorate_violation(
                         f"{engine.name}: TSRF leak at quiesce: "

@@ -348,6 +348,65 @@ class StepResult(enum.Enum):
     DONE = "done"                           # reached END
 
 
+#: Decoded-op kinds of :class:`Sequencer`'s table, one per way an
+#: instruction advances the thread.
+_JUMP = 0       # MOVE no-op (branch trampoline) or MOVE with no action
+_CALL = 1       # SEND/LSEND: handler(entry)
+_CALL_ARG = 2   # SET, or MOVE with a bound action: handler(entry, arg2)
+_TEST = 3       # 16-way branch on handler(entry)
+_RECV = 4       # RECEIVE: park until an external message arrives
+_LRECV = 5      # LRECEIVE: park until a local message arrives
+_END = 6        # the terminal address
+_BAD = 7        # unprogrammed word
+
+
+class _Unbound:
+    """Handler slot for a SEND/LSEND/SET symbol the environment left
+    unbound: the error is raised when the instruction executes, not when
+    the program is bound (a program may carry paths a node never takes).
+    A class rather than a closure so decoded tables pickle as-is."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+
+    def __call__(self, *_args) -> None:
+        raise MicrocodeError(self.message)
+
+
+def _decode(program: Program, env: Environment) -> List[tuple]:
+    """One ``(kind, handler, arg2, next)`` tuple per microstore address,
+    with each word's handler resolved against *env* once."""
+    table = [(_BAD, None, 0, 0)] * MICROSTORE_WORDS
+    table[END] = (_END, None, 0, END)
+    bound = {
+        Op.TEST: (_TEST, env.conditions, "TEST condition id"),
+        Op.SET: (_CALL_ARG, env.actions, "SET action id"),
+        Op.SEND: (_CALL, env.senders, "SEND id"),
+        Op.LSEND: (_CALL, env.local_senders, "LSEND id"),
+    }
+    for pc, word in enumerate(program.store[:END]):
+        if word is None:
+            continue
+        op, arg1, arg2, nxt = word.op, word.arg1, word.arg2, word.next_addr
+        if op == Op.RECEIVE:
+            table[pc] = (_RECV, None, arg2, nxt)
+        elif op == Op.LRECEIVE:
+            table[pc] = (_LRECV, None, arg2, nxt)
+        elif op == Op.MOVE:
+            action = env.actions.get(arg1) if (arg1 or arg2) else None
+            table[pc] = ((_JUMP, None, arg2, nxt) if action is None
+                         else (_CALL_ARG, action, arg2, nxt))
+        else:
+            kind, handlers, what = bound[op]
+            handler = handlers.get(arg1)
+            if handler is None:
+                handler = _Unbound(f"unbound {what} {arg1} at {pc}")
+            table[pc] = (kind, handler, arg2, nxt)
+    return table
+
+
 class Sequencer:
     """Executes microcode for one thread until it blocks or completes.
 
@@ -355,72 +414,68 @@ class Sequencer:
     one cycle each) plus the reason for stopping.  The engine resource
     model and thread scheduling live in
     :class:`repro.core.protocol_engine.ProtocolEngine`.
+
+    The microstore is decoded once, at construction, into a per-address
+    table of ``(kind, handler, arg2, next)`` with every symbol already
+    bound to its handler — the generated-simulator idea of decoding each
+    instruction once rather than on every execution.  ``run`` then only
+    unpacks a tuple and branches on a small int per microinstruction.
     """
 
     def __init__(self, program: Program, env: Environment) -> None:
         self.program = program
         self.env = env
+        self.table = _decode(program, env)
+
+    def accepts(self, pc: int, code: int) -> bool:
+        """True when the RECEIVE/LRECEIVE at *pc* has a programmed
+        branch-table slot for dispatch *code*."""
+        return self.program.store[self.table[pc][3] | (code & 0xF)] is not None
 
     def run(self, entry: "TsrfEntryLike", dispatch_code: Optional[int] = None
             ) -> Tuple[int, StepResult]:
-        executed = 0
+        table = self.table
         pc = entry.pc
+        if not 0 <= pc < MICROSTORE_WORDS:
+            raise MicrocodeError(f"PC {pc} outside microstore")
+        executed = 0
         # A thread resuming from RECEIVE/LRECEIVE branches through the
         # table slot selected by the arriving message's condition code.
         if dispatch_code is not None:
-            word = self.program.word_at(pc)
-            if word.op not in (Op.RECEIVE, Op.LRECEIVE):
+            kind, _, _, nxt = table[pc]
+            if kind != _RECV and kind != _LRECV:
+                if kind == _BAD or kind == _END:
+                    raise MicrocodeError(
+                        f"jump into unprogrammed address {pc}")
                 raise MicrocodeError(
                     f"dispatch into non-receive instruction at {pc}"
                 )
-            executed += 1  # the RECEIVE itself retires now
-            pc = word.next_addr | (dispatch_code & 0xF)
+            executed = 1  # the RECEIVE itself retires now
+            pc = nxt | (dispatch_code & 0xF)
         while True:
-            if pc == END:
+            kind, handler, arg2, nxt = table[pc]
+            if kind == _JUMP:
+                pc = nxt
+            elif kind == _CALL:
+                handler(entry)
+                pc = nxt
+            elif kind == _CALL_ARG:
+                handler(entry, arg2)
+                pc = nxt
+            elif kind == _TEST:
+                pc = nxt | (int(handler(entry)) & 0xF)
+            elif kind == _END:
                 entry.pc = END
                 return executed, StepResult.DONE
-            word = self.program.word_at(pc)
-            if word.op in (Op.RECEIVE, Op.LRECEIVE):
+            elif kind == _RECV:
                 entry.pc = pc  # re-dispatched with a code when woken
-                blocked = (
-                    StepResult.BLOCKED_EXTERNAL
-                    if word.op == Op.RECEIVE
-                    else StepResult.BLOCKED_LOCAL
-                )
-                return executed, blocked
+                return executed, StepResult.BLOCKED_EXTERNAL
+            elif kind == _LRECV:
+                entry.pc = pc
+                return executed, StepResult.BLOCKED_LOCAL
+            else:
+                raise MicrocodeError(f"jump into unprogrammed address {pc}")
             executed += 1
-            if word.op == Op.TEST:
-                cond = self.env.conditions[word.arg1]
-                code = int(cond(entry)) & 0xF
-                pc = word.next_addr | code
-            elif word.op == Op.SET:
-                action = self.env.actions.get(word.arg1)
-                if action is None:
-                    raise MicrocodeError(
-                        f"unbound SET action id {word.arg1} at {pc}"
-                    )
-                action(entry, word.arg2)
-                pc = word.next_addr
-            elif word.op == Op.MOVE:
-                if word.arg1 or word.arg2:
-                    action = self.env.actions.get(word.arg1)
-                    if action is not None:
-                        action(entry, word.arg2)
-                pc = word.next_addr
-            elif word.op == Op.SEND:
-                sender = self.env.senders.get(word.arg1)
-                if sender is None:
-                    raise MicrocodeError(f"unbound SEND id {word.arg1} at {pc}")
-                sender(entry)
-                pc = word.next_addr
-            elif word.op == Op.LSEND:
-                sender = self.env.local_senders.get(word.arg1)
-                if sender is None:
-                    raise MicrocodeError(f"unbound LSEND id {word.arg1} at {pc}")
-                sender(entry)
-                pc = word.next_addr
-            else:  # pragma: no cover - exhaustive
-                raise MicrocodeError(f"unknown opcode {word.op}")
 
 
 class TsrfEntryLike:

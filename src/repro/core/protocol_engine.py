@@ -15,6 +15,7 @@ manipulation, and CMI planning.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..interconnect.cmi import MAX_CMI_MESSAGES, plan_cmi
@@ -59,6 +60,13 @@ REQUEST_TYPES = frozenset({
 TSRF_RESERVED = 2
 
 
+@lru_cache(maxsize=None)
+def _program(is_home: bool) -> Program:
+    """The home or remote microprogram, assembled once per process and
+    shared by every engine of that kind (engines only read it)."""
+    return build_home_program() if is_home else build_remote_program()
+
+
 class ProtocolEngine(Component):
     """One microprogrammable protocol engine (home or remote)."""
 
@@ -69,13 +77,14 @@ class ProtocolEngine(Component):
         super().__init__(sim, name)
         self.chip = chip
         self.is_home = is_home
-        self.program: Program = (
-            build_home_program() if is_home else build_remote_program()
-        )
+        self.program: Program = _program(is_home)
         self.entry_map = HOME_ENTRY if is_home else REMOTE_ENTRY
         self.tsrf = Tsrf()
         self.busy_until = 0
         self.stalled: deque = deque()  # messages waiting for a TSRF entry
+        #: outgoing effects deferred by the burst being executed (see
+        #: :meth:`_effect`); None between bursts
+        self._effects: Optional[list] = None
         self.env = self._bind_environment()
         self.sequencer = Sequencer(self.program, self.env)
         s = self.stats
@@ -93,18 +102,15 @@ class ProtocolEngine(Component):
     # Message entry points
     # -----------------------------------------------------------------------
 
-    def _accepts_code(self, entry, code: int) -> bool:
-        """True when the entry's pending RECEIVE/LRECEIVE has a programmed
-        branch-table slot for *code* (hardware: the dispatch condition
-        matches).  Disambiguates multiple same-address threads."""
-        word = self.program.word_at(entry.pc)
-        slot = word.next_addr | (code & 0xF)
-        return self.program.store[slot] is not None
-
     def _match_waiting(self, addr: int, waiting: str, code: int):
+        """The entry waiting (in mode *waiting*) on *addr* whose pending
+        RECEIVE/LRECEIVE has a programmed branch-table slot for *code*
+        (hardware: the dispatch condition matches).  The code check
+        disambiguates multiple same-address threads."""
+        accepts = self.sequencer.accepts
         for entry in self.tsrf.entries:
-            if (entry.valid and entry.waiting == waiting
-                    and entry.addr == addr and self._accepts_code(entry, code)):
+            if (entry.addr == addr and entry.waiting == waiting
+                    and entry.valid and accepts(entry.pc, code)):
                 return entry
         return None
 
@@ -149,7 +155,7 @@ class ProtocolEngine(Component):
             return True
         try:
             entry = self.tsrf.allocate(
-                addr, self.program.entry_points[label], self.now,
+                addr, self.program.entry_points[label], self.sim.now,
                 _msg=pkt,
                 req_node=pkt.info.get("req_node", pkt.src),
                 req_cpu=pkt.info.get("req_cpu", 0),
@@ -185,8 +191,8 @@ class ProtocolEngine(Component):
             return
         try:
             entry = self.tsrf.allocate(
-                line_addr(addr), self.program.entry_points[label], self.now,
-                is_local=vars.pop("is_local", True), **vars,
+                line_addr(addr), self.program.entry_points[label],
+                self.sim.now, is_local=vars.pop("is_local", True), **vars,
             )
         except TsrfFullError:
             self.c_tsrf_stalls.inc()
@@ -200,12 +206,18 @@ class ProtocolEngine(Component):
         entry = self._match_waiting(line_addr(addr), "local", LOCAL_MSG[kind])
         if entry is None:
             # Waiter not parked yet (engine burst in progress): retry.
-            self.schedule(self.INSTR_PS, self.resume_local, addr, kind,
-                          **updates)
+            # Events take positional arguments only, so the updates ride
+            # as one dict.
+            self.schedule(self.INSTR_PS, self._retry_local, addr, kind,
+                          updates)
             return
         entry.vars.update(updates)
         entry.waiting = None
         self._start(entry, LOCAL_MSG[kind])
+
+    def _retry_local(self, addr: int, kind: str,
+                     updates: Dict[str, Any]) -> None:
+        self.resume_local(addr, kind, **updates)
 
     def resume_entry(self, entry: TsrfEntry, kind: str, **updates: Any) -> None:
         """A bank answers an LSEND for a *specific* thread.  Address-based
@@ -218,12 +230,16 @@ class ProtocolEngine(Component):
             )
         if entry.waiting != "local":
             # Thread still mid-burst; park the response briefly.
-            self.schedule(self.INSTR_PS, self.resume_entry, entry, kind,
-                          **updates)
+            self.schedule(self.INSTR_PS, self._retry_entry, entry, kind,
+                          updates)
             return
         entry.vars.update(updates)
         entry.waiting = None
         self._start(entry, LOCAL_MSG[kind])
+
+    def _retry_entry(self, entry: TsrfEntry, kind: str,
+                     updates: Dict[str, Any]) -> None:
+        self.resume_entry(entry, kind, **updates)
 
     # -----------------------------------------------------------------------
     # Execution
@@ -238,37 +254,53 @@ class ProtocolEngine(Component):
                 f" pc={entry.pc}"
                 + (f" code={dispatch_code}" if dispatch_code is not None
                    else " new-thread"))
-        self.tw_tsrf.set(self.now, self.tsrf.occupancy())
-        start_at = max(0, self.busy_until - self.now)
+        now = self.sim.now
+        self.tw_tsrf.set(now, self.tsrf.live)
+        busy_until = self.busy_until
+        if busy_until < now:
+            busy_until = now
+        start_at = busy_until - now
         probe = entry.vars.get("probe")
         if probe is not None:
             # stamped at the (possibly future) execution-unit grant time,
             # so engine-occupancy queueing shows up in the dispatch hop
-            probe.stamp("pe_dispatch", self.now + start_at)
-        self.busy_until = max(self.busy_until, self.now) + self.INSTR_PS
+            probe.stamp("pe_dispatch", busy_until)
+        self.busy_until = busy_until + self.INSTR_PS
         self.schedule(start_at, self._execute, entry, dispatch_code)
 
     def _execute(self, entry: TsrfEntry, dispatch_code: Optional[int]) -> None:
-        effects = []
-        entry.vars["_effects"] = effects
+        effects = self._effects = []
         executed, result = self.sequencer.run(entry, dispatch_code)
+        self._effects = None
         self.c_instructions.inc(executed)
         self.a_occupancy.add(executed)
         burst_ps = executed * self.INSTR_PS
-        self.busy_until = max(self.busy_until, self.now + burst_ps)
-        for fn, args in effects:
-            self.schedule(burst_ps, fn, *args)
-        entry.vars.pop("_effects", None)
-        if result is StepResult.DONE:
-            self.schedule(burst_ps, self._retire, entry)
-        elif result is StepResult.BLOCKED_EXTERNAL:
+        burst_end = self.sim.now + burst_ps
+        if burst_end > self.busy_until:
+            self.busy_until = burst_end
+        done = result is StepResult.DONE
+        if done or effects:
+            # One event for the whole burst end.  The per-effect events
+            # it replaces were scheduled back to back (consecutive
+            # sequence numbers at one timestamp), so nothing could fire
+            # between them and the (time, seq) order is unchanged.
+            self.schedule(burst_ps, self._end_burst, entry, effects, done)
+        if result is StepResult.BLOCKED_EXTERNAL:
             entry.waiting = "external"
-        else:
+        elif result is StepResult.BLOCKED_LOCAL:
             entry.waiting = "local"
+
+    def _end_burst(self, entry: TsrfEntry, effects: list, done: bool) -> None:
+        """The burst's deferred effects land in order, then a finished
+        thread retires."""
+        for fn, args in effects:
+            fn(*args)
+        if done:
+            self._retire(entry)
 
     def _retire(self, entry: TsrfEntry) -> None:
         self.tsrf.free(entry)
-        self.tw_tsrf.set(self.now, self.tsrf.occupancy())
+        self.tw_tsrf.set(self.sim.now, self.tsrf.live)
         if self.stalled:
             origin, payload = self.stalled.popleft()
             if origin == "ext":
@@ -284,7 +316,7 @@ class ProtocolEngine(Component):
     def _effect(self, entry: TsrfEntry, fn: Callable, *args: Any) -> None:
         """Defer an outgoing message to the end of the current burst, so
         sends are charged the microinstructions that precede them."""
-        entry.vars["_effects"].append((fn, args))
+        self._effects.append((fn, args))
 
     def _send(self, entry: TsrfEntry, ptype: PacketType, dst: int,
               **info: Any) -> None:

@@ -58,10 +58,18 @@ class TsrfEntry:
 
 
 class Tsrf:
-    """The 16-entry register file with address-based matching."""
+    """The 16-entry register file with address-based matching.
+
+    ``live`` (valid entries) and ``high_water`` (its maximum) are kept as
+    counters updated on allocate/free, so the engine's occupancy checks
+    on every message cost O(1) instead of a scan of all entries;
+    :func:`repro.core.checker.audit_tsrf` cross-checks them against a
+    scan.
+    """
 
     def __init__(self, entries: int = TSRF_ENTRIES) -> None:
         self.entries: List[TsrfEntry] = [TsrfEntry(i) for i in range(entries)]
+        self.live = 0
         self.high_water = 0
         self.allocations = 0
         self.frees = 0
@@ -76,11 +84,11 @@ class Tsrf:
                 entry.pc = pc
                 entry.waiting = None
                 entry.timer = now_ps
-                entry.vars = dict(vars)
+                entry.vars = vars  # a fresh dict: **vars always builds one
                 self.allocations += 1
-                self.high_water = max(
-                    self.high_water, sum(1 for e in self.entries if e.valid)
-                )
+                self.live += 1
+                if self.live > self.high_water:
+                    self.high_water = self.live
                 return entry
         self.alloc_failures += 1
         raise TsrfFullError(f"all {len(self.entries)} TSRF entries busy")
@@ -88,6 +96,7 @@ class Tsrf:
     def free(self, entry: TsrfEntry) -> None:
         if entry.valid:
             self.frees += 1
+            self.live -= 1
         entry.reset()
 
     def match(self, addr: int, waiting: str) -> Optional[TsrfEntry]:
@@ -106,11 +115,11 @@ class Tsrf:
         return None
 
     def occupancy(self) -> int:
-        return sum(1 for e in self.entries if e.valid)
+        return self.live
 
     @property
     def free_count(self) -> int:
-        return len(self.entries) - self.occupancy()
+        return len(self.entries) - self.live
 
     def timed_out(self, now_ps: int, timeout_ps: int) -> List[TsrfEntry]:
         """Entries older than *timeout_ps* (RAS error-recovery hook)."""

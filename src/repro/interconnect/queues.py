@@ -26,47 +26,56 @@ PRIORITIES = 4
 
 
 class PriorityFifos:
-    """Four per-priority FIFOs with a shared capacity limit."""
+    """Four per-priority FIFOs with a shared capacity limit.
+
+    ``size`` counts the queued packets across all four FIFOs; push and
+    the pops keep it current so length and fullness checks are O(1).
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
         self.fifos = [deque() for _ in range(PRIORITIES)]
+        #: the same FIFOs, highest priority first (the scan order)
+        self.high_first = self.fifos[::-1]
+        self.size = 0
 
     def __len__(self) -> int:
-        return sum(len(f) for f in self.fifos)
+        return self.size
 
     @property
     def full(self) -> bool:
-        return len(self) >= self.capacity
+        return self.size >= self.capacity
 
     def push(self, pkt: Packet) -> bool:
         """Append *pkt*; returns False when the queue is full."""
-        if self.full:
+        if self.size >= self.capacity:
             return False
         self.fifos[pkt.priority].append(pkt)
+        self.size += 1
         return True
 
     def peek_highest(self) -> Optional[Packet]:
         """Head packet of the highest non-empty priority level."""
-        for prio in range(PRIORITIES - 1, -1, -1):
-            if self.fifos[prio]:
-                return self.fifos[prio][0]
+        for fifo in self.high_first:
+            if fifo:
+                return fifo[0]
         return None
 
     def pop_highest(self) -> Optional[Packet]:
-        for prio in range(PRIORITIES - 1, -1, -1):
-            if self.fifos[prio]:
-                return self.fifos[prio].popleft()
+        for fifo in self.high_first:
+            if fifo:
+                self.size -= 1
+                return fifo.popleft()
         return None
 
     def pop_first(self, predicate: Callable[[Packet], bool]) -> Optional[Packet]:
         """Pop the head of the highest priority level whose head packet
         satisfies *predicate* (used for the IQ bypass rule)."""
-        for prio in range(PRIORITIES - 1, -1, -1):
-            fifo = self.fifos[prio]
+        for fifo in self.high_first:
             if fifo and predicate(fifo[0]):
+                self.size -= 1
                 return fifo.popleft()
         return None
 
@@ -150,25 +159,21 @@ class InputQueue(Component):
 
     def _drain(self) -> None:
         self._drain_scheduled = False
-        progressed = True
-        while progressed:
-            progressed = False
+        queue = self.queue
+        while queue.size:
             # Highest-priority head first; if its destination is blocked the
             # bypass rule lets a lower-priority head proceed instead.
-            pkt = self.queue.pop_first(self._deliverable)
-            if pkt is not None:
-                head = self.queue.peek_highest()
-                if head is not None and head.priority > pkt.priority:
-                    self.c_bypassed.inc()
-                handler = self._handler_for(pkt)
-                delivered = handler(pkt)
-                if not delivered:  # pragma: no cover - handler lied in probe
-                    raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
-                self.c_delivered.inc()
-                progressed = True
-        if len(self.queue):
-            # Something is still blocked; retry after a cycle.
-            self.schedule(2000, self._poll_blocked)
+            pkt = queue.pop_first(self._deliverable)
+            if pkt is None:
+                # Something is still blocked; retry after a cycle.
+                self.schedule(2000, self._poll_blocked)
+                return
+            head = queue.peek_highest()
+            if head is not None and head.priority > pkt.priority:
+                self.c_bypassed.inc()
+            if not self._handler_for(pkt)(pkt):  # pragma: no cover - handler lied in probe
+                raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
+            self.c_delivered.inc()
 
     def _poll_blocked(self) -> None:
         self._schedule_drain()

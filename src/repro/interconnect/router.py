@@ -18,7 +18,7 @@ single fall-through cycle when an output is free; links add serialisation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from ..sim.engine import Clock, Component, Simulator, ns
 from .packets import Packet
@@ -87,8 +87,14 @@ class Router(Component):
         self.oq = oq
         self.params = params or RouterParams()
         self._clock = self.params.clock()
+        self._cycle_ps = self._clock.cycles(1)
+        self._fall_through_ps = self._clock.cycles(
+            self.params.fall_through_cycles)
         self.links: Dict[int, Link] = {}
         self.peers: Dict[int, "Router"] = {}
+        #: destination -> minimal next hops that have an outgoing link
+        #: (the topology's routing tables are fixed once built)
+        self._minimal: Dict[int, Tuple[int, ...]] = {}
         self.buffered = 0
         self.c_transit = self.stats.counter("transit_packets")
         self.c_injected = self.stats.counter("injected_packets")
@@ -107,6 +113,7 @@ class Router(Component):
         """Create the outgoing half-channel towards *peer*."""
         self.links[peer.node_id] = Link(self.node_id, peer.node_id, self.params)
         self.peers[peer.node_id] = peer
+        self._minimal.clear()
 
     # -- injection -------------------------------------------------------
 
@@ -123,11 +130,11 @@ class Router(Component):
             pkt = self.oq.pop()
             if pkt is None:
                 return
-            pkt.inject_time = self.now
+            pkt.inject_time = self.sim.now
             self.c_injected.inc()
             self._handle(pkt)
         # Buffer pressure: retry once a cycle until space frees up.
-        self.schedule(self._clock.cycles(1), self._drain_oq)
+        self.schedule(self._cycle_ps, self._drain_oq)
 
     def inject(self, pkt: Packet) -> bool:
         """Convenience entry point used by tests: push via the OQ."""
@@ -136,50 +143,65 @@ class Router(Component):
     # -- forwarding ------------------------------------------------------
 
     def _handle(self, pkt: Packet) -> None:
+        """A packet was injected here or finished flying over an incoming
+        channel: deliver it locally or forward it."""
         if pkt.dst == self.node_id:
             self._deliver(pkt)
             return
         self.buffered += 1
-        self.schedule(self._clock.cycles(self.params.fall_through_cycles), self._forward, pkt)
+        self.schedule(self._fall_through_ps, self._forward, pkt)
 
     def _deliver(self, pkt: Packet) -> None:
         if self.iq.receive(pkt):
             self.c_delivered.inc()
             self.a_hops.add(pkt.age)
-            self.a_latency.add(self.now - pkt.inject_time)
+            self.a_latency.add(self.sim.now - pkt.inject_time)
         else:
             # IQ full: hold the packet in the router buffer and retry; the
             # IQ is sized to make this rare (§2.6.2).
-            self.schedule(self._clock.cycles(1), self._deliver, pkt)
+            self.schedule(self._cycle_ps, self._deliver, pkt)
+
+    def _minimal_hops(self, dst: int) -> Tuple[int, ...]:
+        hops = self._minimal.get(dst)
+        if hops is None:
+            hops = tuple(
+                n for n in self.topology.minimal_next_hops(self.node_id, dst)
+                if n in self.links
+            )
+            self._minimal[dst] = hops
+        return hops
 
     def _forward(self, pkt: Packet) -> None:
-        minimal = [
-            n for n in self.topology.minimal_next_hops(self.node_id, pkt.dst)
-            if n in self.links
-        ]
-        free_minimal = [n for n in minimal if not self.links[n].busy(self.now)]
-        if free_minimal:
-            choice = min(free_minimal, key=lambda n: self.links[n].free_at)
+        now = self.sim.now
+        links = self.links
+        minimal = self._minimal_hops(pkt.dst)
+        # The free minimal output that frees earliest (first on ties).
+        choice = None
+        for n in minimal:
+            free_at = links[n].free_at
+            if free_at <= now and (choice is None or free_at < best):
+                choice, best = n, free_at
+        if choice is not None:
             self._transmit(pkt, choice)
             return
         # All minimal outputs busy: hot potato onto any free output, with
         # age increment and priority escalation.
-        free_any = [n for n in self.links if not self.links[n].busy(self.now)]
-        if free_any and len(minimal) <= self.params.misroute_threshold:
-            choice = free_any[0]
-            pkt.age += 1
-            pkt.priority = min(3, pkt.priority + pkt.age // self.params.age_per_priority)
-            self.c_misroutes.inc()
-            self._transmit(pkt, choice)
-            return
+        if len(minimal) <= self.params.misroute_threshold:
+            for n, link in links.items():
+                if link.free_at <= now:
+                    pkt.age += 1
+                    pkt.priority = min(
+                        3, pkt.priority + pkt.age // self.params.age_per_priority)
+                    self.c_misroutes.inc()
+                    self._transmit(pkt, n)
+                    return
         # Everything busy: wait for the earliest minimal link.
-        target = min(minimal, key=lambda n: self.links[n].free_at)
-        wait = max(self._clock.cycles(1), self.links[target].free_at - self.now)
-        self.schedule(wait, self._forward, pkt)
+        earliest = min(links[n].free_at for n in minimal)
+        self.schedule(max(self._cycle_ps, earliest - now), self._forward, pkt)
 
     def _transmit(self, pkt: Packet, neighbor: int) -> None:
-        link = self.links[neighbor]
-        arrival = link.send(self.now, pkt)
+        now = self.sim.now
+        arrival = self.links[neighbor].send(now, pkt)
         self.buffered -= 1
         self.c_transit.inc()
         self.c_bytes.inc(pkt.size_bits // 8)
@@ -187,12 +209,7 @@ class Router(Component):
             # one stamp per link hop, at the far-end arrival time, so
             # multi-hop flight shows up as accumulated pkt_transit time
             pkt.probe.stamp("pkt_transit", arrival)
-        peer = self.peers[neighbor]
-        self.schedule(arrival - self.now, peer._arrive, pkt)
-
-    def _arrive(self, pkt: Packet) -> None:
-        """A packet finished flying over an incoming channel."""
-        self._handle(pkt)
+        self.schedule(arrival - now, self.peers[neighbor]._handle, pkt)
 
 
 def build_routers(

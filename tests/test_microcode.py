@@ -245,6 +245,62 @@ class TestSequencer:
             )
 
 
+class TestSequencerErrors:
+    """The decoded sequencer reports the same faults as the microstore
+    itself: unbound symbols when they execute, bad jumps and bad
+    dispatches when they happen."""
+
+    @pytest.mark.parametrize("op, kind", [
+        (Op.SEND, "send"), (Op.LSEND, "lsend"), (Op.SET, "set")])
+    def test_unbound_symbol_raises_when_executed(self, op, kind):
+        program = Assembler("t").assemble([
+            Instr(Op.TEST, "sel", label="start",
+                  targets={0: "safe", 1: "unbound"}),
+            Instr(Op.SET, "ok", label="safe", next="end"),
+            Instr(op, "mystery", label="unbound", next="end"),
+        ])
+        handlers = {"test": {"sel": lambda e: e.vars["path"]},
+                    "set": {"ok": lambda e, op: None}}
+        # binding (and decoding) accept the program ...
+        env = Environment.bind(program, {}, {}, handlers["test"],
+                               handlers["set"])
+        seq = Sequencer(program, env)
+        # ... a run that avoids the unbound word completes ...
+        entry = TsrfEntry(0)
+        entry.valid, entry.pc, entry.vars = True, 0, {"path": 0}
+        assert seq.run(entry) == (3, StepResult.DONE)  # TEST, jump, SET
+        # ... and the one that reaches it fails there
+        entry.pc, entry.vars = 0, {"path": 1}
+        with pytest.raises(MicrocodeError, match=rf"unbound {op.name}"):
+            seq.run(entry)
+
+    def test_test_into_unprogrammed_slot(self):
+        with pytest.raises(MicrocodeError, match="unprogrammed address"):
+            run_program(
+                [Instr(Op.TEST, "sel", label="start", targets={0: "done"}),
+                 Instr(Op.SET, "x", label="done", next="end")],
+                handlers={"test": {"sel": lambda e: 5},
+                          "set": {"x": lambda e, op: None}},
+            )
+
+    def test_dispatch_into_non_receive(self):
+        with pytest.raises(MicrocodeError, match="non-receive"):
+            run_program(
+                [Instr(Op.SET, "x", label="start", next="end")],
+                handlers={"set": {"x": lambda e, op: None}},
+                dispatch=1,
+            )
+
+    def test_pc_outside_microstore(self):
+        program = Assembler("t").assemble(
+            [Instr(Op.MOVE, label="start", next="end")])
+        entry = TsrfEntry(0)
+        entry.pc = MICROSTORE_WORDS
+        with pytest.raises(MicrocodeError, match="outside microstore"):
+            Sequencer(program, Environment.bind(program, {}, {}, {}, {})
+                      ).run(entry)
+
+
 class TestDisassembler:
     def test_remote_program_listing(self):
         from repro.core.microcode import disassemble

@@ -174,3 +174,65 @@ class TestEngineAccounting:
         latency, source = issue(system, 1, 0, AccessKind.WH64, HOME0)
         assert source == ReplySource.REMOTE_MEM
         assert system.nodes[1].l1d[0].peek(HOME0).state == MESI.MODIFIED
+
+
+def lreceive_accepting(engine, kind):
+    """Address of an LRECEIVE in *engine*'s program with a branch-table
+    slot for local message *kind*."""
+    from repro.core.microcode import Op
+    from repro.core.microprograms import LOCAL_MSG
+
+    store = engine.program.store
+    for pc, word in enumerate(store):
+        if (word is not None and word.op == Op.LRECEIVE
+                and store[word.next_addr | LOCAL_MSG[kind]] is not None):
+            return pc
+    raise AssertionError(f"no LRECEIVE accepts {kind}")
+
+
+class TestRetriedBankResponses:
+    """A bank response that arrives while its thread is still mid-burst
+    is re-posted one engine cycle later and must land with its updates."""
+
+    @pytest.fixture
+    def p8x2(self):
+        return PiranhaSystem(preset("P8"), num_nodes=2)
+
+    @staticmethod
+    def record_starts(engine):
+        started = []
+        engine._start = lambda entry, code: started.append(
+            (entry, code, engine.sim.now))
+        return started
+
+    def test_resume_entry_retry_keeps_updates(self, p8x2):
+        from repro.core.microprograms import LOCAL_MSG
+
+        eng = p8x2.nodes[0].remote_engine
+        started = self.record_starts(eng)
+        entry = eng.tsrf.allocate(0x1000, lreceive_accepting(eng, "BANK_DATA"),
+                                  p8x2.sim.now)
+        assert entry.waiting is None            # still mid-burst
+        eng.resume_entry(entry, "BANK_DATA", version=3)
+        assert started == []                    # parked, not lost
+        entry.waiting = "local"                 # the burst parks the thread
+        p8x2.sim.run()
+        assert started == [(entry, LOCAL_MSG["BANK_DATA"], eng.INSTR_PS)]
+        assert entry.vars["version"] == 3
+        assert entry.waiting is None
+
+    def test_resume_local_retry_keeps_updates(self, p8x2):
+        from repro.core.microprograms import LOCAL_MSG
+
+        eng = p8x2.nodes[0].home_engine
+        started = self.record_starts(eng)
+        pc = lreceive_accepting(eng, "HOME_DIRTY")
+        eng.resume_local(0x1000, "HOME_DIRTY", version=5, owner=1)
+        assert started == []                    # no waiter parked yet
+        entry = eng.tsrf.allocate(0x1000, pc, p8x2.sim.now)
+        entry.waiting = "local"
+        p8x2.sim.run()
+        assert started == [(entry, LOCAL_MSG["HOME_DIRTY"], eng.INSTR_PS)]
+        assert entry.vars["version"] == 5
+        assert entry.vars["owner"] == 1
+        assert entry.waiting is None

@@ -48,6 +48,34 @@ class TestPriorityFifos:
         with pytest.raises(ValueError):
             PriorityFifos(0)
 
+    def test_length_tracks_push_and_pops(self):
+        """The O(1) length agrees with the FIFOs through every operation."""
+        q = PriorityFifos(3)
+
+        def check(expected):
+            assert len(q) == expected == sum(len(f) for f in q.fifos)
+            assert q.full == (expected >= 3)
+
+        check(0)
+        assert q.push(pkt(0))
+        assert q.push(pkt(2))
+        check(2)
+        assert q.push(pkt(1))
+        check(3)
+        assert not q.push(pkt(3))        # refused: length unchanged
+        check(3)
+        assert q.pop_highest().priority == 2
+        check(2)
+        assert q.pop_first(lambda p: p.priority == 9) is None
+        check(2)
+        assert q.pop_first(lambda p: p.priority == 0).priority == 0
+        check(1)
+        assert q.pop_highest().priority == 1
+        check(0)
+        assert q.pop_highest() is None
+        assert q.pop_first(lambda p: True) is None
+        check(0)
+
 
 class TestOutputQueue:
     def test_offer_and_pop(self):

@@ -165,6 +165,18 @@ class TestInjectedMutations:
             audit_tsrf(system, quiesced=True)
         assert "TSRF leak at quiesce" in str(exc.value)
 
+    @pytest.mark.parametrize("counter, value", [
+        ("live", 1), ("high_water", 17)])
+    def test_tsrf_counter_drift_detected(self, counter, value):
+        """The O(1) TSRF counters are cross-checked against a scan."""
+        system, _ = small_migratory(nodes=2, iterations=40)
+        system.run_to_completion()
+        audit_tsrf(system, quiesced=True)
+        setattr(system.nodes[1].remote_engine.tsrf, counter, value)
+        with pytest.raises(CoherenceViolation) as exc:
+            audit_tsrf(system, quiesced=False)
+        assert "TSRF counters out of step" in str(exc.value)
+
     def test_bank_serialisation_leak_detected_at_quiesce(self):
         system, _ = small_migratory(nodes=1, iterations=40)
         system.run_to_completion()

@@ -76,3 +76,51 @@ class TestTimeouts:
         fresh = tsrf.allocate(0x2000, 0, now_ps=900_000)
         expired = tsrf.timed_out(now_ps=1_000_000, timeout_ps=500_000)
         assert expired == [old]
+
+
+def scanned(tsrf):
+    return sum(1 for e in tsrf.entries if e.valid)
+
+
+class TestCounters:
+    """The O(1) live count and high-water mark track a scan of the
+    entries through every allocate and free."""
+
+    def test_allocate_until_full(self):
+        tsrf = Tsrf()
+        for i in range(TSRF_ENTRIES):
+            tsrf.allocate(i * 64, pc=0, now_ps=0)
+            assert tsrf.occupancy() == scanned(tsrf) == i + 1
+            assert tsrf.high_water == i + 1
+        assert tsrf.free_count == 0
+        with pytest.raises(TsrfFullError):
+            tsrf.allocate(0x9999, pc=0, now_ps=0)
+        # the failed allocation changes no counter
+        assert tsrf.occupancy() == scanned(tsrf) == TSRF_ENTRIES
+        assert tsrf.high_water == TSRF_ENTRIES
+        assert tsrf.allocations == TSRF_ENTRIES
+
+    def test_double_free_counts_once(self):
+        tsrf = Tsrf()
+        keep = tsrf.allocate(0x40, 0, 0)
+        e = tsrf.allocate(0x80, 0, 0)
+        tsrf.free(e)
+        tsrf.free(e)
+        assert tsrf.frees == 1
+        assert tsrf.occupancy() == scanned(tsrf) == 1
+        assert tsrf.free_count == TSRF_ENTRIES - 1
+        assert tsrf.high_water == 2
+        tsrf.free(keep)
+        assert tsrf.occupancy() == scanned(tsrf) == 0
+
+    def test_high_water_holds_after_frees(self):
+        tsrf = Tsrf()
+        entries = [tsrf.allocate(i, 0, 0) for i in range(6)]
+        for e in entries[:4]:
+            tsrf.free(e)
+        assert tsrf.high_water == 6
+        again = [tsrf.allocate(i, 0, 0) for i in range(3)]
+        assert tsrf.occupancy() == scanned(tsrf) == 5
+        assert tsrf.high_water == 6
+        # freed slots are reused lowest index first
+        assert [e.index for e in again] == [0, 1, 2]
