@@ -78,7 +78,17 @@ class ProtocolEngine(Component):
         self.chip = chip
         self.is_home = is_home
         self.program: Program = _program(is_home)
-        self.entry_map = HOME_ENTRY if is_home else REMOTE_ENTRY
+        #: entry-point pc per external dispatch code / local message kind
+        self._ext_pc: Dict[int, int] = {}
+        self._local_pc: Dict[str, int] = {}
+        local_kinds = {code: kind for kind, code in LOCAL_MSG.items()}
+        entry_map = HOME_ENTRY if is_home else REMOTE_ENTRY
+        for (origin, code), label in entry_map.items():
+            pc = self.program.entry_points[label]
+            if origin == "ext":
+                self._ext_pc[code] = pc
+            else:
+                self._local_pc[local_kinds[code]] = pc
         self.tsrf = Tsrf()
         self.busy_until = 0
         self.stalled: deque = deque()  # messages waiting for a TSRF entry
@@ -143,9 +153,8 @@ class ProtocolEngine(Component):
             entry.waiting = None
             self._start(entry, code)
             return True
-        try:
-            label = self.entry_map[("ext", code)]
-        except KeyError:
+        pc = self._ext_pc.get(code)
+        if pc is None:
             raise RuntimeError(f"{self.name}: no entry point for {pkt.ptype.name}")
         if (pkt.ptype in REQUEST_TYPES
                 and self.tsrf.free_count <= TSRF_RESERVED):
@@ -155,7 +164,7 @@ class ProtocolEngine(Component):
             return True
         try:
             entry = self.tsrf.allocate(
-                addr, self.program.entry_points[label], self.sim.now,
+                addr, pc, self.sim.now,
                 _msg=pkt,
                 req_node=pkt.info.get("req_node", pkt.src),
                 req_cpu=pkt.info.get("req_cpu", 0),
@@ -182,8 +191,7 @@ class ProtocolEngine(Component):
     def deliver_local(self, kind: str, addr: int, **vars: Any) -> None:
         """A bank (or other local module) starts a new protocol thread."""
         self.c_local_msgs.inc()
-        code = LOCAL_MSG[kind]
-        label = self.entry_map[("local", code)]
+        pc = self._local_pc[kind]
         if (kind in self.REQUEST_LOCAL
                 and self.tsrf.free_count <= TSRF_RESERVED):
             self.c_tsrf_stalls.inc()
@@ -191,8 +199,8 @@ class ProtocolEngine(Component):
             return
         try:
             entry = self.tsrf.allocate(
-                line_addr(addr), self.program.entry_points[label],
-                self.sim.now, is_local=vars.pop("is_local", True), **vars,
+                line_addr(addr), pc, self.sim.now,
+                is_local=vars.pop("is_local", True), **vars,
             )
         except TsrfFullError:
             self.c_tsrf_stalls.inc()

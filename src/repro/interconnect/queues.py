@@ -171,7 +171,8 @@ class InputQueue(Component):
             head = queue.peek_highest()
             if head is not None and head.priority > pkt.priority:
                 self.c_bypassed.inc()
-            if not self._handler_for(pkt)(pkt):  # pragma: no cover - handler lied in probe
+            # _deliverable resolved the handler, so the lookup cannot miss
+            if not self.disposition[pkt.ptype](pkt):  # pragma: no cover - handler lied in probe
                 raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
             self.c_delivered.inc()
 

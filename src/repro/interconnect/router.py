@@ -54,16 +54,12 @@ class Link:
         self.propagation_ps = ns(params.propagation_ns)
         self.packets = 0
 
-    def serialization_ps(self, pkt: Packet) -> int:
-        return pkt.wire_cycles * self.cycle_ps
-
-    def busy(self, now: int) -> bool:
-        return self.free_at > now
-
     def send(self, now: int, pkt: Packet) -> int:
-        """Occupy the link; returns the arrival time at the far end."""
-        start = max(now, self.free_at)
-        self.free_at = start + self.serialization_ps(pkt)
+        """Occupy the link for the packet's serialisation time; returns
+        the arrival time at the far end.  The link is busy while
+        ``free_at > now``."""
+        start = now if now > self.free_at else self.free_at
+        self.free_at = start + pkt.wire_cycles * self.cycle_ps
         self.packets += 1
         return self.free_at + self.propagation_ps
 
