@@ -288,10 +288,10 @@ class ProtocolEngine(Component):
             self.busy_until = burst_end
         done = result is StepResult.DONE
         if done or effects:
-            # One event for the whole burst end.  The per-effect events
-            # it replaces were scheduled back to back (consecutive
-            # sequence numbers at one timestamp), so nothing could fire
-            # between them and the (time, seq) order is unchanged.
+            # One event for the whole burst end: the effects and the
+            # retire land at one instant, back to back, so one callback
+            # running them in order fires them in the same (time, seq)
+            # order as one event each would.
             self.schedule(burst_ps, self._end_burst, entry, effects, done)
         if result is StepResult.BLOCKED_EXTERNAL:
             entry.waiting = "external"

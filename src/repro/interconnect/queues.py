@@ -172,8 +172,9 @@ class InputQueue(Component):
             if head is not None and head.priority > pkt.priority:
                 self.c_bypassed.inc()
             # _deliverable resolved the handler, so the lookup cannot miss
-            if not self.disposition[pkt.ptype](pkt):  # pragma: no cover - handler lied in probe
-                raise RuntimeError(f"{self.name}: handler refused probed packet {pkt}")
+            if not self.disposition[pkt.ptype](pkt):  # pragma: no cover
+                raise RuntimeError(  # the handler lied in its probe
+                    f"{self.name}: handler refused probed packet {pkt}")
             self.c_delivered.inc()
 
     def _poll_blocked(self) -> None:

@@ -58,8 +58,7 @@ class Link:
         """Occupy the link for the packet's serialisation time; returns
         the arrival time at the far end.  The link is busy while
         ``free_at > now``."""
-        start = now if now > self.free_at else self.free_at
-        self.free_at = start + pkt.wire_cycles * self.cycle_ps
+        self.free_at = max(now, self.free_at) + pkt.wire_cycles * self.cycle_ps
         self.packets += 1
         return self.free_at + self.propagation_ps
 
