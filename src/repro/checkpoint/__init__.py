@@ -2,12 +2,10 @@
 
 Layers (bottom up):
 
-* :mod:`~repro.checkpoint.pickling` — closure-capable pickler; turns the
-  live simulation graph into bytes and back, preserving shared-object
-  identity.
 * :mod:`~repro.checkpoint.machine` — what a snapshot *is* (system +
-  event queue + workload + txn counter) and *when* it may be taken
-  (between events: the warm-boundary hook, the periodic ticker).
+  event queue + workload + txn counter, one stock pickle that keeps
+  shared-object identity) and *when* it may be taken (between events:
+  the warm-boundary hook, the periodic ticker).
 * :mod:`~repro.checkpoint.format` — the versioned, digest-stamped
   ``.ckpt`` file: magic + JSON manifest + zlib payload, deterministic
   byte-for-byte.
@@ -27,12 +25,10 @@ from .format import (CheckpointError, SCHEMA, build_manifest,
                      write_checkpoint)
 from .machine import (PeriodicCheckpointer, WarmCapture, WindowHandoff,
                       restore_system, snapshot_bytes)
-from .pickling import CheckpointPickler, dumps, loads
 from .store import WARM_STORE, WarmStore, warm_key
 
 __all__ = [
     "CheckpointError", "SCHEMA",
-    "CheckpointPickler", "dumps", "loads",
     "snapshot_bytes", "restore_system", "WarmCapture",
     "PeriodicCheckpointer", "WindowHandoff",
     "WarmStore", "WARM_STORE", "warm_key",
@@ -77,9 +73,9 @@ def load_checkpoint(path: str, *, expect_config=None, force: bool = False
                     ) -> Tuple[Dict[str, Any], Any]:
     """Read, validate and restore a checkpoint file.
 
-    Schema and Python version are always enforced; library fingerprint
-    and (when *expect_config* is given) config digest are enforced unless
-    *force*.  Returns ``(manifest, system)``.
+    The schema is always enforced; library fingerprint and (when
+    *expect_config* is given) config digest are enforced unless *force*.
+    Returns ``(manifest, system)``.
     """
     from ..harness.cache import config_digest, library_fingerprint
 

@@ -5,16 +5,18 @@ Layout of a ``.ckpt`` file::
     bytes 0..8    MAGIC  b"RPCKPT01"
     bytes 8..12   manifest length N (big-endian uint32)
     bytes 12..12+N   manifest: canonical JSON (sorted keys, no whitespace)
-    bytes 12+N..  payload: zlib-compressed checkpoint pickle
+    bytes 12+N..  payload: zlib-compressed pickle (protocol 4)
 
 The manifest carries everything needed to decide whether a snapshot is
 *valid to restore* before touching the payload:
 
 * ``schema`` — checkpoint schema version; bumped whenever the snapshot
   contract changes incompatibly.
-* ``python`` — ``major.minor`` of the writing interpreter.  The payload
-  embeds :mod:`marshal`-serialised code objects for closures, which are
-  bytecode-format specific, so the reader refuses a version mismatch.
+* ``python`` — ``major.minor`` of the writing interpreter.
+  Informational: the payload is a stock pickle any supported
+  interpreter reads.  The warm-store key still folds it in, because
+  pickle bytes may differ between interpreters and equal keys must mean
+  equal payloads.
 * ``fingerprint`` — :func:`repro.harness.cache.library_fingerprint` of
   the writing library.  A snapshot of a simulation is only meaningful
   against the exact code that produced it; a stale snapshot must miss,
@@ -44,8 +46,6 @@ import tempfile
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
-from . import pickling
-
 __all__ = [
     "MAGIC", "SCHEMA", "CheckpointError",
     "write_checkpoint", "read_checkpoint", "read_manifest",
@@ -54,8 +54,9 @@ __all__ = [
 
 MAGIC = b"RPCKPT01"
 #: Schema version of the snapshot contract (manifest layout + what the
-#: payload contains).  Bump on incompatible change.
-SCHEMA = 1
+#: payload contains).  Bump on incompatible change.  Schema 1 payloads
+#: embedded closure bytecode; schema 2 payloads are stock pickle.
+SCHEMA = 2
 
 _LEN = struct.Struct(">I")
 
@@ -124,22 +125,16 @@ def validate_manifest(manifest: Dict[str, Any], *,
                       fingerprint: Optional[str] = None,
                       config_digest: Optional[str] = None,
                       strict: bool = True) -> None:
-    """Refuse snapshots this interpreter/library cannot faithfully restore.
+    """Refuse snapshots this library cannot faithfully restore.
 
-    Schema and Python version are always enforced (the payload embeds
-    marshalled bytecode).  Library fingerprint and config digest are
-    enforced when *strict* — the CLI offers ``--force`` to drop them for
-    debugging, but the warm-store path never does.
+    The schema is always enforced.  Library fingerprint and config
+    digest are enforced when *strict* — the CLI offers ``--force`` to
+    drop them for debugging, but the warm-store path never does.
     """
     if manifest.get("schema") != SCHEMA:
         raise CheckpointError(
             f"checkpoint schema {manifest.get('schema')} != supported "
             f"{SCHEMA}")
-    if manifest.get("python") != python_version_tag():
-        raise CheckpointError(
-            f"checkpoint written by Python {manifest.get('python')}, "
-            f"running {python_version_tag()} (closures are serialised as "
-            f"version-specific bytecode)")
     if strict and fingerprint is not None \
             and manifest.get("fingerprint") != fingerprint:
         raise CheckpointError(

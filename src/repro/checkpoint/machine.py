@@ -1,14 +1,17 @@
 """Whole-machine snapshot and restore.
 
-A snapshot is one deep pickle of the live simulation graph rooted at the
-:class:`~repro.core.system.PiranhaSystem`: the event queue (with every
-pending continuation — CPU callbacks, MSHR fills, protocol-thread
-wake-ups, the sampler/audit tickers), every cache, directory, TSRF and
-router, the attached workload, and the process-global memory-transaction
-counter.  The pickle memo preserves shared-object identity across the
-graph, so a restored closure over an L2 bank re-links to the *restored*
-bank; :mod:`repro.checkpoint.pickling` handles the local functions and
-lambdas CPython cannot pickle natively.
+A snapshot is one stock :mod:`pickle` of the live simulation graph
+rooted at the :class:`~repro.core.system.PiranhaSystem`: the event queue
+(with every pending continuation — CPU callbacks, MSHR fills,
+protocol-thread wake-ups, the sampler/audit tickers), every cache,
+directory, TSRF and router, the attached workload, and the
+process-global memory-transaction counter.  The pickle memo preserves
+shared-object identity across the graph, so a restored bound method of
+an L2 bank re-links to the *restored* bank.  No closure or lambda is
+stored on a component or placed in the event queue: continuations are
+bound methods whose state rides in their TSRF entry or their
+``schedule(fn, *args)`` arguments, which is what lets stock pickle
+serialise the whole machine.
 
 Capture timing matters: a snapshot taken mid-event would freeze a
 half-executed handler.  Every capture path here runs *between* events —
@@ -25,11 +28,11 @@ periodic tickers; ``start()`` is idempotent so
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
 from ..core import messages
-from . import pickling
 
 __all__ = [
     "snapshot_bytes", "restore_system",
@@ -50,7 +53,7 @@ def snapshot_bytes(system) -> bytes:
         "system": system,
         "txn_counter": messages._txn_ids,
     }
-    return pickling.dumps(state)
+    return pickle.dumps(state, protocol=4)
 
 
 def restore_system(payload: bytes):
@@ -61,7 +64,7 @@ def restore_system(payload: bytes):
     Returns the restored :class:`~repro.core.system.PiranhaSystem`; its
     workload is reachable as ``system.workload``.
     """
-    state = pickling.loads(payload)
+    state = pickle.loads(payload)
     messages._txn_ids = state["txn_counter"]
     return state["system"]
 
@@ -226,7 +229,7 @@ class PeriodicCheckpointer:
         cb = getattr(self, "on_capture", None)
         if cb is not None:
             cb(now, len(payload))
-        return self.system._running_cpus > 0
+        return self.system.has_running_cpus()
 
     def __getstate__(self) -> Dict[str, Any]:
         # The pending tick (a bound method in the pickled event queue)

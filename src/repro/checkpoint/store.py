@@ -96,9 +96,9 @@ class WarmStore:
             ) -> Optional[Tuple[Dict[str, Any], bytes]]:
         """Return ``(manifest, payload)`` for *key*, or None on a miss.
 
-        The manifest is strictly validated (schema, Python version,
-        library fingerprint): a snapshot from changed code or a different
-        interpreter misses rather than half-restoring.
+        The manifest is strictly validated (schema, library
+        fingerprint): a snapshot from changed code misses rather than
+        half-restoring.
         """
         if key is None or not cache_enabled():
             return None

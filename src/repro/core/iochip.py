@@ -21,6 +21,7 @@ interpreting accesses to virtual control registers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, List, Optional
 
 from ..sim.engine import Component, Simulator, ns
@@ -97,33 +98,35 @@ class PciInterface(Component):
         addr = transfer.addr + index * 64
         kind = AccessKind.WH64 if transfer.is_write else AccessKind.LOAD
         result = self.dl1.lookup(addr, kind)
-
-        def line_finished(latency_ps: int = 0,
-                          source: ReplySource = ReplySource.L1_HIT) -> None:
-            (self.c_dma_writes if transfer.is_write else self.c_dma_reads).inc()
-            transfer.done_lines += 1
-            # PCI-side serialisation per line
-            next_delay = self.line_transfer_ps
-            if transfer.done_lines >= transfer.lines:
-                transfer.end_ps = self.now + next_delay
-                self.schedule(next_delay, self._complete, transfer,
-                              on_done, vector)
-            else:
-                self.schedule(next_delay, self._issue_line, transfer,
-                              index + 1, on_done, vector)
-
         if result.hit:
-            line_finished()
+            self._line_finished(transfer, index, on_done, vector)
             return
         req = MemRequest(
             cpu_id=self.chip.config.cpus,  # the bridge's pseudo-CPU slot
             kind=kind, addr=addr, is_instr=False,
-            done=line_finished, node=self.chip.node_id,
+            done=partial(self._line_finished, transfer, index, on_done,
+                         vector),
+            node=self.chip.node_id,
         )
         req.issue_time = self.now
         # The bridge's dL1 misses enter the memory system like any CPU's.
         self.chip.issue_miss_from_cache(req, request_for(kind, result.state),
                                         self.cache_id)
+
+    def _line_finished(self, transfer: DmaTransfer, index: int, on_done,
+                       vector, latency_ps: int = 0,
+                       source: ReplySource = ReplySource.L1_HIT) -> None:
+        (self.c_dma_writes if transfer.is_write else self.c_dma_reads).inc()
+        transfer.done_lines += 1
+        # PCI-side serialisation per line
+        next_delay = self.line_transfer_ps
+        if transfer.done_lines >= transfer.lines:
+            transfer.end_ps = self.now + next_delay
+            self.schedule(next_delay, self._complete, transfer,
+                          on_done, vector)
+        else:
+            self.schedule(next_delay, self._issue_line, transfer,
+                          index + 1, on_done, vector)
 
     def _complete(self, transfer: DmaTransfer, on_done, vector) -> None:
         if vector is not None:

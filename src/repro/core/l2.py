@@ -73,11 +73,12 @@ class PendingEntry:
     waiters: deque = field(default_factory=deque)
     #: forwarded requests that arrived before our own data (the
     #: early-forward race of Section 2.5.3) park here, as
-    #: (invalidate, callback, probe-or-None) triples
-    deferred_fetches: List[Tuple[bool, Callable, object]] = field(
+    #: (invalidate, callback, TSRF entry, probe-or-None)
+    deferred_fetches: List[Tuple[bool, Callable, object, object]] = field(
         default_factory=list)
-    #: deferred home-engine lookups (home-side serialisation)
-    deferred_lookups: List[Callable] = field(default_factory=list)
+    #: deferred home-engine lookups (home-side serialisation), as
+    #: :meth:`L2Bank.service_home_lookup` argument tuples
+    deferred_lookups: List[tuple] = field(default_factory=list)
 
 
 class L2Bank(Component):
@@ -409,27 +410,30 @@ class L2Bank(Component):
     def _hand_to_home_engine_fetch(self, req: MemRequest, reqtype: RequestType,
                                    line: int, direntry: DirectoryEntry) -> None:
         """Local request, directory says a remote node owns the line dirty:
-        the home engine forwards on our behalf (3-hop)."""
-        exclusive = reqtype != RequestType.READ
-
-        def on_fill(version: int, state: MESI) -> None:
-            self.c_remote_dirty.inc()
-            if exclusive:
-                self._fill(req, line, MESI.MODIFIED, owner=True,
-                           version=version + 1, dirty=True,
-                           source=ReplySource.REMOTE_DIRTY)
-            else:
-                self.remote_cached.add(line)
-                self._fill(req, line, MESI.SHARED, owner=True,
-                           version=version, dirty=False,
-                           source=ReplySource.REMOTE_DIRTY)
-
+        the home engine forwards on our behalf (3-hop) and answers with
+        :meth:`home_fetch_fill`."""
         self.chip.home_engine.deliver_local(
             "NEW_LOCAL_FETCH", line,
             req_node=self.chip.node_id, is_local=True, owner=direntry.owner,
-            fetch_excl=exclusive, dir_entry=direntry, on_fill=on_fill,
-            req_cpu=req.cpu_id, probe=req.probe,
+            fetch_excl=reqtype != RequestType.READ, dir_entry=direntry,
+            req=req, req_cpu=req.cpu_id, probe=req.probe,
         )
+
+    def home_fetch_fill(self, entry, version: int, state: MESI) -> None:
+        """The home engine's 3-hop fetch for a local request returned the
+        owner's data; the request rides in the TSRF *entry*."""
+        req = entry.vars["req"]
+        line = entry.addr
+        self.c_remote_dirty.inc()
+        if state == MESI.MODIFIED:
+            self._fill(req, line, MESI.MODIFIED, owner=True,
+                       version=version + 1, dirty=True,
+                       source=ReplySource.REMOTE_DIRTY)
+        else:
+            self.remote_cached.add(line)
+            self._fill(req, line, MESI.SHARED, owner=True,
+                       version=version, dirty=False,
+                       source=ReplySource.REMOTE_DIRTY)
 
     # -- remote home ----------------------------------------------------------
 
@@ -443,39 +447,43 @@ class L2Bank(Component):
             RequestType.EXCLUSIVE: PacketType.EXCLUSIVE,
             RequestType.EXCLUSIVE_NO_DATA: PacketType.EXCLUSIVE_NO_DATA,
         }[reqtype]
-
-        def on_fill(state: str, version: int, three_hop: bool) -> None:
-            if state == "S":
-                self.our_mode[line] = "S"
-                src = (ReplySource.REMOTE_DIRTY if three_hop
-                       else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
-                self._fill(req, line, MESI.SHARED, owner=True,
-                           version=version, dirty=False, source=src)
-            elif state == "E":
-                self.our_mode[line] = "E"
-                self.c_remote_mem.inc()
-                self._fill(req, line, MESI.EXCLUSIVE, owner=True,
-                           version=version, dirty=False,
-                           source=ReplySource.REMOTE_MEM)
-            else:  # "M"
-                self.our_mode[line] = "E"
-                src = (ReplySource.REMOTE_DIRTY if three_hop
-                       else ReplySource.REMOTE_MEM)
-                (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
-                if reqtype == RequestType.EXCLUSIVE:
-                    # An upgrade grant carries no data: the write builds on
-                    # our own cached copy, which may be fresher than the
-                    # home's version token.
-                    version = max(version, self._onchip_version(line))
-                self._fill(req, line, MESI.MODIFIED, owner=True,
-                           version=version + 1, dirty=True, source=src)
-
         kind = "NEW_READ" if reqtype == RequestType.READ else "NEW_READX"
         self.chip.remote_engine.deliver_local(
-            kind, line, req_ptype=ptype, on_fill=on_fill,
+            kind, line, req_ptype=ptype, req=req, reqtype=reqtype,
             req_node=self.chip.node_id, req_cpu=req.cpu_id, probe=req.probe,
         )
+
+    def remote_reply_fill(self, entry, state: str, version: int,
+                          three_hop: bool) -> None:
+        """The remote engine received the home's reply (*state* "S", "E"
+        or "M"); the request and its type ride in the TSRF *entry*."""
+        req = entry.vars["req"]
+        line = entry.addr
+        if state == "S":
+            self.our_mode[line] = "S"
+            src = (ReplySource.REMOTE_DIRTY if three_hop
+                   else ReplySource.REMOTE_MEM)
+            (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
+            self._fill(req, line, MESI.SHARED, owner=True,
+                       version=version, dirty=False, source=src)
+        elif state == "E":
+            self.our_mode[line] = "E"
+            self.c_remote_mem.inc()
+            self._fill(req, line, MESI.EXCLUSIVE, owner=True,
+                       version=version, dirty=False,
+                       source=ReplySource.REMOTE_MEM)
+        else:  # "M"
+            self.our_mode[line] = "E"
+            src = (ReplySource.REMOTE_DIRTY if three_hop
+                   else ReplySource.REMOTE_MEM)
+            (self.c_remote_dirty if three_hop else self.c_remote_mem).inc()
+            if entry.vars["reqtype"] == RequestType.EXCLUSIVE:
+                # An upgrade grant carries no data: the write builds on
+                # our own cached copy, which may be fresher than the
+                # home's version token.
+                version = max(version, self._onchip_version(line))
+            self._fill(req, line, MESI.MODIFIED, owner=True,
+                       version=version + 1, dirty=True, source=src)
 
     def _must_wait_for_home(self, line: int) -> bool:
         """A remote-home line held only SHARED cannot be upgraded locally:
@@ -564,10 +572,11 @@ class L2Bank(Component):
         self._engine_holds.discard(line)
         if entry is None:
             return
-        for inval, fetch_cb, fetch_probe in entry.deferred_fetches:
-            self._do_fetch_for_fwd(line, inval, fetch_cb, fetch_probe)
-        for lookup_cb in entry.deferred_lookups:
-            self.schedule(0, lookup_cb)
+        for inval, fetch_cb, fetch_entry, fetch_probe in entry.deferred_fetches:
+            self._do_fetch_for_fwd(line, inval, fetch_cb, fetch_entry,
+                                   fetch_probe)
+        for lookup_args in entry.deferred_lookups:
+            self.schedule(0, self.service_home_lookup, *lookup_args)
         for waiter_req, waiter_type in entry.waiters:
             self.schedule(0, self.request, waiter_req, waiter_type)
         while self.overflow and len(self.pending) < self.pending_limit:
@@ -876,13 +885,14 @@ class L2Bank(Component):
     # -----------------------------------------------------------------------
 
     def service_home_lookup(self, line: int, exclusive: bool, req_node: int,
-                            on_done: Callable, probe=None) -> None:
+                            on_done: Callable, entry, probe=None) -> None:
         """Home engine asks: gather the line's data + directory, resolving
         on-chip copies at the home node (downgrading for reads,
         invalidating for exclusive requests).
 
-        ``on_done(kind, version, direntry, no_other_sharers)`` with kind in
-        {"clean", "dirty_remote"}.
+        ``on_done(entry, kind, version, direntry, no_other_sharers)`` with
+        kind in {"clean", "dirty_remote"}; *entry* is the asking TSRF
+        entry, passed back untouched.
 
         Home-side serialisation: if the line has an in-flight transaction
         (a local request or another engine transaction) this lookup defers
@@ -893,81 +903,80 @@ class L2Bank(Component):
         pend = self.pending.get(line)
         if pend is not None:
             pend.deferred_lookups.append(
-                lambda: self.service_home_lookup(line, exclusive, req_node,
-                                                 on_done, probe)
-            )
+                (line, exclusive, req_node, on_done, entry, probe))
             return
         self.pending[line] = PendingEntry(line)
         self._engine_holds.add(line)
         mc = self.chip.mc_for_bank(self.bank_idx)
         res = mc.read_line(line, probe=probe)
-        delay = self.t_tag + res.critical_word_ps
+        self.schedule(self.t_tag + res.critical_word_ps,
+                      self._finish_home_lookup, line, exclusive, on_done,
+                      entry)
 
-        def finish() -> None:
-            direntry = self.chip.dirstore.read(line)
-            if direntry.state == DirState.EXCLUSIVE:
-                on_done("dirty_remote", 0, direntry, False)
-                return
-            # Freshest data may be on-chip (home node's own caches).
-            version = self.chip.mem_version(line)
-            onchip_sharers = self.dup.sharers(line)
-            l1_owner = self.dup.l1_owner(line)
-            l2line = self._l2_line(line)
+    def _finish_home_lookup(self, line: int, exclusive: bool,
+                            on_done: Callable, entry) -> None:
+        direntry = self.chip.dirstore.read(line)
+        if direntry.state == DirState.EXCLUSIVE:
+            on_done(entry, "dirty_remote", 0, direntry, False)
+            return
+        # Freshest data may be on-chip (home node's own caches).
+        version = self.chip.mem_version(line)
+        onchip_sharers = self.dup.sharers(line)
+        l1_owner = self.dup.l1_owner(line)
+        l2line = self._l2_line(line)
+        if l1_owner is not None:
+            owner_l1 = self.chip.l1_by_id(l1_owner)
+            owner_line = owner_l1.peek(line)
+            if owner_line is not None:
+                version = max(version, owner_line.version)
+        if l2line is not None:
+            version = max(version, l2line.version)
+        if exclusive:
+            self._invalidate_on_chip(line, except_cache=None)
+            self._drop_l2_copy(line, l2line)
+            self.remote_cached.discard(line)
+            no_others = direntry.state == DirState.UNCACHED
+        else:
             if l1_owner is not None:
                 owner_l1 = self.chip.l1_by_id(l1_owner)
-                owner_line = owner_l1.peek(line)
-                if owner_line is not None:
-                    version = max(version, owner_line.version)
-            if l2line is not None:
-                version = max(version, l2line.version)
-            if exclusive:
-                self._invalidate_on_chip(line, except_cache=None)
-                self._drop_l2_copy(line, l2line)
-                self.remote_cached.discard(line)
-                no_others = direntry.state == DirState.UNCACHED
-            else:
-                if l1_owner is not None:
-                    owner_l1 = self.chip.l1_by_id(l1_owner)
-                    owner_l1.downgrade(line)
-                    self.dup.set_state(line, l1_owner, MESI.SHARED)
-                    if self.chip.checker is not None:
-                        self.chip.checker.on_downgrade(self.chip.node_id,
-                                                       l1_owner, line)
-                if onchip_sharers or l2line is not None:
-                    self.remote_cached.add(line)
-                no_others = (
-                    direntry.state == DirState.UNCACHED
-                    and not onchip_sharers
-                    and l2line is None
-                )
-                # keep memory fresh: model sharing write-back of on-chip
-                # dirty data into memory at the home
-                self.chip.set_mem_version(line, version)
-            on_done("clean", version, direntry, no_others)
-
-        self.schedule(delay, finish)
+                owner_l1.downgrade(line)
+                self.dup.set_state(line, l1_owner, MESI.SHARED)
+                if self.chip.checker is not None:
+                    self.chip.checker.on_downgrade(self.chip.node_id,
+                                                   l1_owner, line)
+            if onchip_sharers or l2line is not None:
+                self.remote_cached.add(line)
+            no_others = (
+                direntry.state == DirState.UNCACHED
+                and not onchip_sharers
+                and l2line is None
+            )
+            # keep memory fresh: model sharing write-back of on-chip
+            # dirty data into memory at the home
+            self.chip.set_mem_version(line, version)
+        on_done(entry, "clean", version, direntry, no_others)
 
     def service_fetch_for_fwd(self, line: int, inval: bool,
-                              on_done: Callable, probe=None) -> None:
+                              on_done: Callable, entry, probe=None) -> None:
         """Remote engine asks for the data of a remote-home line we own, to
         service a forwarded request.  Guaranteed serviceable: the data is
         in an L1, the L2, or the write-back buffer; if our own fill is
         still in flight the fetch waits on the pending entry (the
-        early-forward race)."""
+        early-forward race).  Answers with ``on_done(entry, version)``."""
         if line in self.wb_buffer:
             # The buffered copy is valid regardless of any pending local
             # request (which may itself be the one this forward services —
             # deferring here would deadlock the pair).
-            self._do_fetch_for_fwd(line, inval, on_done, probe)
+            self._do_fetch_for_fwd(line, inval, on_done, entry, probe)
             return
         pend = self.pending.get(line)
         if pend is not None:
-            pend.deferred_fetches.append((inval, on_done, probe))
+            pend.deferred_fetches.append((inval, on_done, entry, probe))
             return
-        self._do_fetch_for_fwd(line, inval, on_done, probe)
+        self._do_fetch_for_fwd(line, inval, on_done, entry, probe)
 
     def _do_fetch_for_fwd(self, line: int, inval: bool, on_done: Callable,
-                          probe=None) -> None:
+                          entry, probe=None) -> None:
         version: Optional[int] = None
         l1_owner = self.dup.l1_owner(line)
         delay = self.t_tag
@@ -1012,23 +1021,24 @@ class L2Bank(Component):
                     self.chip.checker.on_downgrade(self.chip.node_id,
                                                    l1_owner, line)
             self.our_mode[line] = "S"
-        self.schedule(delay, on_done, version)
+        self.schedule(delay, on_done, entry, version)
 
-    def service_invalidate(self, line: int, on_done: Callable,
+    def service_invalidate(self, line: int, on_done: Callable, entry,
                            epoch: Optional[int] = None) -> None:
-        """Invalidate every on-chip copy of a remote-home line.
+        """Invalidate every on-chip copy of a remote-home line, then
+        answer with ``on_done(entry)``.
 
         ``epoch`` is the committed version at the home when the
         invalidation was issued: a late invalidation that raced past a
         fresher grant must not kill the newer copy (it is still
         acknowledged)."""
         if epoch is not None and self._onchip_version(line) > epoch:
-            self.schedule(self.t_tag + self.t_ics, on_done)
+            self.schedule(self.t_tag + self.t_ics, on_done, entry)
             return
         self._invalidate_on_chip(line, except_cache=None)
         self._drop_l2_copy(line, self._l2_line(line))
         self._line_left_chip(line)
-        self.schedule(self.t_tag + self.t_ics, on_done)
+        self.schedule(self.t_tag + self.t_ics, on_done, entry)
 
     def _onchip_version(self, line: int) -> int:
         best = -1
@@ -1041,12 +1051,14 @@ class L2Bank(Component):
                 best = sline.version
         return best
 
-    def service_mem_write(self, line: int, version: int, on_done: Callable) -> None:
-        """Write back data (+directory) for the home engine."""
+    def service_mem_write(self, line: int, version: int, on_done: Callable,
+                          entry) -> None:
+        """Write back data (+directory) for the home engine, then answer
+        with ``on_done(entry)``."""
         mc = self.chip.mc_for_bank(self.bank_idx)
         res = mc.write_line(line)
         self.chip.set_mem_version(line, version)
-        self.schedule(res.critical_word_ps, on_done)
+        self.schedule(res.critical_word_ps, on_done, entry)
 
     def dir_write(self, line: int, direntry: Optional[DirectoryEntry]) -> None:
         """Fire-and-forget directory update (rides the MC write path).

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..interconnect.cmi import MAX_CMI_MESSAGES, plan_cmi
 from ..interconnect.packets import Lane, Packet, PacketType
 from ..mem.addr import line_addr
 from ..sim.engine import Component, Simulator, ns
 from .directory import DirectoryEntry, DirState, add_sharer, make_exclusive
+from .messages import MESI
 from .microcode import END, Environment, Program, Sequencer, StepResult
 from .microprograms import (
     HOME_ENTRY,
@@ -95,7 +96,15 @@ class ProtocolEngine(Component):
         #: outgoing effects deferred by the burst being executed (see
         #: :meth:`_effect`); None between bursts
         self._effects: Optional[list] = None
-        self.env = self._bind_environment()
+        if is_home:
+            maps = (self.HOME_SENDERS, self.HOME_LOCAL_SENDERS,
+                    self.HOME_CONDITIONS, self.HOME_ACTIONS)
+        else:
+            maps = (self.REMOTE_SENDERS, self.REMOTE_LOCAL_SENDERS,
+                    self.REMOTE_CONDITIONS, self.REMOTE_ACTIONS)
+        self.env = Environment.bind(self.program, *(
+            {sym: getattr(self, name) for sym, name in names.items()}
+            for names in maps))
         self.sequencer = Sequencer(self.program, self.env)
         s = self.stats
         self.c_instructions = s.counter("microinstructions")
@@ -321,6 +330,80 @@ class ProtocolEngine(Component):
     # Environment binding
     # -----------------------------------------------------------------------
 
+    #: Microprogram symbol -> handler method name, one map per handler
+    #: kind (SEND, LSEND, TEST, SET) for each engine role.  ``__init__``
+    #: binds them with :meth:`Environment.bind`; a SEND/LSEND/SET symbol
+    #: missing here stays unbound and raises when its instruction runs.
+    REMOTE_SENDERS = {
+        "req_to_home": "_req_to_home",
+        "data_reply_to_requester": "_data_reply_to_requester",
+        "data_excl_reply_to_requester": "_data_excl_reply_to_requester",
+        "sharing_wb_to_home": "_sharing_wb_to_home",
+        "inval_ack_to_requester": "_inval_ack_to_requester",
+        "cmi_to_next": "_cmi_to_next",
+        "wb_to_home": "_wb_to_home",
+    }
+    REMOTE_LOCAL_SENDERS = {
+        "fill_shared": "_fill_shared",
+        "fill_exclusive": "_fill_exclusive",
+        "fill_modified": "_fill_modified",
+        "bank_fetch_shared": "_bank_fetch_shared",
+        "bank_fetch_inval": "_bank_fetch_inval",
+        "bank_invalidate": "_bank_invalidate",
+        "release_wb_buffer": "_release_wb_buffer",
+    }
+    REMOTE_CONDITIONS = {
+        "acks_pending": "_acks_pending",
+        "reply_was_exclusive": "_reply_was_exclusive",
+        "cmi_more_stops": "_cmi_more_stops",
+    }
+    REMOTE_ACTIONS = {
+        "count_ack": "_count_ack",
+        "acks_complete": "_acks_complete",
+        "noop": "_noop",
+        "load_reply_state": "_load_reply_state",
+    }
+    HOME_SENDERS = {
+        "data_reply": "_data_reply",
+        "data_excl_reply": "_data_excl_reply",
+        "fwd_read_to_owner": "_fwd_read_to_owner",
+        "fwd_readx_to_owner": "_fwd_readx_to_owner",
+        "wb_ack": "_wb_ack",
+        "inval_to_sharer": "_inval_to_sharer",
+        "cmi_launch": "_cmi_launch",
+    }
+    HOME_LOCAL_SENDERS = {
+        "bank_home_lookup": "_bank_home_lookup",
+        "bank_home_lookup_x": "_bank_home_lookup_x",
+        "dir_write": "_dir_write",
+        "bank_mem_write": "_bank_mem_write",
+        "fill_local": "_fill_local",
+        "sharing_wb_done": "_sharing_wb_done",
+        "local_inval_done": "_local_inval_done",
+    }
+    HOME_CONDITIONS = {
+        "acks_pending": "_acks_pending",
+        "no_other_sharers": "_no_other_sharers",
+        "has_remote_sharers": "_has_remote_sharers",
+        "use_cmi": "_use_cmi",
+        "more_sharers": "_more_sharers",
+        "more_missiles": "_more_missiles",
+        "is_sharing_wb": "_is_sharing_wb",
+    }
+    HOME_ACTIONS = {
+        "count_ack": "_count_ack",
+        "acks_complete": "_acks_complete",
+        "noop": "_noop",
+        "dir_add_sharer": "_dir_add_sharer",
+        "dir_make_exclusive": "_dir_make_exclusive",
+        "dir_make_exclusive_local": "_dir_make_exclusive_local",
+        "dir_share_with_owner": "_dir_share_with_owner",
+        "dir_clear": "_dir_clear",
+        "next_sharer": "_next_sharer",
+        "plan_cmi": "_plan_cmi",
+        "next_missile": "_next_missile",
+    }
+
     def _effect(self, entry: TsrfEntry, fn: Callable, *args: Any) -> None:
         """Defer an outgoing message to the end of the current burst, so
         sends are charged the microinstructions that precede them."""
@@ -338,400 +421,308 @@ class ProtocolEngine(Component):
     def _bank(self, entry: TsrfEntry):
         return self.chip.bank_for(entry.addr)
 
-    def _bind_environment(self) -> Environment:
+    # ---- bank continuations -------------------------------------------------
+    # A bank service answers by scheduling one of these with the TSRF
+    # entry it was handed, so the wake-up is plain data in the event.
+
+    def _bank_data(self, entry: TsrfEntry, version: int) -> None:
+        self.resume_entry(entry, "BANK_DATA", version=version)
+
+    def _bank_done(self, entry: TsrfEntry) -> None:
+        self.resume_entry(entry, "BANK_DONE")
+
+    def _home_lookup_done(self, entry: TsrfEntry, kind: str, version: int,
+                          direntry: DirectoryEntry, no_others: bool) -> None:
+        code = "HOME_CLEAN" if kind == "clean" else "HOME_DIRTY"
+        self.resume_entry(
+            entry, code, version=version, dir_entry=direntry,
+            no_other_sharers=no_others,
+            owner=direntry.owner,
+            sharers=sorted(direntry.sharers - {entry.vars["req_node"]}),
+        )
+
+    # ---- shared handlers ----------------------------------------------------
+
+    def _count_ack(self, entry: TsrfEntry, _op: int) -> None:
+        entry.vars["acks_got"] = entry.vars.get("acks_got", 0) + 1
+
+    def _acks_pending(self, entry: TsrfEntry) -> int:
+        needed = entry.vars.get("acks_needed", 0)
+        got = entry.vars.get("acks_got", 0)
+        return 1 if needed > got else 0
+
+    def _acks_complete(self, entry: TsrfEntry, _op: int) -> None:
+        self.chip.note_acks_complete(entry.addr)
+
+    def _noop(self, entry: TsrfEntry, _op: int) -> None:
+        return
+
+    # ---- remote-engine handlers ---------------------------------------------
+
+    def _req_to_home(self, entry: TsrfEntry) -> None:
         chip = self.chip
+        self._send(entry, entry.vars["req_ptype"], chip.home_of(entry.addr),
+                   req_node=chip.node_id, req_cpu=entry.vars.get("req_cpu", 0))
 
-        # ---- shared helpers ------------------------------------------------
+    def _fill_requester(self, entry: TsrfEntry, state: str) -> None:
+        """Hand the home's reply to the bank that launched the request;
+        the request itself rides in the TSRF entry."""
+        msg = entry.vars.get("_msg")
+        info = msg.info if msg is not None else {}
+        self._effect(entry, self._bank(entry).remote_reply_fill, entry, state,
+                     info.get("version", 0), bool(info.get("three_hop", False)))
 
-        def home_of(entry: TsrfEntry) -> int:
-            return chip.home_of(entry.addr)
+    def _fill_shared(self, entry: TsrfEntry) -> None:
+        self._fill_requester(entry, "S")
 
-        def count_ack(entry: TsrfEntry, _op: int) -> None:
-            entry.vars["acks_got"] = entry.vars.get("acks_got", 0) + 1
+    def _fill_exclusive(self, entry: TsrfEntry) -> None:
+        self._fill_requester(entry, "E")
 
-        def acks_pending(entry: TsrfEntry) -> int:
-            needed = entry.vars.get("acks_needed", 0)
-            got = entry.vars.get("acks_got", 0)
-            return 1 if needed > got else 0
+    def _fill_modified(self, entry: TsrfEntry) -> None:
+        self._fill_requester(entry, "M")
 
-        def acks_complete(entry: TsrfEntry, _op: int) -> None:
-            chip.note_acks_complete(entry.addr)
+    def _load_reply_state(self, entry: TsrfEntry, _op: int) -> None:
+        needed = entry.vars["_msg"].info.get("inval_count", 0)
+        entry.vars["acks_needed"] = needed
+        if needed > entry.vars.get("acks_got", 0):
+            # eager exclusive grant: a later MB by this CPU must wait
+            # for the outstanding invalidation acks
+            self.chip.register_pending_acks(entry.vars.get("req_cpu", 0),
+                                            entry.addr)
 
-        def noop(entry: TsrfEntry, _op: int) -> None:
-            return
+    def _reply_was_exclusive(self, entry: TsrfEntry) -> int:
+        msg = entry.vars["_msg"]
+        return 1 if msg.ptype == PacketType.DATA_EXCLUSIVE_REPLY else 0
 
-        senders: Dict[str, Callable] = {}
-        local_senders: Dict[str, Callable] = {}
-        conditions: Dict[str, Callable] = {"acks_pending": acks_pending}
-        actions: Dict[str, Callable] = {
-            "count_ack": count_ack,
-            "acks_complete": acks_complete,
-            "noop": noop,
-        }
+    def _bank_fetch(self, entry: TsrfEntry, inval: bool) -> None:
+        self._effect(entry, self._bank(entry).service_fetch_for_fwd,
+                     entry.addr, inval, self._bank_data, entry,
+                     entry.vars.get("probe"))
 
-        if not self.is_home:
-            self._bind_remote(senders, local_senders, conditions, actions,
-                              home_of)
-        else:
-            self._bind_home(senders, local_senders, conditions, actions)
+    def _bank_fetch_shared(self, entry: TsrfEntry) -> None:
+        self._bank_fetch(entry, False)
 
-        return Environment.bind(self.program, senders, local_senders,
-                                conditions, actions)
+    def _bank_fetch_inval(self, entry: TsrfEntry) -> None:
+        self._bank_fetch(entry, True)
 
-    # ---- remote-engine bindings -------------------------------------------
+    def _data_reply_to_requester(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.DATA_REPLY,
+                   entry.vars["req_node"],
+                   version=entry.vars.get("version", 0), three_hop=True)
 
-    def _bind_remote(self, senders, local_senders, conditions, actions,
-                     home_of) -> None:
-        chip = self.chip
+    def _data_excl_reply_to_requester(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.DATA_EXCLUSIVE_REPLY,
+                   entry.vars["req_node"],
+                   version=entry.vars.get("version", 0),
+                   inval_count=0, three_hop=True)
 
-        def req_to_home(entry: TsrfEntry) -> None:
-            ptype = entry.vars["req_ptype"]
-            self._send(entry, ptype, home_of(entry),
-                       req_node=chip.node_id, req_cpu=entry.vars.get("req_cpu", 0))
+    def _sharing_wb_to_home(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.WRITEBACK, self.chip.home_of(entry.addr),
+                   version=entry.vars.get("version", 0), sharing=True)
 
-        def fill(entry: TsrfEntry, state: str) -> None:
-            msg = entry.vars.get("_msg")
-            version = msg.info.get("version", 0) if msg is not None else 0
-            three_hop = bool(msg.info.get("three_hop", False)) if msg else False
-            on_fill = entry.vars.get("on_fill")
-            if on_fill is not None:
-                self._effect(entry, on_fill, state, version, three_hop)
+    def _bank_invalidate(self, entry: TsrfEntry) -> None:
+        epoch = entry.vars["_msg"].info.get("epoch")
+        self._effect(entry, self._bank(entry).service_invalidate, entry.addr,
+                     self._bank_done, entry, epoch)
 
-        def load_reply_state(entry: TsrfEntry, _op: int) -> None:
-            msg = entry.vars["_msg"]
-            needed = msg.info.get("inval_count", 0)
-            entry.vars["acks_needed"] = needed
-            if needed > entry.vars.get("acks_got", 0):
-                # eager exclusive grant: a later MB by this CPU must wait
-                # for the outstanding invalidation acks
-                chip.register_pending_acks(entry.vars.get("req_cpu", 0),
-                                           entry.addr)
+    def _inval_ack_to_requester(self, entry: TsrfEntry) -> None:
+        msg = entry.vars["_msg"]
+        requester = msg.info.get("req_node", msg.src)
+        self._send(entry, PacketType.INVAL_ACK, requester)
 
-        def reply_was_exclusive(entry: TsrfEntry) -> int:
-            msg = entry.vars["_msg"]
-            return 1 if msg.ptype == PacketType.DATA_EXCLUSIVE_REPLY else 0
+    def _cmi_more_stops(self, entry: TsrfEntry) -> int:
+        return 1 if entry.vars.get("chain") else 0
 
-        def bank_fetch(entry: TsrfEntry, inval: bool) -> None:
-            bank = self._bank(entry)
-            addr = entry.addr
+    def _cmi_to_next(self, entry: TsrfEntry) -> None:
+        msg = entry.vars["_msg"]
+        chain = tuple(entry.vars.get("chain", ()))
+        nxt, rest = chain[0], chain[1:]
+        self._send(entry, PacketType.CMI_INVALIDATE, nxt,
+                   req_node=msg.info.get("req_node", msg.src), chain=rest,
+                   epoch=msg.info.get("epoch"))
 
-            def on_data(version: int) -> None:
-                self.resume_entry(entry, "BANK_DATA", version=version)
+    def _wb_to_home(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.WRITEBACK, self.chip.home_of(entry.addr),
+                   version=entry.vars.get("version", 0), sharing=False)
 
-            self._effect(entry, bank.service_fetch_for_fwd, addr, inval,
-                         on_data, entry.vars.get("probe"))
+    def _release_wb_buffer(self, entry: TsrfEntry) -> None:
+        self._effect(entry, self._bank(entry).release_wb, entry.addr)
 
-        def data_reply_to_requester(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.DATA_REPLY,
-                       entry.vars["req_node"],
-                       version=entry.vars.get("version", 0), three_hop=True)
+    # ---- home-engine handlers -----------------------------------------------
 
-        def data_excl_reply_to_requester(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.DATA_EXCLUSIVE_REPLY,
-                       entry.vars["req_node"],
-                       version=entry.vars.get("version", 0),
-                       inval_count=0, three_hop=True)
+    def _bank_home_lookup(self, entry: TsrfEntry,
+                          exclusive: bool = False) -> None:
+        self._effect(entry, self._bank(entry).service_home_lookup, entry.addr,
+                     exclusive, entry.vars["req_node"], self._home_lookup_done,
+                     entry, entry.vars.get("probe"))
 
-        def sharing_wb_to_home(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.WRITEBACK, home_of(entry),
-                       version=entry.vars.get("version", 0), sharing=True)
+    def _bank_home_lookup_x(self, entry: TsrfEntry) -> None:
+        self._bank_home_lookup(entry, True)
 
-        def bank_invalidate(entry: TsrfEntry) -> None:
-            bank = self._bank(entry)
-            addr = entry.addr
-            epoch = entry.vars["_msg"].info.get("epoch")
+    def _data_reply(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.DATA_REPLY, entry.vars["req_node"],
+                   version=entry.vars.get("version", 0))
 
-            def on_done() -> None:
-                self.resume_entry(entry, "BANK_DONE")
+    def _data_excl_reply(self, entry: TsrfEntry) -> None:
+        count = entry.vars.get("inval_count", 0)
+        wants_data = entry.vars.get("req_ptype") != PacketType.EXCLUSIVE
+        ptype = (PacketType.DATA_EXCLUSIVE_REPLY if wants_data
+                 else PacketType.ACK_REPLY)
+        self._send(entry, ptype, entry.vars["req_node"],
+                   version=entry.vars.get("version", 0), inval_count=count)
 
-            self._effect(entry, bank.service_invalidate, addr, on_done, epoch)
+    def _fwd_read_to_owner(self, entry: TsrfEntry) -> None:
+        excl = entry.vars.get("fetch_excl", False)
+        ptype = (PacketType.FWD_READ_EXCLUSIVE if excl
+                 else PacketType.FWD_READ)
+        if not excl:
+            # The owner will downgrade and send the data home as a
+            # sharing write-back; until it lands, memory is stale and
+            # the line must stay serialised at the home bank.
+            self._bank(entry).expect_sharing_wb(entry.addr)
+        self._send(entry, ptype, entry.vars["owner"],
+                   req_node=entry.vars["req_node"],
+                   req_cpu=entry.vars.get("req_cpu", 0))
 
-        def inval_ack_to_requester(entry: TsrfEntry) -> None:
-            msg = entry.vars["_msg"]
-            requester = msg.info.get("req_node", msg.src)
-            self._send(entry, PacketType.INVAL_ACK, requester)
+    def _fwd_readx_to_owner(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.FWD_READ_EXCLUSIVE,
+                   entry.vars["owner"],
+                   req_node=entry.vars["req_node"],
+                   req_cpu=entry.vars.get("req_cpu", 0))
 
-        def cmi_more_stops(entry: TsrfEntry) -> int:
-            return 1 if entry.vars.get("chain") else 0
+    def _dir_write(self, entry: TsrfEntry) -> None:
+        # A None dir_next still releases the bank's home-side hold.
+        self._effect(entry, self._bank(entry).dir_write, entry.addr,
+                     entry.vars.get("dir_next"))
 
-        def cmi_to_next(entry: TsrfEntry) -> None:
-            msg = entry.vars["_msg"]
-            chain = tuple(entry.vars.get("chain", ()))
-            nxt, rest = chain[0], chain[1:]
-            self._send(entry, PacketType.CMI_INVALIDATE, nxt,
-                       req_node=msg.info.get("req_node", msg.src), chain=rest,
-                       epoch=msg.info.get("epoch"))
+    def _bank_mem_write(self, entry: TsrfEntry) -> None:
+        self._effect(entry, self._bank(entry).service_mem_write, entry.addr,
+                     entry.vars.get("version", 0), self._bank_done, entry)
 
-        def wb_to_home(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.WRITEBACK, home_of(entry),
-                       version=entry.vars.get("version", 0), sharing=False)
+    def _wb_ack(self, entry: TsrfEntry) -> None:
+        self._send(entry, PacketType.WRITEBACK_ACK, entry.vars["req_node"])
 
-        def release_wb_buffer(entry: TsrfEntry) -> None:
-            bank = self._bank(entry)
-            self._effect(entry, bank.release_wb, entry.addr)
+    def _sharing_wb_done(self, entry: TsrfEntry) -> None:
+        self._effect(entry, self._bank(entry).sharing_wb_arrived, entry.addr)
 
-        senders.update({
-            "req_to_home": req_to_home,
-            "data_reply_to_requester": data_reply_to_requester,
-            "data_excl_reply_to_requester": data_excl_reply_to_requester,
-            "sharing_wb_to_home": sharing_wb_to_home,
-            "inval_ack_to_requester": inval_ack_to_requester,
-            "cmi_to_next": cmi_to_next,
-            "wb_to_home": wb_to_home,
-        })
-        local_senders.update({
-            "fill_shared": lambda e: fill(e, "S"),
-            "fill_exclusive": lambda e: fill(e, "E"),
-            "fill_modified": lambda e: fill(e, "M"),
-            "bank_fetch_shared": lambda e: bank_fetch(e, False),
-            "bank_fetch_inval": lambda e: bank_fetch(e, True),
-            "bank_invalidate": bank_invalidate,
-            "release_wb_buffer": release_wb_buffer,
-        })
-        conditions.update({
-            "reply_was_exclusive": reply_was_exclusive,
-            "cmi_more_stops": cmi_more_stops,
-        })
-        actions.update({
-            "load_reply_state": load_reply_state,
-        })
+    def _local_inval_done(self, entry: TsrfEntry) -> None:
+        self._effect(entry, self._bank(entry).local_inval_done, entry.addr)
 
-    # ---- home-engine bindings -----------------------------------------------
+    def _fill_local(self, entry: TsrfEntry) -> None:
+        """The owner's data reached the home: fill the local requester
+        whose request rides in the TSRF entry."""
+        state = MESI.MODIFIED if entry.vars.get("fetch_excl") else MESI.SHARED
+        self._effect(entry, self._bank(entry).home_fetch_fill, entry,
+                     entry.vars["_msg"].info.get("version", 0), state)
 
-    def _bind_home(self, senders, local_senders, conditions, actions) -> None:
-        chip = self.chip
+    def _inval_to_sharer(self, entry: TsrfEntry) -> None:
+        target = entry.vars["_cur_sharer"]
+        self._send(entry, PacketType.INVALIDATE, target,
+                   req_node=entry.vars["req_node"],
+                   epoch=entry.vars.get("version"))
 
-        def bank_home_lookup(entry: TsrfEntry, exclusive: bool) -> None:
-            bank = self._bank(entry)
-            addr = entry.addr
+    def _cmi_launch(self, entry: TsrfEntry) -> None:
+        chain = entry.vars["_cur_chain"]
+        nxt, rest = chain[0], tuple(chain[1:])
+        self._send(entry, PacketType.CMI_INVALIDATE, nxt,
+                   req_node=entry.vars["req_node"], chain=rest,
+                   epoch=entry.vars.get("version"))
 
-            def on_done(kind: str, version: int, direntry: DirectoryEntry,
-                        no_others: bool) -> None:
-                code = "HOME_CLEAN" if kind == "clean" else "HOME_DIRTY"
-                self.resume_entry(
-                    entry, code, version=version, dir_entry=direntry,
-                    no_other_sharers=no_others,
-                    owner=direntry.owner,
-                    sharers=sorted(direntry.sharers - {entry.vars["req_node"]}),
-                )
+    # conditions
 
-            self._effect(entry, bank.service_home_lookup, addr, exclusive,
-                         entry.vars["req_node"], on_done,
-                         entry.vars.get("probe"))
+    def _no_other_sharers(self, entry: TsrfEntry) -> int:
+        return 1 if entry.vars.get("no_other_sharers") else 0
 
-        def data_reply(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.DATA_REPLY, entry.vars["req_node"],
-                       version=entry.vars.get("version", 0))
+    def _has_remote_sharers(self, entry: TsrfEntry) -> int:
+        return 1 if self._sharer_list(entry) else 0
 
-        def data_excl_reply(entry: TsrfEntry) -> None:
-            count = entry.vars.get("inval_count", 0)
-            wants_data = entry.vars.get("req_ptype") != PacketType.EXCLUSIVE
-            ptype = (PacketType.DATA_EXCLUSIVE_REPLY if wants_data
-                     else PacketType.ACK_REPLY)
-            self._send(entry, ptype, entry.vars["req_node"],
-                       version=entry.vars.get("version", 0), inval_count=count)
+    def _use_cmi(self, entry: TsrfEntry) -> int:
+        return 1 if len(self._sharer_list(entry)) > MAX_CMI_MESSAGES else 0
 
-        def fwd_read_to_owner(entry: TsrfEntry) -> None:
-            excl = entry.vars.get("fetch_excl", False)
-            ptype = (PacketType.FWD_READ_EXCLUSIVE if excl
-                     else PacketType.FWD_READ)
-            if not excl:
-                # The owner will downgrade and send the data home as a
-                # sharing write-back; until it lands, memory is stale and
-                # the line must stay serialised at the home bank.
-                self._bank(entry).expect_sharing_wb(entry.addr)
-            self._send(entry, ptype, entry.vars["owner"],
-                       req_node=entry.vars["req_node"],
-                       req_cpu=entry.vars.get("req_cpu", 0))
+    def _more_sharers(self, entry: TsrfEntry) -> int:
+        return 1 if entry.vars.get("_sharer_queue") else 0
 
-        def fwd_readx_to_owner(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.FWD_READ_EXCLUSIVE,
-                       entry.vars["owner"],
-                       req_node=entry.vars["req_node"],
-                       req_cpu=entry.vars.get("req_cpu", 0))
+    def _more_missiles(self, entry: TsrfEntry) -> int:
+        return 1 if entry.vars.get("_chain_queue") else 0
 
-        def dir_write(entry: TsrfEntry) -> None:
-            # A None dir_next still releases the bank's home-side hold.
-            bank = self._bank(entry)
-            self._effect(entry, bank.dir_write, entry.addr,
-                         entry.vars.get("dir_next"))
+    def _is_sharing_wb(self, entry: TsrfEntry) -> int:
+        return 1 if entry.vars.get("sharing") else 0
 
-        def bank_mem_write(entry: TsrfEntry) -> None:
-            bank = self._bank(entry)
-            addr = entry.addr
+    # actions
 
-            def on_done() -> None:
-                self.resume_entry(entry, "BANK_DONE")
+    def _dir_add_sharer(self, entry: TsrfEntry, _op: int) -> None:
+        current = entry.vars.get("dir_entry") or DirectoryEntry.uncached()
+        entry.vars["dir_next"] = add_sharer(
+            current, entry.vars["req_node"], self.chip.num_nodes
+        )
 
-            self._effect(entry, bank.service_mem_write, addr,
-                         entry.vars.get("version", 0), on_done)
+    def _dir_make_exclusive(self, entry: TsrfEntry, _op: int) -> None:
+        entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"])
+        entry.vars["acks_needed"] = entry.vars.get("inval_count", 0)
 
-        def wb_ack(entry: TsrfEntry) -> None:
-            self._send(entry, PacketType.WRITEBACK_ACK, entry.vars["req_node"])
+    def _dir_make_exclusive_local(self, entry: TsrfEntry, _op: int) -> None:
+        # The home node's own exclusivity is never tracked in the
+        # directory (home sharers are covered by the on-chip state).
+        entry.vars["dir_next"] = DirectoryEntry.uncached()
+        needed = entry.vars.get("inval_count", 0)
+        entry.vars["acks_needed"] = needed
+        if needed > entry.vars.get("acks_got", 0):
+            self.chip.register_pending_acks(entry.vars.get("req_cpu", 0),
+                                            entry.addr)
 
-        def sharing_wb_done(entry: TsrfEntry) -> None:
-            bank = self._bank(entry)
-            self._effect(entry, bank.sharing_wb_arrived, entry.addr)
-
-        def local_inval_done(entry: TsrfEntry) -> None:
-            bank = self._bank(entry)
-            self._effect(entry, bank.local_inval_done, entry.addr)
-
-        def fill_local(entry: TsrfEntry) -> None:
-            msg = entry.vars["_msg"]
-            on_fill = entry.vars.get("on_fill")
-            if on_fill is not None:
-                from .messages import MESI
-
-                state = (MESI.MODIFIED if entry.vars.get("fetch_excl")
-                         else MESI.SHARED)
-                self._effect(entry, on_fill, msg.info.get("version", 0), state)
-
-        def inval_to_sharer(entry: TsrfEntry) -> None:
-            target = entry.vars["_cur_sharer"]
-            self._send(entry, PacketType.INVALIDATE, target,
-                       req_node=entry.vars["req_node"],
-                       epoch=entry.vars.get("version"))
-
-        def cmi_launch(entry: TsrfEntry) -> None:
-            chain = entry.vars["_cur_chain"]
-            nxt, rest = chain[0], tuple(chain[1:])
-            self._send(entry, PacketType.CMI_INVALIDATE, nxt,
-                       req_node=entry.vars["req_node"], chain=rest,
-                       epoch=entry.vars.get("version"))
-
-        # ---- conditions ----------------------------------------------------
-
-        def no_other_sharers(entry: TsrfEntry) -> int:
-            return 1 if entry.vars.get("no_other_sharers") else 0
-
-        def has_remote_sharers(entry: TsrfEntry) -> int:
-            return 1 if self._sharer_list(entry) else 0
-
-        def use_cmi(entry: TsrfEntry) -> int:
-            return 1 if len(self._sharer_list(entry)) > MAX_CMI_MESSAGES else 0
-
-        def more_sharers(entry: TsrfEntry) -> int:
-            return 1 if entry.vars.get("_sharer_queue") else 0
-
-        def more_missiles(entry: TsrfEntry) -> int:
-            return 1 if entry.vars.get("_chain_queue") else 0
-
-        def is_sharing_wb(entry: TsrfEntry) -> int:
-            return 1 if entry.vars.get("sharing") else 0
-
-        # ---- actions -------------------------------------------------------
-
-        def dir_add_sharer(entry: TsrfEntry, _op: int) -> None:
-            current = entry.vars.get("dir_entry") or DirectoryEntry.uncached()
-            entry.vars["dir_next"] = add_sharer(
-                current, entry.vars["req_node"], chip.num_nodes
-            )
-
-        def dir_make_exclusive(entry: TsrfEntry, _op: int) -> None:
-            entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"])
-            entry.vars["acks_needed"] = entry.vars.get("inval_count", 0)
-
-        def dir_make_exclusive_local(entry: TsrfEntry, _op: int) -> None:
-            # The home node's own exclusivity is never tracked in the
-            # directory (home sharers are covered by the on-chip state).
-            entry.vars["dir_next"] = DirectoryEntry.uncached()
-            needed = entry.vars.get("inval_count", 0)
-            entry.vars["acks_needed"] = needed
-            if needed > entry.vars.get("acks_got", 0):
-                chip.register_pending_acks(entry.vars.get("req_cpu", 0),
-                                           entry.addr)
-
-        def dir_share_with_owner(entry: TsrfEntry, _op: int) -> None:
-            owner = entry.vars["owner"]
-            if entry.vars.get("fetch_excl"):
-                if entry.vars.get("is_local"):
-                    entry.vars["dir_next"] = DirectoryEntry.uncached()
-                else:
-                    entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"])
-                return
-            sharers = {owner}
-            if not entry.vars.get("is_local"):
-                sharers.add(entry.vars["req_node"])
-            entry.vars["dir_next"] = DirectoryEntry(
-                DirState.SHARED, frozenset(sharers), None
-            )
-
-        def dir_clear(entry: TsrfEntry, _op: int) -> None:
-            current = entry.vars.get("dir_entry")
-            if current is None:
-                current = chip.dirstore.read(entry.addr)
-            if (current.state == DirState.EXCLUSIVE
-                    and current.owner != entry.vars["req_node"]):
-                # Late write-back: the home already granted the line to a
-                # new owner (the forward crossed the WB in flight).  The
-                # directory stays as-is; the WB is acked and its data is
-                # version-superseded.
-                entry.vars["dir_next"] = current
-                return
-            remaining = set(current.sharers) - {entry.vars["req_node"]}
-            if not remaining:
+    def _dir_share_with_owner(self, entry: TsrfEntry, _op: int) -> None:
+        owner = entry.vars["owner"]
+        if entry.vars.get("fetch_excl"):
+            if entry.vars.get("is_local"):
                 entry.vars["dir_next"] = DirectoryEntry.uncached()
             else:
-                entry.vars["dir_next"] = DirectoryEntry(
-                    DirState.SHARED if len(remaining) <= 4 else DirState.SHARED_COARSE,
-                    frozenset(remaining), None,
-                )
+                entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"])
+            return
+        sharers = {owner}
+        if not entry.vars.get("is_local"):
+            sharers.add(entry.vars["req_node"])
+        entry.vars["dir_next"] = DirectoryEntry(
+            DirState.SHARED, frozenset(sharers), None
+        )
 
-        def next_sharer(entry: TsrfEntry, _op: int) -> None:
-            queue = entry.vars.get("_sharer_queue")
-            if queue is None:
-                queue = list(self._sharer_list(entry))
-                entry.vars["_sharer_queue"] = queue
-                entry.vars["inval_count"] = len(queue)
-            entry.vars["_cur_sharer"] = queue.pop(0)
+    def _dir_clear(self, entry: TsrfEntry, _op: int) -> None:
+        current = entry.vars.get("dir_entry")
+        if current is None:
+            current = self.chip.dirstore.read(entry.addr)
+        if (current.state == DirState.EXCLUSIVE
+                and current.owner != entry.vars["req_node"]):
+            # Late write-back: the home already granted the line to a
+            # new owner (the forward crossed the WB in flight).  The
+            # directory stays as-is; the WB is acked and its data is
+            # version-superseded.
+            entry.vars["dir_next"] = current
+            return
+        remaining = set(current.sharers) - {entry.vars["req_node"]}
+        if not remaining:
+            entry.vars["dir_next"] = DirectoryEntry.uncached()
+        else:
+            entry.vars["dir_next"] = DirectoryEntry(
+                DirState.SHARED if len(remaining) <= 4 else DirState.SHARED_COARSE,
+                frozenset(remaining), None,
+            )
 
-        def plan_cmi_action(entry: TsrfEntry, _op: int) -> None:
-            sharers = self._sharer_list(entry)
-            plan = plan_cmi(chip.topology, chip.node_id,
-                            entry.vars["req_node"], sharers)
-            entry.vars["_chain_queue"] = list(plan.chains)
-            entry.vars["inval_count"] = len(plan.chains)
+    def _next_sharer(self, entry: TsrfEntry, _op: int) -> None:
+        queue = entry.vars.get("_sharer_queue")
+        if queue is None:
+            queue = list(self._sharer_list(entry))
+            entry.vars["_sharer_queue"] = queue
+            entry.vars["inval_count"] = len(queue)
+        entry.vars["_cur_sharer"] = queue.pop(0)
 
-        def next_missile(entry: TsrfEntry, _op: int) -> None:
-            entry.vars["_cur_chain"] = entry.vars["_chain_queue"].pop(0)
+    def _plan_cmi(self, entry: TsrfEntry, _op: int) -> None:
+        sharers = self._sharer_list(entry)
+        plan = plan_cmi(self.chip.topology, self.chip.node_id,
+                        entry.vars["req_node"], sharers)
+        entry.vars["_chain_queue"] = list(plan.chains)
+        entry.vars["inval_count"] = len(plan.chains)
 
-        senders.update({
-            "data_reply": data_reply,
-            "data_excl_reply": data_excl_reply,
-            "fwd_read_to_owner": fwd_read_to_owner,
-            "fwd_readx_to_owner": fwd_readx_to_owner,
-            "wb_ack": wb_ack,
-            "inval_to_sharer": inval_to_sharer,
-            "cmi_launch": cmi_launch,
-        })
-        local_senders.update({
-            "bank_home_lookup": lambda e: bank_home_lookup(e, False),
-            "bank_home_lookup_x": lambda e: bank_home_lookup(e, True),
-            "dir_write": dir_write,
-            "bank_mem_write": bank_mem_write,
-            "fill_local": fill_local,
-            "sharing_wb_done": sharing_wb_done,
-            "local_inval_done": local_inval_done,
-        })
-        conditions.update({
-            "no_other_sharers": no_other_sharers,
-            "has_remote_sharers": has_remote_sharers,
-            "use_cmi": use_cmi,
-            "more_sharers": more_sharers,
-            "more_missiles": more_missiles,
-            "is_sharing_wb": is_sharing_wb,
-        })
-        actions.update({
-            "dir_add_sharer": dir_add_sharer,
-            "dir_make_exclusive": dir_make_exclusive,
-            "dir_make_exclusive_local": dir_make_exclusive_local,
-            "dir_share_with_owner": dir_share_with_owner,
-            "dir_clear": dir_clear,
-            "next_sharer": next_sharer,
-            "plan_cmi": plan_cmi_action,
-            "next_missile": next_missile,
-        })
+    def _next_missile(self, entry: TsrfEntry, _op: int) -> None:
+        entry.vars["_cur_chain"] = entry.vars["_chain_queue"].pop(0)
 
     def _sharer_list(self, entry: TsrfEntry):
         sharers = entry.vars.get("sharers")

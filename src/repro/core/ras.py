@@ -183,15 +183,14 @@ class MemoryMirror:
         self._install()
 
     def _install(self) -> None:
+        self.system.nodes[self.primary].mem_write_back = self._intercepted
+
+    def _intercepted(self, line: int, version: int, bank_idx: int) -> None:
         node = self.system.nodes[self.primary]
-        original = node.mem_write_back
-
-        def intercepted(line: int, version: int, bank_idx: int) -> None:
-            original(line, version, bank_idx)
-            self.mirrored_lines[line] = version
-            self.c_mirrored += 1
-
-        node.mem_write_back = intercepted
+        # the class's method: the instance attribute is this interceptor
+        type(node).mem_write_back(node, line, version, bank_idx)
+        self.mirrored_lines[line] = version
+        self.c_mirrored += 1
 
     def verify(self) -> bool:
         """Mirror consistency: every mirrored line's version must be at

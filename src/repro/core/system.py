@@ -65,7 +65,7 @@ class PiranhaSystem:
         self.checker = checker
         if checker is not None and checker.trace is not None:
             # stamp trace events with simulated time
-            checker.trace.clock = lambda: self.sim.now
+            checker.trace.clock = self.sim_now
         #: continuous-audit state (see :meth:`enable_continuous_audit`)
         self._audit_interval_ps: Optional[int] = None
         self._audit_tsrf_timeout_ps: Optional[int] = None
@@ -257,6 +257,15 @@ class PiranhaSystem:
         self.continuous_audits += 1
         # stop rescheduling once the workload finishes, so the event
         # queue can drain (verify() covers the end state)
+        return self.has_running_cpus()
+
+    def sim_now(self) -> int:
+        """Simulated time now (the protocol trace's clock)."""
+        return self.sim.now
+
+    def has_running_cpus(self) -> bool:
+        """True while any CPU still has work; periodic observers stop
+        rescheduling once it turns False."""
         return self._running_cpus > 0
 
     def verify(self, quiesced: bool = True) -> Dict[str, float]:
@@ -280,7 +289,7 @@ class PiranhaSystem:
             raise RuntimeError(
                 "arm_trace needs a coherence checker (run with check on)")
         trace = ProtocolTrace(capacity)
-        trace.clock = lambda: self.sim.now
+        trace.clock = self.sim_now
         self.checker.trace = trace
         for node in self.nodes:
             node.trace = trace
@@ -288,9 +297,8 @@ class PiranhaSystem:
     # -- checkpoint/restore ------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Whole-system state (the checkpoint layer serialises this via
-        :mod:`repro.checkpoint.pickling`, which preserves shared-object
-        identity across the graph)."""
+        """Whole-system state (the checkpoint layer pickles this; the
+        pickle memo preserves shared-object identity across the graph)."""
         return dict(self.__dict__)
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -342,7 +350,7 @@ class PiranhaSystem:
             collect_counters=self.sample_counters,
             collect_gauges=self.sample_gauges,
             derive=self._sample_derive,
-            running=lambda: self._running_cpus > 0,
+            running=self.has_running_cpus,
         )
 
     def sample_counters(self) -> Dict[str, float]:

@@ -46,6 +46,11 @@ class TraceEvent:
                 f"  {self.kind:<9s} line={self.line:#x}  {self.detail}")
 
 
+def _no_clock() -> int:
+    """Clock of a free-standing trace: every event stamps 0."""
+    return 0
+
+
 class ProtocolTrace:
     """Bounded ring buffer of :class:`TraceEvent` records.
 
@@ -59,7 +64,7 @@ class ProtocolTrace:
         self.capacity = capacity
         self._buf: deque = deque(maxlen=capacity)
         self._seq = 0
-        self.clock: Callable[[], int] = lambda: 0
+        self.clock: Callable[[], int] = _no_clock
         self.counts: Dict[str, int] = {k: 0 for k in KINDS}
 
     # -- recording --------------------------------------------------------
@@ -80,8 +85,8 @@ class ProtocolTrace:
 
     def state_dict(self) -> Dict[str, object]:
         """Ring contents, sequence counter, per-kind counts and the clock
-        binding (the clock closure is serialised by the checkpoint
-        pickler; a restored trace keeps stamping simulated time)."""
+        binding (a bound method, so a restored trace keeps stamping
+        simulated time)."""
         return dict(self.__dict__)
 
     def load_state(self, state: Dict[str, object]) -> None:

@@ -1,8 +1,11 @@
 """Deliberate protocol mutations for differential testing.
 
 Each mutation installs a deterministic fault into a built
-:class:`~repro.core.system.PiranhaSystem` by wrapping *instance*
+:class:`~repro.core.system.PiranhaSystem` by overriding *instance*
 methods (never classes — systems in the same process stay isolated).
+An override is a :func:`functools.partial` of a module-level fault
+function that falls through to the class's method, so a mutated system
+still snapshots through stock pickle.
 A shared :class:`Ticker` makes the fault fire on every Nth opportunity
 system-wide, so a mutated run is exactly as reproducible as a clean
 one.
@@ -29,6 +32,7 @@ chosen so the two oracles have distinct blind spots covered:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 from ..core.messages import MESI
@@ -79,15 +83,15 @@ def _lost_inval(system, ticker: Ticker) -> None:
     """Every Nth remote invalidation acks without touching the caches."""
     for node in system.nodes:
         for bank in node.banks:
-            orig = bank.service_invalidate
+            bank.service_invalidate = partial(_lost_inval_fault, ticker, bank)
 
-            def wrapped(line, on_done, epoch=None, _orig=orig, _bank=bank):
-                if ticker.fire():
-                    _bank.schedule(_bank.t_tag + _bank.t_ics, on_done)
-                    return
-                _orig(line, on_done, epoch)
 
-            bank.service_invalidate = wrapped
+def _lost_inval_fault(ticker: Ticker, bank, line, on_done, entry,
+                      epoch=None) -> None:
+    if ticker.fire():
+        bank.schedule(bank.t_tag + bank.t_ics, on_done, entry)
+        return
+    type(bank).service_invalidate(bank, line, on_done, entry, epoch)
 
 
 @_mutation("stale_share")
@@ -95,15 +99,14 @@ def _stale_share(system, ticker: Ticker) -> None:
     """Every Nth SHARED fill delivers the line's previous version."""
     for node in system.nodes:
         for bank in node.banks:
-            orig = bank._fill
+            bank._fill = partial(_stale_share_fault, ticker, bank)
 
-            def wrapped(req, line, state, owner, version, dirty, source,
-                        _orig=orig):
-                if state == MESI.SHARED and version > 0 and ticker.fire():
-                    version -= 1
-                _orig(req, line, state, owner, version, dirty, source)
 
-            bank._fill = wrapped
+def _stale_share_fault(ticker: Ticker, bank, req, line, state, owner,
+                       version, dirty, source) -> None:
+    if state == MESI.SHARED and version > 0 and ticker.fire():
+        version -= 1
+    type(bank)._fill(bank, req, line, state, owner, version, dirty, source)
 
 
 @_mutation("skip_fence")
@@ -111,11 +114,10 @@ def _skip_fence(system, ticker: Ticker) -> None:
     """Every Nth memory barrier completes without draining the CPU's
     outstanding invalidation acks."""
     for node in system.nodes:
-        orig = node.fence
+        node.fence = partial(_skip_fence_fault, ticker, node)
 
-        def wrapped(cpu_id, resume, _orig=orig):
-            if ticker.fire():
-                return True
-            return _orig(cpu_id, resume)
 
-        node.fence = wrapped
+def _skip_fence_fault(ticker: Ticker, node, cpu_id, resume) -> bool:
+    if ticker.fire():
+        return True
+    return type(node).fence(node, cpu_id, resume)

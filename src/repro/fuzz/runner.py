@@ -28,6 +28,7 @@ the tail of the protocol trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.checker import CoherenceViolation
@@ -110,48 +111,43 @@ class FuzzWorkload(Workload):
             chip = system.nodes[node]
             for cpu in range(p.cpus_per_node):
                 gcpu = node * p.cpus_per_node + cpu
-                chip.cpus[cpu].obs_hook = self._make_hook(gcpu, chip, cpu)
+                chip.cpus[cpu].obs_hook = partial(
+                    self._observe, gcpu, chip.l1_of(cpu, False))
 
-    def _make_hook(self, gcpu: int, chip, cpu: int):
+    def _observe(self, gcpu: int, l1d, kind: AccessKind, addr: int) -> None:
+        """Completion observer of global CPU *gcpu* (whose dL1 is *l1d*):
+        match the access against the program, then feed the reference."""
         ops = self.program.ops[gcpu]
-        pool = self.program.pool
-        reference = self.reference
-        cursors = self.cursors
-        l1d = chip.l1_of(cpu, False)
-
-        def hook(kind: AccessKind, addr: int) -> None:
-            idx = cursors[gcpu]
-            if idx >= len(ops):
+        idx = self.cursors[gcpu]
+        if idx >= len(ops):
+            raise RuntimeError(
+                f"fuzz desync: cpu{gcpu} completed more accesses than "
+                f"its program holds ({len(ops)})")
+        op_kind, slot, _gap = ops[idx]
+        self.cursors[gcpu] = idx + 1
+        if op_kind == "mb":
+            if kind != AccessKind.MEMBAR:
                 raise RuntimeError(
-                    f"fuzz desync: cpu{gcpu} completed more accesses than "
-                    f"its program holds ({len(ops)})")
-            op_kind, slot, _gap = ops[idx]
-            cursors[gcpu] = idx + 1
-            if op_kind == "mb":
-                if kind != AccessKind.MEMBAR:
-                    raise RuntimeError(
-                        f"fuzz desync: cpu{gcpu} op#{idx} expected membar, "
-                        f"observed {kind.name}")
-                reference.on_membar(gcpu)
-                return
-            expect = pool[slot]
-            if kind == AccessKind.MEMBAR or addr != expect:
-                raise RuntimeError(
-                    f"fuzz desync: cpu{gcpu} op#{idx} expected "
-                    f"{op_kind}@{expect:#x}, observed "
-                    f"{kind.name}@{addr:#x}")
-            line = l1d.peek(addr)
-            if line is None:
-                raise MemoryModelViolation(
-                    "vanished-fill",
-                    f"reference[vanished-fill]: cpu{gcpu} op#{idx} "
-                    f"line={addr:#x} completed but no L1 copy exists")
-            if op_kind == "ld":
-                reference.on_read(gcpu, idx, addr, line.version)
-            else:
-                reference.on_write(gcpu, idx, addr, line.version, op_kind)
-
-        return hook
+                    f"fuzz desync: cpu{gcpu} op#{idx} expected membar, "
+                    f"observed {kind.name}")
+            self.reference.on_membar(gcpu)
+            return
+        expect = self.program.pool[slot]
+        if kind == AccessKind.MEMBAR or addr != expect:
+            raise RuntimeError(
+                f"fuzz desync: cpu{gcpu} op#{idx} expected "
+                f"{op_kind}@{expect:#x}, observed "
+                f"{kind.name}@{addr:#x}")
+        line = l1d.peek(addr)
+        if line is None:
+            raise MemoryModelViolation(
+                "vanished-fill",
+                f"reference[vanished-fill]: cpu{gcpu} op#{idx} "
+                f"line={addr:#x} completed but no L1 copy exists")
+        if op_kind == "ld":
+            self.reference.on_read(gcpu, idx, addr, line.version)
+        else:
+            self.reference.on_write(gcpu, idx, addr, line.version, op_kind)
 
     def post_run(self, system, result: RunResult) -> None:
         """Quiesced-residue audit + telemetry export."""

@@ -7,7 +7,7 @@ Covers the PR's acceptance criteria:
   uninterrupted, cold-with-capture, or restored from the warm store, on
   both the serial and the ``jobs=N`` process-pool paths,
 * the ``.ckpt`` file format round-trips, detects corruption, and
-  refuses snapshots from a different schema / interpreter / library,
+  refuses snapshots from a different schema / library,
 * resumable sweeps maintain their progress manifest and a re-run
   produces identical records,
 * periodic checkpointing re-registers ``schedule_every`` tickers
@@ -33,6 +33,7 @@ from repro.checkpoint import (
     restore_system,
     save_checkpoint,
     snapshot_bytes,
+    write_checkpoint,
 )
 from repro.checkpoint.format import (
     decode,
@@ -41,8 +42,13 @@ from repro.checkpoint.format import (
     validate_manifest,
 )
 from repro.core import CoherenceChecker, PiranhaSystem, preset
+from repro.core.checker import CoherenceViolation
+from repro.core.ras import MemoryMirror
+from repro.fuzz.reference import MemoryModelViolation
+from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
-from repro.harness.runner import DISK_CACHE, build_system, simulate
+from repro.harness.runner import (DISK_CACHE, assemble_result, build_system,
+                                  simulate)
 from repro.harness.sweep import load_manifest, record_from_result, sweep_field
 from repro.sim.engine import _PeriodicTick
 from repro.workloads import DssParams, OltpParams
@@ -190,11 +196,23 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema"):
             validate_manifest(manifest)
 
-    def test_python_mismatch_rejected(self):
+    def test_other_python_tag_validates(self):
+        """The payload is stock pickle: the writer's Python tag is
+        informational, not a lock."""
         manifest = self._manifest(b"")
-        manifest["python"] = "2.7"
-        with pytest.raises(CheckpointError, match="Python"):
-            validate_manifest(manifest)
+        manifest["python"] = "3.99"
+        validate_manifest(manifest)
+
+    def test_schema_1_refused(self, tmp_path):
+        """Schema-1 payloads reference a closure reducer that no longer
+        exists: the file is refused before its payload is unpickled."""
+        payload = b"crepro.checkpoint.pickling\n_make_function\n."
+        manifest = self._manifest(payload)
+        manifest["schema"] = 1
+        path = str(tmp_path / "schema1.ckpt")
+        write_checkpoint(path, manifest, payload)
+        with pytest.raises(CheckpointError, match="schema 1"):
+            load_checkpoint(path, force=True)
 
     def test_fingerprint_enforced_unless_forced(self):
         manifest = self._manifest(b"")
@@ -403,6 +421,103 @@ class TestFuzzBisection:
         verdict = run_fuzz_program(prog, check=True)
         assert not verdict.ok
         assert verdict.bisect == {}
+
+
+# ---------------------------------------------------------------------------
+# stock-pickle round trips through every former closure site
+
+
+def _finish(system, units_attr, **assemble_kw):
+    """Run *system* to completion: its payload tuple, or the violation
+    signature when a protocol mutation gets caught."""
+    try:
+        system.run_to_completion()
+        return assemble_result(system, system.workload, system.config,
+                               system.num_proc_nodes, units_attr,
+                               **assemble_kw).payload_tuple()
+    except (MemoryModelViolation, CoherenceViolation) as exc:
+        return violation_signature(exc)
+
+
+def flight_recorded(system, units_attr, every_ps, **assemble_kw):
+    """Finish *system* under a flight recorder; returns its outcome and
+    the machine restored (through stock pickle) from a mid-run snapshot."""
+    ckpt = PeriodicCheckpointer(system, every_ps, keep=64)
+    ckpt.start()
+    outcome = _finish(system, units_attr, **assemble_kw)
+    assert len(ckpt.snapshots) >= 2
+    now_ps, payload = ckpt.snapshots[len(ckpt.snapshots) // 2]
+    assert 0 < now_ps < system.sim.now
+    return outcome, restore_system(payload)
+
+
+class TestStockPickleRoundTrip:
+    """Each site that used to park a closure on a live object survives a
+    mid-run snapshot: the restored run ends exactly as the uninterrupted
+    one."""
+
+    @pytest.mark.parametrize("mutation",
+                             ["lost_inval", "stale_share", "skip_fence"])
+    def test_fuzz_mutation_and_observer(self, mutation):
+        from repro.fuzz import generate, params_for
+        from repro.fuzz.runner import FuzzFactory
+
+        prog = dataclasses.replace(
+            generate(params_for(0, total_ops=240, nodes=2)),
+            mutation=mutation, mutation_period=3)
+        system, workload = build_system(
+            preset(prog.config), FuzzFactory(prog.canonical_json()),
+            num_nodes=2, check_coherence=True)
+        outcome, restored = flight_recorded(system, "ops", int(0.1e6))
+        assert _finish(restored, "ops") == outcome
+        assert restored.workload.cursors == workload.cursors
+        assert restored.workload.mutation_ticker.fired == \
+            workload.mutation_ticker.fired > 0
+
+    def test_multinode_oltp_with_observers(self):
+        """Sanitizer, protocol trace, interval sampler and spans on the
+        four-node protocol-engine path."""
+        observe = dict(probe_rate=16, sample_interval_ps=int(20e6),
+                       trace_spans=64)
+        system, _ = build_system(
+            preset("P8"), OltpFactory(OltpParams(
+                transactions=1, warmup_transactions=1)),
+            num_nodes=4, check_coherence=True, trace_capacity=256,
+            **observe)
+        outcome, restored = flight_recorded(
+            system, "transactions", int(20e6), **observe)
+        assert _finish(restored, "transactions", **observe) == outcome
+        assert restored.checker.trace.events() and \
+            restored.checker.trace.events() == system.checker.trace.events()
+
+    def test_ras_mirror(self):
+        system, _ = build_system(preset("P8"), OltpFactory(OltpParams(
+            transactions=2, warmup_transactions=3)), num_nodes=2)
+        mirror = MemoryMirror(system, primary=0, mirror=1)
+        outcome, restored = flight_recorded(system, "transactions",
+                                            int(20e6))
+        restored_mirror = restored.nodes[0].mem_write_back.__self__
+        assert _finish(restored, "transactions") == outcome
+        assert restored_mirror.mirrored_lines == mirror.mirrored_lines
+        assert restored_mirror.c_mirrored == mirror.c_mirrored > 0
+
+    def test_io_dma_in_flight(self):
+        from repro.fuzz import generate, params_for
+        from repro.fuzz.runner import FuzzFactory
+
+        prog = generate(params_for(0, total_ops=240, nodes=2))
+        config = preset(prog.config)
+        system = PiranhaSystem(config, num_nodes=2, io_nodes=1)
+        system.attach_workload(FuzzFactory(prog.canonical_json())(config, 2))
+        system.workload.bind_system(system)
+        pci = system.io[0].pci
+        pci.dma(0x100000, lines=32, is_write=True)
+        outcome, restored = flight_recorded(system, "ops", int(0.5e6))
+        transfer = restored.io[0].pci.transfers[0]
+        assert 0 < transfer.done_lines < transfer.lines
+        assert _finish(restored, "ops") == outcome
+        assert transfer.done_lines == pci.transfers[0].done_lines == 32
+        assert transfer.end_ps == pci.transfers[0].end_ps
 
 
 # ---------------------------------------------------------------------------

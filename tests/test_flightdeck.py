@@ -262,6 +262,20 @@ class TestHostProfiler:
         comps = {r["component"] for r in prof["hotspots"]}
         assert "L2Bank" in comps or "InOrderCpu" in comps
 
+    def test_multinode_events_name_their_component(self):
+        """Every event of a four-node OLTP run is a component's bound
+        method, so nothing lands in the anonymous ``function`` bucket and
+        the home-lookup completion is charged to ``L2Bank``."""
+        from repro.harness import OltpFactory
+
+        result = simulate(preset("P8"), OltpFactory(OltpParams(
+            transactions=2, warmup_transactions=3)), num_nodes=4,
+            units_attr="transactions", profile=1)
+        keys = {(r["component"], r["event"])
+                for r in result.extras["host_profile"]["hotspots"]}
+        assert [k for k in keys if k[0] == "function"] == []
+        assert ("L2Bank", "_finish_home_lookup") in keys
+
     def test_merge_and_render(self):
         a, b = HostProfiler(2), HostProfiler(2)
         a.record(len, 100)

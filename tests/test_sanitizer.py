@@ -140,8 +140,9 @@ class TestInjectedMutations:
         """The acceptance test: mutate the protocol so invalidations ack
         without invalidating (the classic lost-invalidation bug) and the
         sanitizer must catch it, attaching a bounded per-line history."""
-        def ack_without_invalidating(self, line, on_done, epoch=None):
-            self.schedule(self.t_tag + self.t_ics, on_done)
+        def ack_without_invalidating(self, line, on_done, entry,
+                                     epoch=None):
+            self.schedule(self.t_tag + self.t_ics, on_done, entry)
 
         monkeypatch.setattr(L2Bank, "service_invalidate",
                             ack_without_invalidating)
