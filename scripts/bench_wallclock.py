@@ -42,12 +42,6 @@ kernel's final memory is bit-exact and every tolerance check passes,
 and appends wall-clock plus instruction-throughput numbers for both
 execution models to ``BENCH_isa.json``.
 
-``--service`` benches the simulation service: a burst of duplicate-heavy
-submissions through an in-process server (jobs/s + dedupe hit rate),
-plus the preempt-suspend-resume round-trip overhead vs an uninterrupted
-run (asserting the two artifacts are byte-identical).  Appends to
-``BENCH_service.json``.
-
 Determinism makes the measurements comparable across runs: the simulated
 results are bit-for-bit identical in every mode, only wall-clock varies.
 """
@@ -489,153 +483,6 @@ def bench_isa(scale: float) -> dict:
     }
 
 
-def bench_service(scale: float, workers: int = 2) -> dict:
-    """Service-layer numbers on a throwaway store root.
-
-    * **burst**: 8 submissions (4 distinct run specs + 4 duplicates)
-      through a live in-process server with *workers* subprocess
-      workers — wall-clock to all-DONE, jobs/s, dedupe hit rate (0.5 by
-      construction; the assertion is that the *server* sees it).
-    * **preempt**: one preempt-suspend-resume round-trip measured
-      in-process against the identical uninterrupted run, with the
-      byte-identity of the two artifacts asserted (the overhead number
-      is only meaningful if the work really is equivalent).
-    """
-    from repro.service.client import ServiceClient
-    from repro.service.queue import JobQueue
-    from repro.service.server import ServerThread
-    from repro.service.worker import execute_job
-    from repro.observe.telemetry import TelemetryStream
-
-    root = tempfile.mkdtemp(prefix="repro-bench-service-")
-    saved = {k: os.environ.get(k)
-             for k in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE")}
-    os.environ["REPRO_CACHE_DIR"] = root
-    os.environ.pop("REPRO_NO_CACHE", None)
-    try:
-        distinct = 4
-        specs = [{"kind": "run", "workload": "migratory", "config": "P2",
-                  "scale": scale, "tag": f"bench-{i}"}
-                 for i in range(distinct)]
-        submissions = specs + specs  # every spec submitted twice
-
-        t0 = time.perf_counter()
-        with ServerThread(root=root, workers=workers) as srv:
-            client = ServiceClient(*srv.address)
-            ids = [client.submit(spec)["job_id"] for spec in submissions]
-            finals = [client.wait(i, timeout_s=600) for i in ids]
-            burst_wall = time.perf_counter() - t0
-            assert all(f["state"] == "DONE" for f in finals), \
-                [f["state"] for f in finals]
-            counters = client.stats()["counters"]
-        hit_rate = counters["dedupe_hits"] / counters["submitted"]
-
-        # preempt-resume overhead, in-process for tight timing: the
-        # suspended and plain runs share nothing through the cache
-        os.environ["REPRO_NO_CACHE"] = "1"
-        queue = JobQueue(os.path.join(root, "service", "bench-jobs"))
-        spec = {"kind": "run", "workload": "migratory", "config": "P2",
-                "scale": scale, "preempt_every_us": 2.0}
-
-        t0 = time.perf_counter()
-        plain = queue.create(dict(spec, tag="plain"))
-        with TelemetryStream(plain.telemetry_path) as stream:
-            outcome, art_plain = execute_job(plain, stream)
-        plain_s = time.perf_counter() - t0
-        assert outcome == "done"
-
-        preempted = queue.create(dict(spec, tag="preempted"))
-        with open(preempted.preempt_path, "w", encoding="utf-8") as fh:
-            json.dump({"by": "bench"}, fh)
-        t0 = time.perf_counter()
-        with TelemetryStream(preempted.telemetry_path) as stream:
-            outcome, _ = execute_job(preempted, stream)
-        suspend_s = time.perf_counter() - t0
-        assert outcome == "suspended"
-        t0 = time.perf_counter()
-        with TelemetryStream(preempted.telemetry_path,
-                             append=True) as stream:
-            outcome, art_resumed = execute_job(preempted, stream)
-        resume_s = time.perf_counter() - t0
-        assert outcome == "done"
-
-        a = dict(art_resumed["result"])
-        b = dict(art_plain["result"])
-        a.pop("sim_wall_s")
-        b.pop("sim_wall_s")
-        a.pop("extras")
-        b.pop("extras")
-        assert json.dumps(a, sort_keys=True) == \
-            json.dumps(b, sort_keys=True), \
-            "preempted+resumed run diverged from the uninterrupted run"
-
-        overhead_s = (suspend_s + resume_s) - plain_s
-        return {
-            "workers": workers,
-            "burst": {
-                "submitted": len(submissions),
-                "distinct": distinct,
-                "wall_s": round(burst_wall, 3),
-                "jobs_per_s": round(len(submissions) / burst_wall, 3),
-                "dedupe_hits": counters["dedupe_hits"],
-                "dedupe_hit_rate": round(hit_rate, 3),
-            },
-            "preempt": {
-                "uninterrupted_s": round(plain_s, 3),
-                "suspend_leg_s": round(suspend_s, 3),
-                "resume_leg_s": round(resume_s, 3),
-                "overhead_s": round(overhead_s, 3),
-                "overhead_pct": round(100.0 * overhead_s / plain_s, 1),
-                "artifacts_identical": True,
-            },
-        }
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        shutil.rmtree(root, ignore_errors=True)
-
-
-def run_service(args) -> int:
-    """``--service``: record job-server throughput and preemption cost."""
-    print(f"simulation service (burst of 8, scale={args.scale})...")
-    service = bench_service(args.scale,
-                            workers=args.jobs if args.jobs else 2)
-    burst, preempt = service["burst"], service["preempt"]
-    print(f"  burst {burst['submitted']} jobs ({burst['distinct']} "
-          f"distinct) in {burst['wall_s']}s = {burst['jobs_per_s']} "
-          f"jobs/s, dedupe hit rate {burst['dedupe_hit_rate']}")
-    print(f"  preempt round-trip: uninterrupted "
-          f"{preempt['uninterrupted_s']}s vs suspend "
-          f"{preempt['suspend_leg_s']}s + resume "
-          f"{preempt['resume_leg_s']}s → overhead "
-          f"{preempt['overhead_s']}s ({preempt['overhead_pct']:+.1f}%), "
-          f"artifacts byte-identical")
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": args.scale,
-        "cores": os.cpu_count() or 1,
-        "python": sys.version.split()[0],
-        "service": service,
-    }
-    out = os.path.join(REPO_ROOT, "BENCH_service.json")
-    history = {"records": []}
-    if os.path.exists(out):
-        try:
-            with open(out, "r", encoding="utf-8") as f:
-                history = json.load(f)
-        except (OSError, ValueError):
-            pass
-    history.setdefault("records", []).append(record)
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(history, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(f"appended record to {out}")
-    return 0
-
-
 def run_isa(args) -> int:
     """``--isa``: record the kernel cross-validation trajectory."""
     print(f"ISA kernel cross-validation (P8, scale={args.scale})...")
@@ -806,14 +653,8 @@ def main(argv=None) -> int:
     parser.add_argument("--isa", action="store_true",
                         help="only run the ISA kernel cross-validation "
                              "benchmark (appends to BENCH_isa.json)")
-    parser.add_argument("--service", action="store_true",
-                        help="only run the job-server throughput / dedupe "
-                             "/ preemption-overhead benchmark (appends to "
-                             "BENCH_service.json)")
     args = parser.parse_args(argv)
 
-    if args.service:
-        return run_service(args)
     if args.observability:
         return run_observability(args)
     if args.checkpoint:

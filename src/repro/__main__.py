@@ -432,19 +432,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_value(text: str):
-    """Parse one swept value: int (with K/M/G suffix), float, or string."""
-    from .harness.sweep import parse_sweep_value
-
-    return parse_sweep_value(text)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``: run one workload across a family of derived configs."""
     from .harness import FACTORIES, UNITS_ATTR, format_table
-    from .harness.sweep import sweep_field
+    from .harness.sweep import parse_sweep_value, sweep_field
 
-    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    values = [parse_sweep_value(v) for v in args.values.split(",")
+              if v.strip()]
     if not values:
         print("no sweep values given", file=sys.stderr)
         return 2
@@ -740,105 +734,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``serve``: run the simulation service (Ctrl-C suspends running
-    jobs and persists the queue for the next ``serve``)."""
-    from .service.server import run_server
-
-    return run_server(root=args.root, host=args.host, port=args.port,
-                      workers=args.workers, preempt=not args.no_preempt)
-
-
-def _service_client(args: argparse.Namespace):
-    from .service.client import ServiceClient
-
-    return ServiceClient(host=args.host, port=args.port, root=args.root)
-
-
-def _attach_and_render(client, job_id: str) -> None:
-    from .observe.telemetry import render_record
-
-    for record in client.attach(job_id):
-        print(render_record(record), flush=True)
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """``submit``: send one job to a running service."""
-    import json
-
-    spec = {
-        "kind": args.kind,
-        "config": args.config,
-        "workload": args.workload,
-        "nodes": args.nodes,
-        "scale": args.scale,
-        "check": args.check or None,
-        "field": args.field,
-        "values": args.values,
-        "seed": args.seed,
-        "ops": args.ops,
-        "seeds": args.seeds,
-        "tag": args.tag,
-        "preempt_every_us": args.preempt_every,
-        "sample_interval_us": args.sample_interval,
-        "probe_rate": args.probe_rate,
-    }
-    if args.kind == "sweep" and not (args.field and args.values):
-        print("sweep jobs need --field and --values", file=sys.stderr)
-        return 2
-    client = _service_client(args)
-    doc = client.submit(spec, priority=args.priority)
-    print(f"{doc['job_id']}  state={doc['state']}  "
-          f"priority={doc['priority']}"
-          + (f"  dedup_of={doc['dedup_of']}" if doc.get("dedup_of")
-             else ""))
-    if args.attach:
-        _attach_and_render(client, doc["job_id"])
-    if args.wait or args.attach:
-        final = client.wait(doc["job_id"], timeout_s=args.timeout)
-        if final["state"] != "DONE":
-            print(f"{final['job_id']} finished {final['state']}: "
-                  f"{final.get('error', '')}", file=sys.stderr)
-            return 1
-        print(json.dumps(client.result(doc["job_id"]), indent=2,
-                         sort_keys=True))
-    return 0
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    """``jobs``: list the service's jobs, or ``--stats`` counters."""
-    import json
-
-    client = _service_client(args)
-    if args.stats:
-        print(json.dumps(client.stats(), indent=2, sort_keys=True))
-        return 0
-    jobs = client.jobs()
-    if not jobs:
-        print("no jobs")
-        return 0
-    for doc in jobs:
-        spec = doc.get("spec", {})
-        detail = spec.get("kind", "run")
-        if detail in ("run", "sweep"):
-            detail += f":{spec.get('workload')}@{spec.get('config')}"
-        flags = []
-        if doc.get("dedup_of"):
-            flags.append(f"dedup_of={doc['dedup_of']}")
-        if doc.get("preemptions"):
-            flags.append(f"preempted x{doc['preemptions']}")
-        print(f"{doc['job_id']}  {doc['state']:<9}  p={doc['priority']:<3}"
-              f"  {detail:<24}  {' '.join(flags)}".rstrip())
-    return 0
-
-
-def cmd_attach(args: argparse.Namespace) -> int:
-    """``attach``: subscribe to a job's live telemetry (replay, then
-    follow until its run_end)."""
-    _attach_and_render(_service_client(args), args.job_id)
-    return 0
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -1119,79 +1014,6 @@ def main(argv=None) -> int:
                         help="validate an existing report file instead of "
                              "running (exit 0 iff valid and ok)")
     xval_p.set_defaults(fn=cmd_xval)
-
-    serve_p = sub.add_parser(
-        "serve", help="run the simulation service (async job server with "
-                      "dedupe, priority preemption, live streaming)")
-    serve_p.add_argument("--root", default=None,
-                         help="store root (default: the result-cache dir)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=0,
-                         help="0 = ephemeral; clients discover the port "
-                              "via <root>/service/server.json")
-    serve_p.add_argument("--workers", type=int, default=2,
-                         help="concurrent worker subprocesses")
-    serve_p.add_argument("--no-preempt", action="store_true",
-                         help="disable priority preemption")
-    serve_p.set_defaults(fn=cmd_serve)
-
-    def _client_args(p):
-        p.add_argument("--root", default=None,
-                       help="store root used for server discovery")
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=0,
-                       help="0 = discover via <root>/service/server.json")
-
-    submit_p = sub.add_parser(
-        "submit", help="submit a job to a running service")
-    _client_args(submit_p)
-    submit_p.add_argument("--kind", default="run",
-                          choices=("run", "sweep", "fuzz", "xval"))
-    submit_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
-    submit_p.add_argument("--workload", default="oltp",
-                          choices=sorted(WORKLOADS))
-    submit_p.add_argument("--nodes", type=int, default=1)
-    submit_p.add_argument("--scale", type=float, default=1.0)
-    submit_p.add_argument("--priority", type=int, default=0,
-                          help="higher runs first and may preempt")
-    submit_p.add_argument("--check", action="store_true")
-    submit_p.add_argument("--field", default=None,
-                          help="swept config field (kind=sweep)")
-    submit_p.add_argument("--values", default=None,
-                          help="comma-separated swept values (kind=sweep)")
-    submit_p.add_argument("--seed", type=int, default=None,
-                          help="fuzz seed (kind=fuzz)")
-    submit_p.add_argument("--ops", type=int, default=None,
-                          help="fuzz op count (kind=fuzz)")
-    submit_p.add_argument("--seeds", type=int, default=None,
-                          help="xval seeds (kind=xval)")
-    submit_p.add_argument("--tag", default=None,
-                          help="opaque tag folded into the dedupe key "
-                               "(distinguishes deliberate re-runs)")
-    submit_p.add_argument("--preempt-every", type=float, default=None,
-                          metavar="US",
-                          help="preemption-guard period in sim-us")
-    submit_p.add_argument("--sample-interval", type=float, default=None,
-                          metavar="US", help="telemetry sampling interval")
-    submit_p.add_argument("--probe-rate", type=int, default=None)
-    submit_p.add_argument("--wait", action="store_true",
-                          help="block until terminal; print the artifact")
-    submit_p.add_argument("--attach", action="store_true",
-                          help="stream live telemetry, then the artifact")
-    submit_p.add_argument("--timeout", type=float, default=600.0)
-    submit_p.set_defaults(fn=cmd_submit)
-
-    jobs_p = sub.add_parser("jobs", help="list the service's jobs")
-    _client_args(jobs_p)
-    jobs_p.add_argument("--stats", action="store_true",
-                        help="print queue/dedupe/preemption counters")
-    jobs_p.set_defaults(fn=cmd_jobs)
-
-    attach_p = sub.add_parser(
-        "attach", help="stream a job's telemetry (replay + live follow)")
-    _client_args(attach_p)
-    attach_p.add_argument("job_id")
-    attach_p.set_defaults(fn=cmd_attach)
 
     sub.add_parser("table1", help="print Table 1").set_defaults(fn=cmd_table1)
     sub.add_parser("floorplan",

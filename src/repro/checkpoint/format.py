@@ -157,8 +157,8 @@ def write_checkpoint(path: str, manifest: Dict[str, Any],
     absent primitive (:func:`repro.harness.cache.locked_exclusive_write`)
     the digest-keyed stores use: concurrent workers producing the same
     key leave exactly one entry, first writer wins.  The default
-    overwrites — explicit user paths (``repro checkpoint save --out``)
-    and per-job suspend snapshots legitimately replace older content.
+    overwrites — an explicit user path (``repro checkpoint save --out``)
+    legitimately replaces older content.
     """
     blob = encode(manifest, payload)
     if exclusive:

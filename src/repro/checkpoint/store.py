@@ -11,11 +11,10 @@ measurement.
 
 The store lives under ``cache_dir()/checkpoints/`` next to the result
 cache, with the same environment knobs (``REPRO_CACHE_DIR``,
-``REPRO_NO_CACHE``) and the same atomic-write discipline.  Files use the
-``.ckpt`` extension, which ``DiskCache.clear()`` (``repro cache
---clear``) deliberately leaves alone — clearing *results* must not
-discard warm state, which is far more expensive to rebuild; ``repro
-checkpoint clear`` removes these.
+``REPRO_NO_CACHE``) and the same atomic-write discipline.
+``DiskCache.clear()`` (``repro cache --clear``) only deletes result
+entries, so it deliberately leaves these alone — clearing *results* must
+not discard warm state, which is far more expensive to rebuild.
 
 Keys fold in everything a snapshot depends on: checkpoint schema,
 library fingerprint, config digest, workload token, node count, the
@@ -122,9 +121,10 @@ class WarmStore:
 
         Writes are locked and first-writer-wins
         (:func:`repro.harness.cache.locked_exclusive_write`): snapshots
-        are deterministic functions of their key, so when concurrent
-        service workers race on the same warm boundary the loser's
-        payload is byte-identical and skipping it is the dedupe.
+        are deterministic functions of their key, so when ``--jobs``
+        workers or concurrent runs sharing the cache root race on the
+        same warm boundary the loser's payload is byte-identical and
+        skipping it is the dedupe.
         """
         if key is None or not cache_enabled():
             return False

@@ -35,8 +35,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 try:  # POSIX advisory locks; on platforms without fcntl the atomic
     import fcntl  # rename alone still protects readers from torn entries
@@ -50,12 +51,11 @@ class FileLock:
     """Advisory exclusive lock on ``path + ".lock"`` (context manager).
 
     Serialises *writers* of a shared cache/store entry across processes:
-    the artifact store, the disk result cache and the checkpoint store
-    all take the entry's lock around their write-if-absent sequence, so
-    two workers producing the same digest cannot interleave — the first
-    writer wins and the second observes the finished entry.  Readers
-    never lock: atomic tmp+rename guarantees they see old-or-new, never
-    a torn file.
+    the disk result cache and the checkpoint store both take the entry's
+    lock around their write-if-absent sequence, so two workers producing
+    the same digest cannot interleave — the first writer wins and the
+    second observes the finished entry.  Readers never lock: atomic
+    tmp+rename guarantees they see old-or-new, never a torn file.
 
     On platforms without :mod:`fcntl` the lock degrades to a no-op;
     rename atomicity still holds, only first-writer-wins does not.
@@ -82,13 +82,12 @@ class FileLock:
 def locked_exclusive_write(path: str, data: bytes) -> bool:
     """Write *data* to *path* iff no entry exists yet; True if written.
 
-    The content-addressed write primitive shared by the result cache,
-    the warm-checkpoint store and the service artifact store: take the
-    entry lock, re-check existence (another worker may have won the
-    race while we waited), then tmp+rename inside the lock.  Returns
-    False when the entry already existed — the caller's payload is
-    byte-identical by key construction, so losing the race *is* the
-    dedupe hit.
+    The content-addressed write primitive shared by the result cache
+    and the warm-checkpoint store: take the entry lock, re-check
+    existence (another worker may have won the race while we waited),
+    then tmp+rename inside the lock.  Returns False when the entry
+    already existed — the caller's payload is byte-identical by key
+    construction, so losing the race *is* the dedupe hit.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -218,20 +217,17 @@ def result_key(config, factory, num_nodes: int, units_attr: str,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-#: Subdirectories of the cache root owned by sibling stores (warm
-#: checkpoints, the service artifact store, the server's job state).
-#: DiskCache walks must not count — and ``clear()`` must never delete —
-#: their entries.
-RESERVED_SUBDIRS = frozenset({"checkpoints", "artifacts", "service"})
+#: A result entry's file name; it sits in the directory named by the
+#: key's first two characters (see ``DiskCache._file``).
+_ENTRY_RE = re.compile(r"([0-9a-f]{64})\.json")
 
 
 class DiskCache:
     """A directory of JSON-serialised :class:`RunResult` records.
 
-    The cache root is shared with the warm-checkpoint store and the
-    service artifact store (one digest-addressed tree, see
-    :class:`repro.service.store.ArtifactStore`); this class only ever
-    touches its own top-level ``<d2>/<key>.json`` entries."""
+    The cache root is shared with the warm-checkpoint store
+    (``checkpoints/``) and resumable-sweep manifests (``sweeps/``); this
+    class only ever touches its own ``<2 hex>/<64 hex>.json`` entries."""
 
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path
@@ -280,21 +276,34 @@ class DiskCache:
         except OSError:
             return False
 
+    def _entries(self) -> List[str]:
+        """Paths of every stored result, and of nothing else under the root."""
+        paths = []
+        try:
+            shards = os.listdir(self.path)
+        except OSError:
+            return paths
+        for shard in shards:
+            try:
+                names = os.listdir(os.path.join(self.path, shard))
+            except OSError:
+                continue
+            for name in names:
+                match = _ENTRY_RE.fullmatch(name)
+                if match and match.group(1)[:2] == shard:
+                    paths.append(os.path.join(self.path, shard, name))
+        return paths
+
     def info(self) -> Dict[str, Any]:
         """Entry count / size / hit counters (for ``python -m repro cache``)."""
         entries = 0
         size = 0
-        if os.path.isdir(self.path):
-            for root, dirs, files in os.walk(self.path):
-                if root == self.path:
-                    dirs[:] = [d for d in dirs if d not in RESERVED_SUBDIRS]
-                for fname in files:
-                    if fname.endswith(".json"):
-                        entries += 1
-                        try:
-                            size += os.path.getsize(os.path.join(root, fname))
-                        except OSError:
-                            pass
+        for path in self._entries():
+            entries += 1
+            try:
+                size += os.path.getsize(path)
+            except OSError:
+                pass
         return {"path": self.path, "entries": entries, "bytes": size,
                 "hits": self.hits, "misses": self.misses,
                 "enabled": cache_enabled()}
@@ -302,22 +311,16 @@ class DiskCache:
     def clear(self) -> int:
         """Delete every cached result; returns the number removed.
 
-        Sibling stores under the same root (warm checkpoints, service
-        artifacts, job state) are deliberately left alone — clearing
-        *results* must not discard state that is far more expensive to
-        rebuild or that a live server depends on."""
+        Warm checkpoints and sweep manifests under the same root are left
+        alone: clearing *results* must not discard warm state, which is
+        far more expensive to rebuild, or a resumable sweep's progress."""
         removed = 0
-        if os.path.isdir(self.path):
-            for root, dirs, files in os.walk(self.path):
-                if root == self.path:
-                    dirs[:] = [d for d in dirs if d not in RESERVED_SUBDIRS]
-                for fname in files:
-                    if fname.endswith(".json"):
-                        try:
-                            os.unlink(os.path.join(root, fname))
-                            removed += 1
-                        except OSError:
-                            pass
+        for path in self._entries():
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                pass
         return removed
 
 

@@ -35,9 +35,8 @@ from .runner import RunResult, run_configured
 def parse_sweep_value(text: str):
     """Parse one swept value: int (with K/M/G suffix), float, or string.
 
-    Shared by the CLI ``sweep`` verb and the service worker, so a sweep
-    submitted over the wire (values as strings) resolves to exactly the
-    values the equivalent command line would."""
+    The CLI ``sweep`` verb applies it to each comma-separated
+    ``--values`` item, so ``512K`` sweeps the integer 524288."""
     text = text.strip()
     suffixes = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
     if text and text[-1].upper() in suffixes:

@@ -5,8 +5,7 @@ sampler, sampled-window CI bounds and checkpoint cadence all exist *in*
 the process but are only visible after the run ends.
 :class:`TelemetryStream` flips that: hooked into the harness, it writes
 one flushed JSON line per event to a file, fd, or file-like object, so
-an operator (or the future job-server's subscribers — see ROADMAP
-"simulation-as-a-service") can follow the run live with ``repro watch``.
+an operator can follow the run live with ``repro watch``.
 
 Record kinds, all carrying ``{"kind": ..., "wall": <unix seconds>}``:
 
@@ -23,13 +22,6 @@ Record kinds, all carrying ``{"kind": ..., "wall": <unix seconds>}``:
     a periodic checkpointer capture (simulated time + snapshot size).
 ``run_end``
     terminal record with exit summary; ``repro watch`` stops here.
-``job_queued`` / ``job_preempted`` / ``job_resumed``
-    service lifecycle markers (see :mod:`repro.service`): the job
-    entered the server queue, was checkpoint-suspended for a
-    higher-priority job, or resumed from its suspend snapshot.  They
-    ride the same per-job stream as the run records, so a subscriber
-    attached via ``repro attach`` sees scheduling and simulation
-    progress interleaved in causal order.
 
 Streams are host-side observers: they are never part of the
 deterministic result payload, never pickled into checkpoints (the
@@ -59,22 +51,15 @@ Target = Union[str, int, io.IOBase]
 
 
 class TelemetryStream:
-    """Writes telemetry records as JSON lines to a path, fd, or file.
+    """Writes telemetry records as JSON lines to a path, fd, or file."""
 
-    *append* opens a path target in append mode instead of truncating —
-    a resumed service job continues the telemetry stream its suspended
-    incarnation started, so subscribers see one continuous record
-    sequence across a preempt/resume round-trip.
-    """
-
-    def __init__(self, target: Target, append: bool = False) -> None:
+    def __init__(self, target: Target) -> None:
         self._owns = False
-        mode = "a" if append else "w"
         if isinstance(target, str):
-            self._fh = open(target, mode, encoding="utf-8")
+            self._fh = open(target, "w", encoding="utf-8")
             self._owns = True
         elif isinstance(target, int):
-            self._fh = os.fdopen(target, mode, encoding="utf-8")
+            self._fh = os.fdopen(target, "w", encoding="utf-8")
             self._owns = True
         else:
             self._fh = target
@@ -118,7 +103,7 @@ class TelemetryStream:
         self.close()
 
 
-# -- consumption (repro watch / repro attach) ----------------------------
+# -- consumption (repro watch) -------------------------------------------
 
 def parse_line(line: bytes) -> Optional[Dict[str, object]]:
     """Decode and parse one raw JSONL line; None for blank/torn lines.
@@ -232,17 +217,4 @@ def render_record(record: Dict[str, object]) -> str:
         return (f"run_end  items={record.get('items')}  "
                 f"sim_wall_s={record.get('sim_wall_s', 0):.2f}"
                 + ("  (cached)" if record.get("cached") else ""))
-    if kind == "job_queued":
-        return (f"job_queued  job={record.get('job_id')} "
-                f"priority={record.get('priority')} "
-                f"kind={record.get('job_kind')}"
-                + (f"  dedup_of={record.get('dedup_of')}"
-                   if record.get("dedup_of") else ""))
-    if kind == "job_preempted":
-        return (f"job_preempted  job={record.get('job_id')}  "
-                f"t={record.get('sim_now', 0) / 1e6:.1f}us  "
-                f"by={record.get('by')}")
-    if kind == "job_resumed":
-        return (f"job_resumed  job={record.get('job_id')}  "
-                f"t={record.get('sim_now', 0) / 1e6:.1f}us")
     return json.dumps(record)

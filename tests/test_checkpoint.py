@@ -18,6 +18,7 @@ Covers the PR's acceptance criteria:
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -49,7 +50,8 @@ from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
 from repro.harness.runner import (DISK_CACHE, assemble_result, build_system,
                                   simulate)
-from repro.harness.sweep import load_manifest, record_from_result, sweep_field
+from repro.harness.sweep import (load_manifest, manifest_path,
+                                 record_from_result, sweep_field)
 from repro.sim.engine import _PeriodicTick
 from repro.workloads import DssParams, OltpParams
 
@@ -123,10 +125,29 @@ class TestRestoreFidelity:
         assert WARM_STORE.info()["entries"] == 1
 
     def test_result_cache_clear_keeps_warm_state(self):
+        """Warm snapshots and sweep manifests share the cache root but are
+        neither counted nor cleared as results."""
         factory = OltpFactory(TINY_OLTP)
-        run_point("P1", factory, warmup=True)
-        DISK_CACHE.clear()
+        result = run_point("P1", factory, warmup=True)
+        DISK_CACHE.put("e" * 64, result)
+        sweep = manifest_path("f" * 64)
+        os.makedirs(os.path.dirname(sweep))
+        with open(sweep, "w", encoding="utf-8") as fh:
+            json.dump({"field": "l2.size_bytes", "values": ["1M"],
+                       "total": 1, "done": [0]}, fh)
+        assert DISK_CACHE.info()["entries"] == 1
+        assert DISK_CACHE.clear() == 1
+        assert DISK_CACHE.info()["entries"] == 0
         assert WARM_STORE.info()["entries"] == 1
+        assert os.path.exists(sweep)
+
+    def test_warm_store_put_is_exclusive(self):
+        manifest = build_manifest(b"payload", fingerprint="f",
+                                  config_digest="c", workload="w",
+                                  nodes=1, sim_now=0, extra={})
+        key = "c" * 64
+        assert WARM_STORE.put(key, manifest, b"payload") is True
+        assert WARM_STORE.put(key, manifest, b"payload") is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness and reporting."""
 
+import threading
+
 import pytest
 
 from repro.harness import (
@@ -9,6 +11,7 @@ from repro.harness import (
     series,
     table1_parameters,
 )
+from repro.harness.cache import DiskCache, locked_exclusive_write
 from repro.harness.runner import RunResult
 
 
@@ -58,3 +61,50 @@ class TestRunResult:
             miss_hit_frac=0.6, miss_fwd_frac=0.3, miss_mem_frac=0.1,
         )
         assert r.normalized_breakdown == (0.5, 0.3, 0.2)
+
+
+class TestLockedWrites:
+    """The first-writer-wins path shared by the result cache and the
+    warm-checkpoint store (``--jobs`` workers race on equal keys)."""
+
+    def test_first_writer_wins(self, tmp_path):
+        target = str(tmp_path / "entry.json")
+        assert locked_exclusive_write(target, b"first") is True
+        assert locked_exclusive_write(target, b"second") is False
+        with open(target, "rb") as fh:
+            assert fh.read() == b"first"
+
+    def test_concurrent_writers_single_winner(self, tmp_path):
+        target = str(tmp_path / "entry.json")
+        wins = []
+        barrier = threading.Barrier(8)
+
+        def attempt(i):
+            barrier.wait()
+            if locked_exclusive_write(target, b"%d" % i):
+                wins.append(i)
+
+        threads = [threading.Thread(target=attempt, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(wins) == 1
+        with open(target, "rb") as fh:
+            assert fh.read() == b"%d" % wins[0]
+
+    @staticmethod
+    def _result(units=10):
+        return RunResult(config="P2", cpus=2, nodes=1, workload="t",
+                         units=units, time_per_unit_ns=1.0,
+                         throughput=1.0, busy_frac=0.5, l2_frac=0.25,
+                         mem_frac=0.25, miss_hit_frac=0.5,
+                         miss_fwd_frac=0.25, miss_mem_frac=0.25)
+
+    def test_disk_cache_put_reports_dedupe(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        cache = DiskCache(str(tmp_path / "cache"))
+        assert cache.put("k" * 64, self._result(10)) is True
+        assert cache.put("k" * 64, self._result(99)) is False
+        assert cache.get("k" * 64).units == 10  # first writer won
