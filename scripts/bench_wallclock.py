@@ -336,7 +336,7 @@ def bench_fastforward(scale: float) -> dict:
     """
     from repro.core import preset
     from repro.harness import OltpFactory
-    from repro.harness.runner import (SAMPLED_PERIOD, SAMPLED_WINDOW,
+    from repro.harness.runner import (SAMPLED_PERIOD, SAMPLED_WINDOW, RunSpec,
                                       assemble_result, build_system, simulate)
     from repro.workloads import OltpParams
 
@@ -351,8 +351,8 @@ def bench_fastforward(scale: float) -> dict:
     system.run_to_completion()
     detailed_s = time.perf_counter() - t0
     detailed_events = system.sim.events_fired
-    detailed = assemble_result(system, workload, config, 1, "transactions",
-                               0, 0, detailed_s)
+    detailed = assemble_result(system, workload, config, 1, RunSpec(),
+                               detailed_s)
 
     classes = ("busy_frac", "l2_frac", "mem_frac", "miss_hit_frac",
                "miss_fwd_frac", "miss_mem_frac")

@@ -36,8 +36,10 @@ import argparse
 import sys
 
 from .area import floorplan_summary
-from .core import CoherenceChecker, PRESETS, PiranhaSystem, preset, table1
+from .core import PRESETS, preset, table1
+from .harness.experiments import UNITS_ATTR
 from .harness.report import breakdown_bar, format_table
+from .harness.runner import RunSpec, build_system
 from .isa.kernels import KERNEL_NAMES, KernelWorkload, scaled_params
 from .workloads import (
     DssParams,
@@ -77,59 +79,51 @@ def _scaled_oltp(scale: float) -> OltpParams:
     )
 
 
-def _build_checked_system(args: argparse.Namespace):
-    """Shared ``run``/``trace`` setup: system + workload, with the
-    sanitizer and/or trace attached per the flags."""
-    config = preset(args.config)
-    check = getattr(args, "check", False)
-    trace_cap = getattr(args, "trace", 0) or 0
-    checker = None
-    if check or trace_cap:
-        checker = (CoherenceChecker.with_trace(trace_cap) if trace_cap
-                   else CoherenceChecker())
-    system = PiranhaSystem(config, num_nodes=args.nodes, checker=checker)
-    workload = WORKLOADS[args.workload](config.cpus, args.nodes, args.scale)
-    system.attach_workload(workload)
-    if check:
-        system.enable_continuous_audit()
+def _cli_spec(args: argparse.Namespace) -> RunSpec:
+    """The one argparse -> :class:`RunSpec` translation, resolved.
+
+    It owns the CLI-only implications: ``--metrics`` (and ``report
+    --json``) alone imply the default observability settings, probe rate
+    64 and a 50 us sample interval, and ``--telemetry`` implies the
+    50 us interval (a heartbeat stream with nothing to beat is useless).
+    """
     probe_rate = getattr(args, "probe_rate", 0) or 0
     sample_us = getattr(args, "sample_interval", 0) or 0
-    metrics_path = getattr(args, "metrics", None)
-    wants_doc = metrics_path or getattr(args, "json", False)
+    wants_doc = getattr(args, "metrics", None) or (
+        getattr(args, "command", None) == "report" and args.json)
     if wants_doc and not (probe_rate or sample_us):
-        # --metrics (and report --json) alone imply the default
-        # observability settings
-        probe_rate = 64
-        sample_us = 50.0
-        # keep the namespace consistent so the emitted document records
-        # the rates that actually ran
-        args.probe_rate = probe_rate
-        args.sample_interval = sample_us
-    trace_spans = getattr(args, "trace_spans", 0) or 0
-    if trace_spans and not probe_rate:
-        # the span tracer consumes probe completions
-        probe_rate = 64
-        args.probe_rate = probe_rate
+        probe_rate, sample_us = 64, 50.0
     if getattr(args, "telemetry", None) and not sample_us:
-        # a heartbeat stream with nothing to beat is useless
         sample_us = 50.0
-        args.sample_interval = sample_us
-    if probe_rate:
-        system.enable_probes(probe_rate)
-    if trace_spans:
-        system.enable_span_trace(trace_spans)
-    if sample_us:
-        system.enable_sampler(int(sample_us * 1e6))
-    prof_rate = getattr(args, "profile", 0) or 0
-    if prof_rate:
-        from .observe import HostProfiler
+    return RunSpec(
+        units_attr=UNITS_ATTR[args.workload],
+        check_coherence=getattr(args, "check", False),
+        trace_capacity=getattr(args, "trace", 0) or 0,
+        probe_rate=probe_rate,
+        sample_interval_ps=int(sample_us * 1e6),
+        mode="sampled" if getattr(args, "sampled", False) else "detailed",
+        window=getattr(args, "window", 0),
+        period=getattr(args, "period", 0),
+        warming=getattr(args, "warming", "functional"),
+        trace_spans=getattr(args, "trace_spans", 0) or 0,
+        profile=getattr(args, "profile", 0) or 0,
+    ).resolve()
 
-        system.sim.profiler = HostProfiler(prof_rate)
-    return config, system, checker
+
+def _build_checked_system(args: argparse.Namespace):
+    """Shared CLI setup: ``(config, system, spec)``, the system built by
+    the harness's :func:`build_system` with every observer the flags ask
+    for attached."""
+    config = preset(args.config)
+    spec = _cli_spec(args)
+    build = WORKLOADS[args.workload]
+    system, _workload = build_system(
+        config, lambda cfg, nodes: build(cfg.cpus, nodes, args.scale),
+        args.nodes, spec)
+    return config, system, spec
 
 
-def _open_cli_telemetry(args: argparse.Namespace, system, config,
-                        mode: str = "detailed"):
+def _open_cli_telemetry(args: argparse.Namespace, system, config, spec):
     """Open the ``--telemetry`` stream (or return None), emit the
     ``run_start`` banner, and hook the interval sampler."""
     path = getattr(args, "telemetry", None)
@@ -139,10 +133,9 @@ def _open_cli_telemetry(args: argparse.Namespace, system, config,
 
     stream = TelemetryStream(path)
     stream.emit("run_start", config=config.name, workload=args.workload,
-                num_nodes=args.nodes, mode=mode,
-                probe_rate=getattr(args, "probe_rate", 0) or 0,
-                trace_spans=getattr(args, "trace_spans", 0) or 0,
-                profile=getattr(args, "profile", 0) or 0)
+                num_nodes=args.nodes, mode=spec.mode,
+                probe_rate=spec.probe_rate, trace_spans=spec.trace_spans,
+                profile=spec.profile)
     if system.sampler is not None:
         system.sampler.on_record = stream.on_interval
     print(f"telemetry streaming to {path} "
@@ -150,19 +143,18 @@ def _open_cli_telemetry(args: argparse.Namespace, system, config,
     return stream
 
 
-def _finish_flightdeck(args: argparse.Namespace, system, config,
+def _finish_flightdeck(args: argparse.Namespace, system, config, spec,
                        stream, result=None) -> None:
     """Post-run flight-deck outputs: write the ``repro-trace/1`` file,
     print the host-profile summary, close the telemetry stream."""
-    trace_spans = getattr(args, "trace_spans", 0) or 0
-    if trace_spans and system.spans is not None:
+    if spec.trace_spans and system.spans is not None:
         from .observe import trace_doc, validate_trace, write_trace
 
         protocol_events = None
         if system.checker is not None and system.checker.trace is not None:
             protocol_events = system.checker.trace.events()
         doc = trace_doc(system.spans, config.name, system.num_nodes,
-                        getattr(args, "probe_rate", 0) or 0, protocol_events)
+                        spec.probe_rate, protocol_events)
         problems = validate_trace(doc)
         out = getattr(args, "trace_out", None) or "repro-trace.json"
         write_trace(out, doc)
@@ -190,14 +182,12 @@ def _finish_flightdeck(args: argparse.Namespace, system, config,
         stream.close()
 
 
-def _emit_metrics(system, args, path: str) -> None:
+def _emit_metrics(system, spec: RunSpec, path: str) -> None:
     """Write the structured metrics JSON (+ time-series CSV sibling)."""
     from .harness.metrics import metrics_doc, timeseries_csv, write_metrics
 
-    doc = metrics_doc(system, None,
-                      probe_rate=getattr(args, "probe_rate", 0) or 0,
-                      sample_interval_ps=int(
-                          (getattr(args, "sample_interval", 0) or 0) * 1e6))
+    doc = metrics_doc(system, None, probe_rate=spec.probe_rate,
+                      sample_interval_ps=spec.sample_interval_ps)
     write_metrics(doc, path)
     print(f"metrics written to {path}")
     if doc["timeseries"] is not None:
@@ -236,30 +226,25 @@ def _bisect_run_violation(checkpointer, args: argparse.Namespace) -> None:
         print("  " + line)
 
 
-def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
+def _run_sampled_cli(args: argparse.Namespace, config, system,
+                     spec: RunSpec) -> int:
     """``run --sampled``: SMARTS-style sampled simulation of the point."""
     import time
 
     from .fastforward import SampledRun
-    from .harness import UNITS_ATTR
-    from .harness.runner import SAMPLED_PERIOD, SAMPLED_WINDOW
 
-    window = args.window or SAMPLED_WINDOW
-    period = args.period or SAMPLED_PERIOD
     print(f"sampled simulation of {args.workload} on {args.nodes} x "
-          f"{config.name}: window={window} period={period} "
-          f"warming={args.warming}")
-    stream = _open_cli_telemetry(args, system, config, mode="sampled")
+          f"{config.name}: window={spec.window} period={spec.period} "
+          f"warming={spec.warming}")
+    stream = _open_cli_telemetry(args, system, config, spec)
     t0 = time.time()
-    run = SampledRun(system, window=window, period=period,
-                     warming=args.warming, telemetry=stream)
+    run = SampledRun(system, window=spec.window, period=spec.period,
+                     warming=spec.warming, telemetry=stream)
     run.run()
-    result = run.to_result(config, args.nodes,
-                           UNITS_ATTR.get(args.workload, "transactions"),
-                           wall=time.time() - t0)
+    result = run.to_result(config, args.nodes, spec, wall=time.time() - t0)
     sampling = result.extras["sampling"]
-    print(f"\nwindows        : {sampling['windows']} x {window} items/CPU "
-          f"(measured {sampling['measured_items']:,} items, "
+    print(f"\nwindows        : {sampling['windows']} x {spec.window} "
+          f"items/CPU (measured {sampling['measured_items']:,} items, "
           f"fast-forwarded {sampling['ff_items']:,})")
     print(f"time per unit  : {result.time_per_unit_ns:,.0f} ns "
           f"(extrapolated)")
@@ -274,16 +259,17 @@ def _run_sampled_cli(args: argparse.Namespace, config, system) -> int:
             print(f"  {name:<14} {stats['mean']:.4f} +/- {stats['ci95']:.4f} "
                   f"({stats['rel_err']:.1%})")
     print(f"\nwall time      : {result.sim_wall_s:.2f} s")
-    _finish_flightdeck(args, run.system, config, stream, result=result)
+    _finish_flightdeck(args, run.system, config, spec, stream,
+                       result=result)
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``: simulate one workload on one configuration."""
-    config, system, checker = _build_checked_system(args)
-    if getattr(args, "sampled", False):
-        return _run_sampled_cli(args, config, system)
-    stream = _open_cli_telemetry(args, system, config)
+    config, system, spec = _build_checked_system(args)
+    if spec.mode == "sampled":
+        return _run_sampled_cli(args, config, system, spec)
+    stream = _open_cli_telemetry(args, system, config, spec)
     checkpointer = None
     every_us = getattr(args, "checkpoint_every", 0) or 0
     if every_us:
@@ -300,7 +286,7 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"({config.cpus * args.nodes} CPUs) ...")
     try:
         finish = system.run_to_completion()
-        telemetry = system.verify() if checker is not None else None
+        telemetry = system.verify() if system.checker is not None else None
     except AssertionError as exc:
         # CoherenceViolation from the sanitizer (mid-run audit or quiesce
         # verify): with the flight recorder armed, restore the last
@@ -335,8 +321,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"latency probes (1/{probes['rate']}): "
               f"{probes['completed']} completed — " + ", ".join(parts))
     if getattr(args, "metrics", None):
-        _emit_metrics(system, args, args.metrics)
-    _finish_flightdeck(args, system, config, stream)
+        _emit_metrics(system, spec, args.metrics)
+    _finish_flightdeck(args, system, config, spec, stream)
     if args.report:
         from .harness.perfmon import render_report, system_report
 
@@ -350,7 +336,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print the ranked (component, event-class) wall-clock hot spots —
     where the *simulator* spends its time, not the simulated machine."""
     args.profile = args.sample_rate
-    config, system, _checker = _build_checked_system(args)
+    config, system, _spec = _build_checked_system(args)
     print(f"profiling {args.workload} on {args.nodes} x {config.name} "
           f"(sampling 1/{args.sample_rate} events) ...", file=sys.stderr)
     system.run_to_completion()
@@ -392,7 +378,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """``report``: run one workload and print the performance-monitor
     rollup — text tables by default, the structured metrics document
     with ``--json``."""
-    config, system, _checker = _build_checked_system(args)
+    config, system, spec = _build_checked_system(args)
     print(f"simulating {args.workload} on {args.nodes} x {config.name} "
           f"({config.cpus * args.nodes} CPUs) ...", file=sys.stderr)
     system.run_to_completion()
@@ -401,10 +387,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
         from .harness.metrics import metrics_doc
 
-        doc = metrics_doc(
-            system, None,
-            probe_rate=args.probe_rate or 0,
-            sample_interval_ps=int((args.sample_interval or 0) * 1e6))
+        doc = metrics_doc(system, None, probe_rate=spec.probe_rate,
+                          sample_interval_ps=spec.sample_interval_ps)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         from .harness.perfmon import render_report, system_report
@@ -416,14 +400,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: run a workload with the protocol trace recording and
     dump the (filtered) tail of the ring buffer."""
-    config, system, checker = _build_checked_system(args)
+    config, system, _spec = _build_checked_system(args)
+    trace = system.checker.trace
     print(f"tracing {args.workload} on {args.nodes} x {config.name} "
-          f"(ring capacity {checker.trace.capacity}) ...", file=sys.stderr)
+          f"(ring capacity {trace.capacity}) ...", file=sys.stderr)
     system.run_to_completion()
     if args.check:
         system.verify()
         print("protocol sanitizer audit: OK", file=sys.stderr)
-    trace = checker.trace
     line = int(args.line, 0) if args.line is not None else None
     print(trace.dump(line=line, node=args.node, last=args.last))
     counts = trace.summary()
@@ -434,7 +418,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``: run one workload across a family of derived configs."""
-    from .harness import FACTORIES, UNITS_ATTR, format_table
+    from .harness import FACTORIES, format_table
     from .harness.sweep import parse_sweep_value, sweep_field
 
     values = [parse_sweep_value(v) for v in args.values.split(",")
@@ -560,7 +544,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                              load_checkpoint, save_checkpoint)
 
     if args.verb == "save":
-        config, system, _checker = _build_checked_system(args)
+        config, system, spec = _build_checked_system(args)
         capture = WarmCapture(system, halt=True)
         print(f"warming {args.workload} on {args.nodes} x {config.name} "
               f"({config.cpus * args.nodes} CPUs) ...")
@@ -577,9 +561,8 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                 "config_name": args.config,
                 "scale": args.scale,
                 "check": bool(args.check),
-                "probe_rate": getattr(args, "probe_rate", 0) or 0,
-                "sample_interval_us": getattr(args, "sample_interval", 0)
-                                      or 0,
+                "probe_rate": spec.probe_rate,
+                "sample_interval_us": spec.sample_interval_ps / 1e6,
             })
         print(f"checkpoint written to {args.out}: warm boundary @ "
               f"{manifest['sim_now'] / 1e6:.1f} us, "
@@ -623,9 +606,11 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         # emit with the probe/sampler rates the snapshot was taken with,
         # so the document is byte-identical to an uninterrupted
         # ``repro run --metrics`` at the same settings
-        args.probe_rate = manifest.get("probe_rate", 0) or 0
-        args.sample_interval = manifest.get("sample_interval_us", 0) or 0
-        _emit_metrics(system, args, args.metrics)
+        spec = RunSpec(probe_rate=manifest.get("probe_rate", 0) or 0,
+                       sample_interval_ps=int(
+                           (manifest.get("sample_interval_us", 0) or 0)
+                           * 1e6))
+        _emit_metrics(system, spec, args.metrics)
     return 0
 
 

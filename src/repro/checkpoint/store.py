@@ -38,18 +38,25 @@ from . import format as ckpt_format
 __all__ = ["WarmStore", "WARM_STORE", "warm_key"]
 
 
-def warm_key(config, factory, num_nodes: int, units_attr: str,
-             check_coherence: bool, trace_capacity: int, probe_rate: int,
-             sample_interval_ps: int,
+def warm_key(config, factory, num_nodes: int, spec,
              variant: str = "detailed") -> Optional[str]:
-    """Warm-store key for one (config, workload) point, or None if the
-    workload has no stable identity.
+    """Warm-store key for one (config, workload) point run under the
+    resolved :class:`~repro.harness.runner.RunSpec` *spec*, or None if
+    the workload has no stable identity.
+
+    Only the spec fields that shape the warm object graph fold in: units
+    attribute, sanitizer, trace ring, probe rate and sampler (a
+    sampler's pending tick lives in the event queue).  Spans, profile,
+    window and period stay out: span and profile observers are re-armed
+    (or disarmed) per run on restore, and the sampled window/period
+    only shape the measurement *after* the warm boundary — so one warm
+    snapshot serves every such variant of the point.
 
     ``variant`` namespaces snapshots whose warm state is *not* the
     detailed warm-up image: sampled runs park their CPUs at the boundary
     (and functional warming is an approximation), so their snapshots
     must never answer a ``warmup=True`` detailed run, and vice versa.
-    The default leaves historical detailed keys unchanged.
+    The default leaves detailed keys without a variant field.
     """
     token = workload_token(factory)
     if token is None:
@@ -61,11 +68,11 @@ def warm_key(config, factory, num_nodes: int, units_attr: str,
             "config": config_digest(config),
             "workload": token,
             "nodes": num_nodes,
-            "units_attr": units_attr,
-            "check": bool(check_coherence),
-            "trace": int(trace_capacity),
-            "probe": int(probe_rate),
-            "sample": int(sample_interval_ps),
+            "units_attr": spec.units_attr,
+            "check": bool(spec.check_coherence),
+            "trace": int(spec.trace_capacity),
+            "probe": int(spec.probe_rate),
+            "sample": int(spec.sample_interval_ps),
             "scale": os.environ.get("REPRO_SCALE", "1.0"),
     }
     if variant != "detailed":

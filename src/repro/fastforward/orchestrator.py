@@ -499,13 +499,15 @@ class SampledRun:
 
     # -- result assembly ---------------------------------------------------
 
-    def to_result(self, config, num_nodes: int,
-                  units_attr: str = "transactions",
-                  probe_rate: int = 0, sample_interval_ps: int = 0,
+    def to_result(self, config, num_nodes: int, spec=None,
                   wall: float = 0.0):
         """Build a :class:`~repro.harness.runner.RunResult` whose totals
-        are the sampled (extrapolated) estimates."""
-        from ..harness.runner import RunResult
+        are the sampled (extrapolated) estimates, measured under the
+        resolved :class:`~repro.harness.runner.RunSpec` *spec* (default:
+        plain transactions, no observers)."""
+        from ..harness.runner import RunResult, RunSpec
+
+        spec = spec or RunSpec()
 
         system = self.system
         workload = system.workload
@@ -521,7 +523,7 @@ class SampledRun:
             for k, v in w["miss"].items():
                 miss[k] = miss.get(k, 0) + v
         served = sum(miss.values()) or 1
-        units = getattr(workload.params, units_attr)
+        units = getattr(workload.params, spec.units_attr)
         per_cpu_ps = max(self._est_ps.values()) if self._est_ps else 0.0
         time_per_unit_ns = per_cpu_ps / units / 1000.0 if units else 0.0
         total_cpus = config.cpus * num_nodes
@@ -545,11 +547,11 @@ class SampledRun:
             extras=dict(sanitizer),
         )
         result.extras["sampling"] = self.sampling_summary()
-        if probe_rate or sample_interval_ps:
+        if spec.probe_rate or spec.sample_interval_ps:
             from ..harness.metrics import metrics_doc
 
             result.extras["metrics"] = metrics_doc(
-                system, result, probe_rate, sample_interval_ps)
+                system, result, spec.probe_rate, spec.sample_interval_ps)
         post = getattr(workload, "post_run", None)
         if post is not None:
             post(system, result)

@@ -7,13 +7,14 @@ records safely cacheable across processes — a re-run of a benchmark or
 example that already simulated a point can return the stored record
 bit-for-bit instead of re-simulating.
 
-Keys combine:
+Keys (:meth:`repro.harness.runner.RunSpec.key`) combine:
 
 * a digest of the fully-resolved :class:`~repro.core.config.ChipConfig`
   (every latency, cache geometry and core parameter),
 * a workload token (factory class + parameters, see
   :func:`workload_token`),
-* node count, units attribute, ``REPRO_SCALE``,
+* node count, ``REPRO_SCALE`` and every field of the resolved
+  ``RunSpec`` (units attribute, observers, sampled-mode settings),
 * a fingerprint of the installed ``repro`` source tree plus
   ``repro.__version__`` — any code change invalidates the whole cache,
   so stale results can never leak across library versions.
@@ -183,8 +184,8 @@ def workload_token(factory) -> Optional[str]:
     frozen-dataclass factories (the ones in
     :mod:`repro.harness.experiments`) token themselves via their
     deterministic dataclass repr.  Opaque callables (closures, lambdas)
-    return None: they stay memo-cacheable in-process but are excluded
-    from the disk cache, because their parameters cannot be fingerprinted.
+    return None: they are never cached (neither memo nor disk), because
+    their parameters cannot be fingerprinted.
     """
     token = getattr(factory, "cache_token", None)
     if token is not None:
@@ -193,28 +194,6 @@ def workload_token(factory) -> Optional[str]:
         cls = type(factory)
         return f"{cls.__module__}.{cls.__qualname__}:{factory!r}"
     return None
-
-
-def result_key(config, factory, num_nodes: int, units_attr: str,
-               check_coherence: bool, cache_key_extra: tuple) -> Optional[str]:
-    """Disk-cache key for one simulation point, or None if unkeyable."""
-    token = workload_token(factory)
-    if token is None:
-        return None
-    payload = json.dumps(
-        {
-            "lib": library_fingerprint(),
-            "config": config_digest(config),
-            "workload": token,
-            "nodes": num_nodes,
-            "units_attr": units_attr,
-            "check": bool(check_coherence),
-            "extra": [str(x) for x in cache_key_extra],
-            "scale": os.environ.get("REPRO_SCALE", "1.0"),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 #: A result entry's file name; it sits in the directory named by the

@@ -26,7 +26,7 @@ from ..workloads.oltp import OltpParams, OltpWorkload
 from ..workloads.tpcc import TpccWorkload, tpcc_params
 from ..workloads.web import WebParams, WebWorkload
 from .parallel import Job, run_jobs
-from .runner import RunResult, run_workload, scale_factor
+from .runner import RunResult, RunSpec, run_workload, scale_factor
 
 
 def _oltp_params() -> OltpParams:
@@ -134,35 +134,19 @@ UNITS_ATTR = {
 }
 
 
-# legacy closure-style helpers, kept for API compatibility
-def _oltp_factory(params: Optional[OltpParams] = None) -> OltpFactory:
-    return OltpFactory(params)
-
-
-def _dss_factory(params: Optional[DssParams] = None) -> DssFactory:
-    return DssFactory(params)
-
-
-def _tpcc_factory() -> TpccFactory:
-    return TpccFactory()
-
-
 def run_oltp(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
     return run_workload(config_name, OltpFactory(), num_nodes,
-                        units_attr="transactions",
-                        cache_key_extra=("oltp", scale_factor()), **kw)
+                        units_attr="transactions", **kw)
 
 
 def run_dss(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
     return run_workload(config_name, DssFactory(), num_nodes,
-                        units_attr="rows",
-                        cache_key_extra=("dss", scale_factor()), **kw)
+                        units_attr="rows", **kw)
 
 
 def run_tpcc(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
     return run_workload(config_name, TpccFactory(), num_nodes,
-                        units_attr="transactions",
-                        cache_key_extra=("tpcc", scale_factor()), **kw)
+                        units_attr="transactions", **kw)
 
 
 def run_points(points: Sequence[Tuple[str, str, int]],
@@ -170,14 +154,12 @@ def run_points(points: Sequence[Tuple[str, str, int]],
     """Run ``(workload, config_name, num_nodes)`` points, honouring
     ``REPRO_JOBS``: the independent simulations behind one figure fan out
     across worker processes, serially when unset."""
-    scale = scale_factor()
-    job_specs = [
+    return run_jobs([
         Job(config=preset(config_name), factory=FACTORIES[workload](),
-            num_nodes=num_nodes, units_attr=UNITS_ATTR[workload],
-            cache_key_extra=(workload, scale))
+            num_nodes=num_nodes,
+            spec=RunSpec(units_attr=UNITS_ATTR[workload]))
         for workload, config_name, num_nodes in points
-    ]
-    return run_jobs(job_specs, jobs=jobs)
+    ], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -30,40 +30,34 @@ from typing import Callable, List, Optional, Sequence
 from ..core.config import ChipConfig
 from .runner import (
     RunResult,
+    RunSpec,
     cached_result,
-    run_configured,
-    simulate,
+    run_spec,
+    simulate_spec,
     store_result,
 )
 
 
 @dataclass(frozen=True)
 class Job:
-    """One simulation point: a config, a workload factory, and bookkeeping."""
+    """One simulation point: a config, a workload factory, a node count
+    and the :class:`RunSpec` to measure it under (resolved on
+    construction, so a bad mode fails before any cache lookup)."""
 
     config: ChipConfig
     factory: Callable[[ChipConfig, int], object]
     num_nodes: int = 1
-    units_attr: str = "transactions"
-    check_coherence: bool = False
-    cache_key_extra: tuple = ()
-    trace_capacity: int = 0
-    probe_rate: int = 0
-    sample_interval_ps: int = 0
+    spec: RunSpec = RunSpec()
     #: route through the warm-checkpoint store (restore-or-snapshot at the
     #: warm-up boundary); execution strategy only — never part of a cache
     #: key, results are byte-identical either way
     warmup: bool = False
-    #: causal span tracer: keep up to N transaction span trees in
-    #: ``extras["trace"]`` (0 disables); deterministic, so it folds into
-    #: the cache key and survives the ProcessPool round-trip like metrics
-    trace_spans: int = 0
-    #: host self-profiler 1-in-N event sampling rate (0 disables);
-    #: ``extras["host_profile"]`` comes back through the result pickle
-    profile: int = 0
     #: telemetry stream target (a *path string* for parallel jobs —
     #: open handles don't pickle); workers stream from their own process
     telemetry: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spec", self.spec.resolve())
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -88,24 +82,8 @@ def _execute(job: Job) -> RunResult:
     tmp+rename, and distinct points never share a key), because shipping
     multi-megabyte snapshots back through the result pickle would cost
     more than the race it avoids."""
-    return simulate(job.config, job.factory, job.num_nodes, job.units_attr,
-                    job.check_coherence, job.trace_capacity,
-                    job.probe_rate, job.sample_interval_ps,
-                    warmup=job.warmup, trace_spans=job.trace_spans,
-                    profile=job.profile, telemetry=job.telemetry)
-
-
-def _run_serial(job: Job) -> RunResult:
-    return run_configured(
-        job.config, job.factory, num_nodes=job.num_nodes,
-        units_attr=job.units_attr, check_coherence=job.check_coherence,
-        cache_key_extra=job.cache_key_extra,
-        trace_capacity=job.trace_capacity,
-        probe_rate=job.probe_rate,
-        sample_interval_ps=job.sample_interval_ps,
-        warmup=job.warmup, trace_spans=job.trace_spans,
-        profile=job.profile, telemetry=job.telemetry,
-    )
+    return simulate_spec(job.config, job.factory, job.num_nodes, job.spec,
+                         job.warmup, job.telemetry)
 
 
 def _picklable(job: Job) -> bool:
@@ -143,11 +121,8 @@ def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
 
     misses: List[int] = []
     for i, job in enumerate(jobs_list):
-        cached = cached_result(
-            job.config, job.factory, job.num_nodes, job.units_attr,
-            job.check_coherence, job.cache_key_extra, job.trace_capacity,
-            job.probe_rate, job.sample_interval_ps, job.trace_spans,
-            job.profile, job.telemetry)
+        cached = cached_result(job.config, job.factory, job.num_nodes,
+                               job.spec)
         if cached is not None:
             done(i, cached)
         else:
@@ -169,13 +144,12 @@ def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
             for i, result in zip(parallel_idx, fresh):
                 job = jobs_list[i]
                 store_result(result, job.config, job.factory, job.num_nodes,
-                             job.units_attr, job.check_coherence,
-                             job.cache_key_extra, job.trace_capacity,
-                             job.probe_rate, job.sample_interval_ps,
-                             job.trace_spans, job.profile, job.telemetry)
+                             job.spec)
                 done(i, result)
 
     for i in serial_idx:
-        done(i, _run_serial(jobs_list[i]))
+        job = jobs_list[i]
+        done(i, run_spec(job.config, job.factory, job.num_nodes, job.spec,
+                         job.warmup, job.telemetry))
 
     return results  # type: ignore[return-value]

@@ -14,7 +14,8 @@ Simulations are deterministic, so results are cached at two levels:
   processes — re-runs of benchmarks, examples, CI — skip simulation
   entirely when the code, config and workload are unchanged.
 
-Set ``REPRO_NO_CACHE=1`` to disable both; :func:`memo_cache_info`
+Both levels share one key: the digest of the resolved :class:`RunSpec`
+at the point (:meth:`RunSpec.key`).  Set ``REPRO_NO_CACHE=1`` to disable both; :func:`memo_cache_info`
 exposes the memo's contents and hit/miss counters, and every returned
 ``RunResult`` carries the current counters in ``extras`` (telemetry
 only — the measurement payload of a RunResult is deterministic, extras
@@ -23,9 +24,11 @@ and ``sim_wall_s`` are not).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.checker import CoherenceChecker
@@ -35,7 +38,7 @@ from .cache import (
     DISK_CACHE,
     cache_enabled,
     config_digest,
-    result_key,
+    library_fingerprint,
     workload_token,
 )
 
@@ -92,11 +95,11 @@ class MemoCache:
     """In-process RunResult memo with hit/miss counters."""
 
     def __init__(self) -> None:
-        self._store: Dict[tuple, RunResult] = {}
+        self._store: Dict[str, RunResult] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple) -> Optional[RunResult]:
+    def get(self, key: str) -> Optional[RunResult]:
         result = self._store.get(key)
         if result is None:
             self.misses += 1
@@ -104,7 +107,7 @@ class MemoCache:
             self.hits += 1
         return result
 
-    def put(self, key: tuple, result: RunResult) -> None:
+    def put(self, key: str, result: RunResult) -> None:
         self._store[key] = result
 
     def clear(self) -> None:
@@ -116,7 +119,7 @@ class MemoCache:
             "entries": len(self._store),
             "hits": self.hits,
             "misses": self.misses,
-            "keys": sorted(str(k) for k in self._store),
+            "keys": sorted(self._store),
         }
 
 
@@ -133,112 +136,114 @@ def memo_cache_info() -> Dict[str, object]:
     return _MEMO.info()
 
 
-def _memo_key(config: ChipConfig, workload_factory: Callable,
-              num_nodes: int, units_attr: str, check_coherence: bool,
-              cache_key_extra: tuple) -> tuple:
-    token = workload_token(workload_factory)
-    if token is None:
-        # opaque callable: fall back to its qualname; cache_key_extra is
-        # the caller's discriminator (as it was before disk caching)
-        token = getattr(workload_factory, "__qualname__",
-                        type(workload_factory).__qualname__)
-    return (config_digest(config), token, num_nodes, units_attr,
-            check_coherence, cache_key_extra)
-
-
-def _trace_key_extra(cache_key_extra: tuple, trace_capacity: int) -> tuple:
-    """Fold the trace setting into the cache discriminator: a traced run
-    records different extras (``trace_events``) than an untraced one."""
-    if not trace_capacity:
-        return cache_key_extra
-    return cache_key_extra + (("trace", trace_capacity),)
-
-
-def _obs_key_extra(cache_key_extra: tuple, probe_rate: int,
-                   sample_interval_ps: int) -> tuple:
-    """Fold the observability settings into the cache discriminator: a
-    probed/sampled run carries the ``metrics`` document in its extras,
-    so it must not answer (or be answered by) an unprobed cache entry."""
-    if probe_rate:
-        cache_key_extra = cache_key_extra + (("probes", probe_rate),)
-    if sample_interval_ps:
-        cache_key_extra = cache_key_extra + (("sample", sample_interval_ps),)
-    return cache_key_extra
-
-
-def _flightdeck_key_extra(cache_key_extra: tuple, trace_spans: int,
-                          profile: int, telemetry) -> tuple:
-    """Fold the flight-deck settings into the cache discriminator.
-
-    A span-traced run carries ``extras["trace"]`` and a profiled run
-    ``extras["host_profile"]``, so neither may answer (or be answered
-    by) a plain entry.  Span tracing also implies probes (the tracer
-    consumes probe completions), which changes the payload-adjacent
-    metrics document.  Telemetry folds as a bare enable marker — the
-    stream target is host-specific and the simulated payload identical
-    — so a repeat of a streamed run answers from cache (without
-    re-streaming; the CLI reports the hit instead).
-    """
-    if trace_spans:
-        cache_key_extra = cache_key_extra + (("spans", trace_spans),)
-    if profile:
-        cache_key_extra = cache_key_extra + (("profile", profile),)
-    if telemetry is not None:
-        cache_key_extra = cache_key_extra + (("telemetry", 1),)
-    return cache_key_extra
-
-
 #: probe rate implied by ``trace_spans`` when probes were not requested
 #: explicitly: the tracer needs probe completions to promote.
 SPAN_PROBE_RATE = 64
 
-#: sampled-mode defaults, applied identically by :func:`simulate` (to the
-#: run) and :func:`_sampled_key_extra` (to the cache key) so a default
-#: change can never let an old cache entry answer for a new default
+#: sampled-mode defaults, applied by :meth:`RunSpec.resolve` to the run
+#: and its cache key alike, so a default change can never let an old
+#: cache entry answer for a new default
 SAMPLED_WINDOW = 800
 SAMPLED_PERIOD = 6000
 
+MODES = ("detailed", "sampled")
+WARMINGS = ("functional", "detailed")
 
-def _sampled_key_extra(cache_key_extra: tuple, mode: str, window: int,
-                       period: int, warming: str) -> tuple:
-    """Fold the sampled-mode settings into the cache discriminator: a
-    sampled run's payload is a statistical estimate (with its own
-    ``extras["sampling"]`` document), so it must never answer for — or be
-    answered by — a detailed run of the same point.  Window/period fold
-    at their *effective* (default-resolved) values."""
-    if mode == "detailed":
-        return cache_key_extra
-    return cache_key_extra + (("sampled", mode, window or SAMPLED_WINDOW,
-                               period or SAMPLED_PERIOD, warming),)
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Every option that shapes what one simulation point measures.
+
+    ``units_attr`` names the workload parameter counted as units;
+    ``check_coherence`` attaches the protocol sanitizer and
+    ``trace_capacity`` a protocol trace ring of that many events;
+    ``probe_rate=N`` tags 1 in N L1 misses with a latency probe and
+    ``sample_interval_ps`` attaches the interval sampler (either one puts
+    the metrics document in ``extras["metrics"]``); ``mode="sampled"``
+    runs SMARTS-style sampled simulation with ``window``/``period``
+    items per CPU and ``warming`` as the fast-forward regime;
+    ``trace_spans=N`` keeps a causal span trace of up to N transactions
+    in ``extras["trace"]``; ``profile=N`` attaches the host
+    self-profiler at a 1-in-N event rate (``extras["host_profile"]``).
+
+    Execution strategy (``warmup``) and host targets (``telemetry``) are
+    not measurement identity and stay outside the spec.
+    """
+
+    units_attr: str = "transactions"
+    check_coherence: bool = False
+    trace_capacity: int = 0
+    probe_rate: int = 0
+    sample_interval_ps: int = 0
+    mode: str = "detailed"
+    window: int = 0
+    period: int = 0
+    warming: str = "functional"
+    trace_spans: int = 0
+    profile: int = 0
+
+    def resolve(self) -> "RunSpec":
+        """The canonical spec: every implied setting made explicit, so
+        two specs that run the same measurement compare (and key) equal.
+        Raises ValueError for an unknown ``mode`` or ``warming``."""
+        if self.mode not in MODES:
+            raise ValueError(f"unknown simulation mode {self.mode!r}")
+        if self.warming not in WARMINGS:
+            raise ValueError(f"unknown warming mode {self.warming!r}")
+        probe_rate = self.probe_rate
+        if self.trace_spans and not probe_rate:
+            probe_rate = SPAN_PROBE_RATE
+        if self.mode == "sampled":
+            window = self.window or SAMPLED_WINDOW
+            period = self.period or SAMPLED_PERIOD
+            warming = self.warming
+        else:
+            window, period, warming = 0, 0, "functional"
+        return replace(self, check_coherence=bool(self.check_coherence),
+                       probe_rate=probe_rate, window=window, period=period,
+                       warming=warming)
+
+    def key(self, config: ChipConfig, workload_factory: Callable,
+            num_nodes: int) -> Optional[str]:
+        """The result-cache key of this spec at one point, shared by the
+        memo and the disk cache, or None for an opaque workload factory
+        (one whose parameters cannot be fingerprinted: never cached)."""
+        token = workload_token(workload_factory)
+        if token is None:
+            return None
+        payload = json.dumps(
+            {
+                "lib": library_fingerprint(),
+                "config": config_digest(config),
+                "workload": token,
+                "nodes": num_nodes,
+                "scale": os.environ.get("REPRO_SCALE", "1.0"),
+                "spec": asdict(self.resolve()),
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def build_system(
     config: ChipConfig,
     workload_factory: Callable[[ChipConfig, int], object],
     num_nodes: int = 1,
-    check_coherence: bool = False,
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
+    spec: RunSpec = RunSpec(),
 ) -> Tuple[PiranhaSystem, object]:
-    """Assemble a ready-to-run (system, workload) pair.
+    """Assemble a ready-to-run (system, workload) pair with every
+    observer *spec* asks for attached.
 
-    Shared by the cold path of :func:`simulate` and the CLI's
-    ``checkpoint save`` verb, so a warm snapshot is taken of exactly the
+    Shared by the cold path of :func:`simulate` and the CLI, so a CLI
+    run or a warm snapshot (``checkpoint save``) is taken of exactly the
     machine a measurement run would build.
-
-    ``trace_spans=N`` attaches the causal span tracer (keeping up to N
-    transactions), implying probes at :data:`SPAN_PROBE_RATE` when none
-    were requested; ``profile=N`` attaches the host self-profiler at a
-    1-in-N event sampling rate.
     """
+    spec = spec.resolve()
     workload = workload_factory(config, num_nodes)
     checker = None
-    if check_coherence or trace_capacity:
-        checker = (CoherenceChecker.with_trace(trace_capacity)
-                   if trace_capacity else CoherenceChecker())
+    if spec.check_coherence or spec.trace_capacity:
+        checker = (CoherenceChecker.with_trace(spec.trace_capacity)
+                   if spec.trace_capacity else CoherenceChecker())
     system = PiranhaSystem(config, num_nodes=num_nodes, checker=checker)
     system.attach_workload(workload)
     bind_system = getattr(workload, "bind_system", None)
@@ -246,20 +251,18 @@ def build_system(
         # workloads that observe the live system (the fuzz reference
         # checker) wire themselves up once everything is built
         bind_system(system)
-    if check_coherence:
+    if spec.check_coherence:
         system.enable_continuous_audit()
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    if probe_rate:
-        system.enable_probes(probe_rate)
-    if trace_spans:
-        system.enable_span_trace(trace_spans)
-    if sample_interval_ps:
-        system.enable_sampler(sample_interval_ps)
-    if profile:
+    if spec.probe_rate:
+        system.enable_probes(spec.probe_rate)
+    if spec.trace_spans:
+        system.enable_span_trace(spec.trace_spans)
+    if spec.sample_interval_ps:
+        system.enable_sampler(spec.sample_interval_ps)
+    if spec.profile:
         from ..observe.hostprof import HostProfiler
 
-        system.sim.profiler = HostProfiler(profile)
+        system.sim.profiler = HostProfiler(spec.profile)
     return system, workload
 
 
@@ -268,13 +271,11 @@ def assemble_result(
     workload,
     config: ChipConfig,
     num_nodes: int,
-    units_attr: str,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
+    spec: RunSpec,
     wall: float = 0.0,
-    trace_spans: int = 0,
 ) -> RunResult:
-    """Measure a drained system into a :class:`RunResult`.
+    """Measure a drained system, run under the resolved *spec*, into a
+    :class:`RunResult`.
 
     One assembly implementation for the cold, warm-restored and
     checkpoint-restored paths: whatever route the machine took to the
@@ -284,7 +285,7 @@ def assemble_result(
     if system.checker is not None:
         sanitizer = system.verify()
 
-    units = getattr(workload.params, units_attr)
+    units = getattr(workload.params, spec.units_attr)
     per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
     time_per_unit_ns = per_cpu_ps / units / 1000.0
     total_cpus = config.cpus * num_nodes
@@ -312,15 +313,14 @@ def assemble_result(
         sim_wall_s=wall,
         extras=dict(sanitizer),
     )
-    if probe_rate or sample_interval_ps:
+    if spec.probe_rate or spec.sample_interval_ps:
         from .metrics import metrics_doc
 
         # deterministic (simulation-state-only), so it is safe to cache
         # and identical across the serial and ProcessPool paths
         result.extras["metrics"] = metrics_doc(
-            system, result, probe_rate, sample_interval_ps)
-    _attach_flightdeck_extras(result, system, config, num_nodes, probe_rate,
-                              trace_spans)
+            system, result, spec.probe_rate, spec.sample_interval_ps)
+    _attach_flightdeck_extras(result, system, config, num_nodes, spec)
     post_run = getattr(workload, "post_run", None)
     if post_run is not None:
         # end-of-run workload audit (fuzz residue check + telemetry);
@@ -333,19 +333,10 @@ def simulate(
     config: ChipConfig,
     workload_factory: Callable[[ChipConfig, int], object],
     num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
+    *,
     warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
     telemetry=None,
+    **fields,
 ) -> RunResult:
     """Run one simulation point, uncached.
 
@@ -354,19 +345,13 @@ def simulate(
     here, so the busy/L2/mem fractions and the miss breakdown cannot
     drift between entry points.
 
-    ``check_coherence=True`` attaches the protocol sanitizer: the
-    continuous mid-run audit set plus the full quiesce audit via
-    :meth:`~repro.core.system.PiranhaSystem.verify` — exactly what the
-    CLI ``--check`` path runs — with the audit telemetry merged into
-    ``RunResult.extras`` (so it survives the ProcessPool round-trip).
-    ``trace_capacity`` additionally attaches a ring-buffered protocol
-    trace of that many events; violations then carry the per-line event
-    history.
-
-    ``probe_rate=N`` tags one of every N L1 misses with a latency probe,
-    and ``sample_interval_ps`` attaches the interval time-series sampler;
-    either one makes the structured metrics document appear in
-    ``extras["metrics"]`` (see :mod:`repro.harness.metrics`).
+    *fields* are :class:`RunSpec` fields (an unknown name raises
+    TypeError).  ``check_coherence=True`` runs exactly what the CLI
+    ``--check`` path runs — the continuous mid-run audits plus the full
+    quiesce audit via :meth:`~repro.core.system.PiranhaSystem.verify` —
+    with the audit telemetry merged into ``RunResult.extras`` (so it
+    survives the ProcessPool round-trip); with ``trace_capacity``,
+    violations carry the per-line event history.
 
     ``warmup=True`` routes through the warm-checkpoint store
     (:mod:`repro.checkpoint.store`): on a hit the machine is restored at
@@ -392,28 +377,26 @@ def simulate(
     only the measurement windows, which is where the large sampled
     speedups live.
 
-    ``trace_spans=N`` keeps a causal span trace of up to N transactions
-    in ``extras["trace"]`` (a ``repro-trace/1`` document, also
-    Perfetto-loadable); ``profile=N`` attaches the host self-profiler at
-    a 1-in-N event rate and reports via ``extras["host_profile"]``;
     ``telemetry`` (a path, fd, file-like object, or
     :class:`~repro.observe.telemetry.TelemetryStream`) streams live
     heartbeat/interval/window/run-end records as the simulation runs.
     """
+    return simulate_spec(config, workload_factory, num_nodes,
+                         RunSpec(**fields).resolve(), warmup, telemetry)
+
+
+def simulate_spec(config: ChipConfig, workload_factory: Callable,
+                  num_nodes: int, spec: RunSpec, warmup: bool = False,
+                  telemetry=None) -> RunResult:
+    """:func:`simulate` for an already-resolved *spec*."""
     wall0 = time.time()
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
     stream = _open_telemetry(telemetry)
     try:
-        result = _simulate_inner(
-            config, workload_factory, num_nodes, units_attr,
-            check_coherence, trace_capacity, probe_rate,
-            sample_interval_ps, warmup, mode, window, period, warming,
-            trace_spans, profile, stream, wall0)
+        return _simulate_inner(config, workload_factory, num_nodes, spec,
+                               warmup, stream, wall0)
     finally:
         if stream is not None and stream is not telemetry:
             stream.close()
-    return result
 
 
 def _open_telemetry(telemetry):
@@ -429,33 +412,42 @@ def _open_telemetry(telemetry):
     return TelemetryStream(telemetry)
 
 
-def _simulate_inner(
-    config, workload_factory, num_nodes, units_attr, check_coherence,
-    trace_capacity, probe_rate, sample_interval_ps, warmup, mode, window,
-    period, warming, trace_spans, profile, stream, wall0,
-) -> RunResult:
+def _warm_put(key: str, config: ChipConfig, workload_factory: Callable,
+              system: PiranhaSystem, payload: bytes, sim_now: int) -> None:
+    """File one warm-boundary snapshot in the warm-checkpoint store."""
+    from ..checkpoint import WARM_STORE, build_manifest
+
+    WARM_STORE.put(key, build_manifest(
+        payload,
+        fingerprint=library_fingerprint(),
+        config_digest=config_digest(config),
+        workload=workload_token(workload_factory),
+        nodes=system.num_nodes,
+        sim_now=sim_now,
+    ), payload)
+
+
+def _simulate_inner(config, workload_factory, num_nodes, spec, warmup,
+                    stream, wall0) -> RunResult:
     if stream is not None:
         stream.emit(
             "run_start", config=config.name,
             workload=workload_token(workload_factory), num_nodes=num_nodes,
-            mode=mode, probe_rate=probe_rate,
-            sample_interval_ps=sample_interval_ps, trace_spans=trace_spans,
-            profile=profile)
-    if mode == "sampled":
+            mode=spec.mode, probe_rate=spec.probe_rate,
+            sample_interval_ps=spec.sample_interval_ps,
+            trace_spans=spec.trace_spans, profile=spec.profile)
+    if spec.mode == "sampled":
         from ..fastforward import SampledRun
 
         skip_warm = False
         on_warm = None
         system = None
         if warmup:
-            from ..checkpoint import (WARM_STORE, build_manifest,
-                                      restore_system, snapshot_bytes,
-                                      warm_key)
-            from .cache import library_fingerprint
+            from ..checkpoint import (WARM_STORE, restore_system,
+                                      snapshot_bytes, warm_key)
 
-            key = warm_key(config, workload_factory, num_nodes, units_attr,
-                           check_coherence, trace_capacity, probe_rate,
-                           sample_interval_ps, variant="sampled-" + warming)
+            key = warm_key(config, workload_factory, num_nodes, spec,
+                           variant="sampled-" + spec.warming)
             hit = WARM_STORE.get(key)
             if hit is not None:
                 _manifest, payload = hit
@@ -464,90 +456,60 @@ def _simulate_inner(
                 skip_warm = True
             elif key is not None:
                 def on_warm(sys_, _key=key):
-                    payload = snapshot_bytes(sys_)
-                    WARM_STORE.put(_key, build_manifest(
-                        payload,
-                        fingerprint=library_fingerprint(),
-                        config_digest=config_digest(config),
-                        workload=workload_token(workload_factory),
-                        nodes=sys_.num_nodes,
-                        sim_now=sys_.sim.now,
-                    ), payload)
+                    _warm_put(_key, config, workload_factory, sys_,
+                              snapshot_bytes(sys_), sys_.sim.now)
         if system is None:
-            system, workload = build_system(
-                config, workload_factory, num_nodes, check_coherence,
-                trace_capacity, probe_rate, sample_interval_ps)
-        _arm_flightdeck(system, trace_spans, profile, stream)
+            system, workload = build_system(config, workload_factory,
+                                            num_nodes, spec)
+        _arm_flightdeck(system, spec, stream)
         # handoff="none": batch measurement needs no in-memory window
         # captures (those serve the gate / CLI inspection paths); the
         # persistent warm-boundary snapshot above is unaffected
-        run = SampledRun(system, window=window or SAMPLED_WINDOW,
-                         period=period or SAMPLED_PERIOD, warming=warming,
-                         handoff="none", skip_warm=skip_warm, on_warm=on_warm,
+        run = SampledRun(system, window=spec.window, period=spec.period,
+                         warming=spec.warming, handoff="none",
+                         skip_warm=skip_warm, on_warm=on_warm,
                          telemetry=stream)
         run.run()
-        result = run.to_result(config, num_nodes, units_attr, probe_rate,
-                               sample_interval_ps, time.time() - wall0)
-        _attach_flightdeck_extras(result, system, config, num_nodes,
-                                  probe_rate, trace_spans)
+        result = run.to_result(config, num_nodes, spec, time.time() - wall0)
+        _attach_flightdeck_extras(result, system, config, num_nodes, spec)
         _emit_run_end(stream, result)
         return result
-    if mode != "detailed":
-        raise ValueError(f"unknown simulation mode {mode!r}")
     if warmup:
-        from ..checkpoint import (WARM_STORE, WarmCapture, build_manifest,
-                                  restore_system, warm_key)
-        from .cache import library_fingerprint
+        from ..checkpoint import (WARM_STORE, WarmCapture, restore_system,
+                                  warm_key)
 
-        key = warm_key(config, workload_factory, num_nodes, units_attr,
-                       check_coherence, trace_capacity, probe_rate,
-                       sample_interval_ps)
+        key = warm_key(config, workload_factory, num_nodes, spec)
         hit = WARM_STORE.get(key)
         if hit is not None:
             _manifest, payload = hit
             system = restore_system(payload)
             workload = system.workload
-            _arm_flightdeck(system, trace_spans, profile, stream)
+            _arm_flightdeck(system, spec, stream)
             system.run_to_completion()  # start() is a no-op: pure resume
         else:
-            system, workload = build_system(
-                config, workload_factory, num_nodes, check_coherence,
-                trace_capacity, probe_rate, sample_interval_ps)
-
-            def persist(payload: bytes, sim_now: int) -> None:
-                # at the boundary, before the measurement phase: a run
-                # killed mid-measurement still leaves warm state behind
-                WARM_STORE.put(key, build_manifest(
-                    payload,
-                    fingerprint=library_fingerprint(),
-                    config_digest=config_digest(config),
-                    workload=workload_token(workload_factory),
-                    nodes=system.num_nodes,
-                    sim_now=sim_now,
-                ), payload)
-
+            system, workload = build_system(config, workload_factory,
+                                            num_nodes, spec)
             if key is not None:
-                # opaque workloads (no stable token) cannot be stored;
-                # skip the snapshot cost entirely
-                WarmCapture(system, sink=persist)
-            _arm_flightdeck(system, trace_spans, profile, stream)
+                # persisted at the boundary, before the measurement
+                # phase: a run killed mid-measurement still leaves warm
+                # state behind.  Opaque workloads (no stable token)
+                # cannot be stored; skip the snapshot cost entirely
+                WarmCapture(system, sink=lambda payload, sim_now: _warm_put(
+                    key, config, workload_factory, system, payload, sim_now))
+            _arm_flightdeck(system, spec, stream)
             system.run_to_completion()
     else:
-        system, workload = build_system(
-            config, workload_factory, num_nodes, check_coherence,
-            trace_capacity, probe_rate, sample_interval_ps)
-        _arm_flightdeck(system, trace_spans, profile, stream)
+        system, workload = build_system(config, workload_factory, num_nodes,
+                                        spec)
+        _arm_flightdeck(system, spec, stream)
         system.run_to_completion()
     wall = time.time() - wall0
-    result = assemble_result(system, workload, config, num_nodes, units_attr,
-                             probe_rate, sample_interval_ps, wall,
-                             trace_spans=trace_spans)
+    result = assemble_result(system, workload, config, num_nodes, spec, wall)
     _emit_run_end(stream, result)
     return result
 
 
-def _arm_flightdeck(system: PiranhaSystem, trace_spans: int, profile: int,
-                    stream) -> None:
+def _arm_flightdeck(system: PiranhaSystem, spec: RunSpec, stream) -> None:
     """(Re)arm or disarm the flight-deck observers on a system.
 
     Covers two situations the cold :func:`build_system` path cannot: a
@@ -556,18 +518,18 @@ def _arm_flightdeck(system: PiranhaSystem, trace_spans: int, profile: int,
     settings must win), and attaching the host-side telemetry stream,
     which is never built into a system.
     """
-    if trace_spans:
+    if spec.trace_spans:
         if system.spans is None and system.probes is not None:
-            system.enable_span_trace(trace_spans)
+            system.enable_span_trace(spec.trace_spans)
     elif system.spans is not None:
         system.spans = None
         if system.probes is not None:
             system.probes.on_finish = None
-    if profile:
+    if spec.profile:
         if system.sim.profiler is None:
             from ..observe.hostprof import HostProfiler
 
-            system.sim.profiler = HostProfiler(profile)
+            system.sim.profiler = HostProfiler(spec.profile)
     else:
         system.sim.profiler = None
     if stream is not None and system.sampler is not None:
@@ -576,7 +538,7 @@ def _arm_flightdeck(system: PiranhaSystem, trace_spans: int, profile: int,
 
 def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
                               config: ChipConfig, num_nodes: int,
-                              probe_rate: int, trace_spans: int) -> None:
+                              spec: RunSpec) -> None:
     """Attach the span-trace document and the host-profile report.
 
     Shared by :func:`assemble_result` (detailed runs) and the sampled
@@ -588,14 +550,14 @@ def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
     profile is wall-clock and therefore NOT deterministic: fine in
     ``extras`` (like ``sim_wall_s``), never in the payload.
     """
-    if trace_spans and system.spans is not None:
+    if spec.trace_spans and system.spans is not None:
         from ..observe.spans import trace_doc
 
         protocol_events = None
         if system.checker is not None and system.checker.trace is not None:
             protocol_events = system.checker.trace.events()
         result.extras["trace"] = trace_doc(
-            system.spans, config.name, num_nodes, probe_rate,
+            system.spans, config.name, num_nodes, spec.probe_rate,
             protocol_events)
     profiler = system.sim.profiler
     if profiler is not None:
@@ -617,114 +579,41 @@ def _attach_telemetry(result: RunResult) -> RunResult:
     return result
 
 
-def cached_result(
-    config: ChipConfig,
-    workload_factory: Callable,
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> Optional[RunResult]:
-    """Memo/disk lookup for one point; None on miss (or caching off)."""
+def cached_result(config: ChipConfig, workload_factory: Callable,
+                  num_nodes: int, spec: RunSpec) -> Optional[RunResult]:
+    """Memo/disk lookup for one point; None on a miss, with caching off,
+    or for an opaque workload factory."""
     if not cache_enabled():
         return None
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    cache_key_extra = _trace_key_extra(cache_key_extra, trace_capacity)
-    cache_key_extra = _obs_key_extra(cache_key_extra, probe_rate,
-                                     sample_interval_ps)
-    cache_key_extra = _flightdeck_key_extra(cache_key_extra, trace_spans,
-                                            profile, telemetry)
-    memo_key = _memo_key(config, workload_factory, num_nodes, units_attr,
-                         check_coherence, cache_key_extra)
-    result = _MEMO.get(memo_key)
-    if result is not None:
-        return _attach_telemetry(result)
-    disk_key = result_key(config, workload_factory, num_nodes, units_attr,
-                          check_coherence, cache_key_extra)
-    result = DISK_CACHE.get(disk_key)
-    if result is not None:
-        _MEMO.put(memo_key, result)
-        return _attach_telemetry(result)
-    return None
+    key = spec.key(config, workload_factory, num_nodes)
+    if key is None:
+        return None
+    result = _MEMO.get(key)
+    if result is None:
+        result = DISK_CACHE.get(key)
+        if result is None:
+            return None
+        _MEMO.put(key, result)
+    return _attach_telemetry(result)
 
 
-def store_result(
-    result: RunResult,
-    config: ChipConfig,
-    workload_factory: Callable,
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> None:
+def store_result(result: RunResult, config: ChipConfig,
+                 workload_factory: Callable, num_nodes: int,
+                 spec: RunSpec) -> None:
     """Record a freshly simulated point in the memo and disk caches."""
     if not cache_enabled():
         return
-    if trace_spans and not probe_rate:
-        probe_rate = SPAN_PROBE_RATE
-    cache_key_extra = _trace_key_extra(cache_key_extra, trace_capacity)
-    cache_key_extra = _obs_key_extra(cache_key_extra, probe_rate,
-                                     sample_interval_ps)
-    cache_key_extra = _flightdeck_key_extra(cache_key_extra, trace_spans,
-                                            profile, telemetry)
-    _MEMO.put(_memo_key(config, workload_factory, num_nodes, units_attr,
-                        check_coherence, cache_key_extra), result)
-    DISK_CACHE.put(
-        result_key(config, workload_factory, num_nodes, units_attr,
-                   check_coherence, cache_key_extra), result)
+    key = spec.key(config, workload_factory, num_nodes)
+    if key is None:
+        return
+    _MEMO.put(key, result)
+    DISK_CACHE.put(key, result)
 
 
-def run_configured(
-    config: ChipConfig,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
-    warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
-    telemetry=None,
-) -> RunResult:
-    """Simulate one explicit configuration, with two-level caching.
-
-    ``warmup`` is execution strategy, not measurement identity: it feeds
-    :func:`simulate` but stays out of the cache keys, because the warm
-    and cold paths produce byte-identical results.  The sampled-mode
-    settings *are* measurement identity (the payload is an estimate), so
-    they fold into the cache keys via :func:`_sampled_key_extra` — as do
-    the flight-deck settings (:func:`_flightdeck_key_extra`), whose
-    extras documents ride the cached result.  A cache hit for a
-    telemetry-enabled point answers without streaming; the terminal
-    ``run_end`` record (marked ``cached``) is still emitted so a watcher
-    sees the run conclude.
-    """
-    cache_key_extra = _sampled_key_extra(cache_key_extra, mode, window,
-                                         period, warming)
-    cached = cached_result(config, workload_factory, num_nodes, units_attr,
-                           check_coherence, cache_key_extra, trace_capacity,
-                           probe_rate, sample_interval_ps, trace_spans,
-                           profile, telemetry)
+def run_spec(config: ChipConfig, workload_factory: Callable, num_nodes: int,
+             spec: RunSpec, warmup: bool = False, telemetry=None) -> RunResult:
+    """:func:`run_configured` for an already-resolved *spec*."""
+    cached = cached_result(config, workload_factory, num_nodes, spec)
     if cached is not None:
         if telemetry is not None:
             stream = _open_telemetry(telemetry)
@@ -734,49 +623,49 @@ def run_configured(
                 if stream is not telemetry:
                     stream.close()
         return cached
-    result = simulate(config, workload_factory, num_nodes, units_attr,
-                      check_coherence, trace_capacity, probe_rate,
-                      sample_interval_ps, warmup=warmup, mode=mode,
-                      window=window, period=period, warming=warming,
-                      trace_spans=trace_spans, profile=profile,
-                      telemetry=telemetry)
-    store_result(result, config, workload_factory, num_nodes, units_attr,
-                 check_coherence, cache_key_extra, trace_capacity,
-                 probe_rate, sample_interval_ps, trace_spans, profile,
-                 telemetry)
+    result = simulate_spec(config, workload_factory, num_nodes, spec, warmup,
+                           telemetry)
+    store_result(result, config, workload_factory, num_nodes, spec)
     return _attach_telemetry(result)
+
+
+def run_configured(
+    config: ChipConfig,
+    workload_factory: Callable[[ChipConfig, int], object],
+    num_nodes: int = 1,
+    *,
+    warmup: bool = False,
+    telemetry=None,
+    **fields,
+) -> RunResult:
+    """Simulate one explicit configuration, with two-level caching.
+
+    *fields* are :class:`RunSpec` fields; the resolved spec's
+    :meth:`~RunSpec.key` is the one key of both caches.  ``warmup`` and
+    ``telemetry`` stay out of it: ``warmup`` is execution strategy (the
+    warm and cold paths produce byte-identical results) and
+    ``telemetry`` a host-side target that never touches the payload.  A
+    cache hit for a telemetry-enabled point answers without streaming;
+    the terminal ``run_end`` record (marked ``cached``) is still emitted
+    so a watcher sees the run conclude.
+    """
+    return run_spec(config, workload_factory, num_nodes,
+                    RunSpec(**fields).resolve(), warmup, telemetry)
 
 
 def run_workload(
     config_name: str,
     workload_factory: Callable[[ChipConfig, int], object],
     num_nodes: int = 1,
-    units_attr: str = "transactions",
-    check_coherence: bool = False,
-    cache_key_extra: tuple = (),
-    trace_capacity: int = 0,
-    probe_rate: int = 0,
-    sample_interval_ps: int = 0,
+    *,
     warmup: bool = False,
-    mode: str = "detailed",
-    window: int = 0,
-    period: int = 0,
-    warming: str = "functional",
-    trace_spans: int = 0,
-    profile: int = 0,
     telemetry=None,
+    **fields,
 ) -> RunResult:
     """Simulate one preset configuration under one workload.
 
     ``workload_factory(config, num_nodes)`` builds the workload; its
     ``params.<units_attr>`` gives the measured units per CPU.
     """
-    return run_configured(
-        preset(config_name), workload_factory, num_nodes=num_nodes,
-        units_attr=units_attr, check_coherence=check_coherence,
-        cache_key_extra=cache_key_extra, trace_capacity=trace_capacity,
-        probe_rate=probe_rate, sample_interval_ps=sample_interval_ps,
-        warmup=warmup, mode=mode, window=window, period=period,
-        warming=warming, trace_spans=trace_spans, profile=profile,
-        telemetry=telemetry,
-    )
+    return run_configured(preset(config_name), workload_factory, num_nodes,
+                          warmup=warmup, telemetry=telemetry, **fields)

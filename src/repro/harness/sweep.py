@@ -29,7 +29,7 @@ from ..core.config import ChipConfig, preset
 from .cache import (cache_dir, cache_enabled, config_digest,
                     library_fingerprint, workload_token)
 from .parallel import Job, run_jobs
-from .runner import RunResult, run_configured
+from .runner import RunResult, RunSpec, run_configured
 
 
 def parse_sweep_value(text: str):
@@ -232,10 +232,10 @@ def sweep_field(base, workload_factory: Callable, dotted: str,
                 manifest["done"] = sorted(done)
                 _write_manifest(_key, manifest)
 
+    spec = RunSpec(units_attr=units_attr, check_coherence=check_coherence)
     results = run_jobs(
         [Job(config=c, factory=workload_factory, num_nodes=num_nodes,
-             units_attr=units_attr, check_coherence=check_coherence,
-             warmup=warmup)
+             spec=spec, warmup=warmup)
          for c in configs],
         jobs=jobs,
         on_result=on_result,

@@ -58,8 +58,8 @@ class HostProfiler:
     """Sampled wall-clock attribution over dispatch-loop events.
 
     Attach with ``sim.profiler = HostProfiler(rate)`` (or through
-    ``build_system(..., profile=rate)``); :meth:`Simulator.run` switches
-    to its profiled loop when the attribute is set.  Picklable (plain
+    ``build_system(..., RunSpec(profile=rate))``); :meth:`Simulator.run`
+    switches to its profiled loop when the attribute is set.  Picklable (plain
     ints/dicts), so it survives the ProcessPool and rides checkpoints —
     though wall-clock numbers are host-specific and therefore live in
     ``RunResult.extras``, outside the deterministic payload.

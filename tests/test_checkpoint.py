@@ -48,8 +48,8 @@ from repro.core.ras import MemoryMirror
 from repro.fuzz.reference import MemoryModelViolation
 from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
-from repro.harness.runner import (DISK_CACHE, assemble_result, build_system,
-                                  simulate)
+from repro.harness.runner import (DISK_CACHE, RunSpec, assemble_result,
+                                  build_system, simulate)
 from repro.harness.sweep import (load_manifest, manifest_path,
                                  record_from_result, sweep_field)
 from repro.sim.engine import _PeriodicTick
@@ -158,7 +158,7 @@ class TestParallelWarmFidelity:
     def _jobs(self, warmup):
         return [
             Job(config=preset(name), factory=OltpFactory(TINY_OLTP),
-                units_attr="transactions", warmup=warmup)
+                warmup=warmup)
             for name in ("P1", "P8")
         ]
 
@@ -252,16 +252,14 @@ class TestCheckpointFiles:
         from repro.harness.metrics import metrics_doc
 
         factory = OltpFactory(TINY_OLTP)
-        base_system, _ = build_system(preset("P1"), factory, probe_rate=16,
-                                      sample_interval_ps=int(10e6))
+        observed = RunSpec(probe_rate=16, sample_interval_ps=int(10e6))
+        base_system, _ = build_system(preset("P1"), factory, 1, observed)
         base_system.run_to_completion()
         baseline = json.dumps(
             metrics_doc(base_system, None, probe_rate=16,
                         sample_interval_ps=int(10e6)), sort_keys=True)
 
-        system, _workload = build_system(
-            preset("P1"), factory, probe_rate=16,
-            sample_interval_ps=int(10e6))
+        system, _workload = build_system(preset("P1"), factory, 1, observed)
         capture = WarmCapture(system, halt=True)
         system.start()
         system.sim.run()
@@ -448,24 +446,27 @@ class TestFuzzBisection:
 # stock-pickle round trips through every former closure site
 
 
-def _finish(system, units_attr, **assemble_kw):
+#: the fuzz workloads' measured units
+OPS = RunSpec(units_attr="ops")
+
+
+def _finish(system, spec):
     """Run *system* to completion: its payload tuple, or the violation
     signature when a protocol mutation gets caught."""
     try:
         system.run_to_completion()
         return assemble_result(system, system.workload, system.config,
-                               system.num_proc_nodes, units_attr,
-                               **assemble_kw).payload_tuple()
+                               system.num_proc_nodes, spec).payload_tuple()
     except (MemoryModelViolation, CoherenceViolation) as exc:
         return violation_signature(exc)
 
 
-def flight_recorded(system, units_attr, every_ps, **assemble_kw):
+def flight_recorded(system, spec, every_ps):
     """Finish *system* under a flight recorder; returns its outcome and
     the machine restored (through stock pickle) from a mid-run snapshot."""
     ckpt = PeriodicCheckpointer(system, every_ps, keep=64)
     ckpt.start()
-    outcome = _finish(system, units_attr, **assemble_kw)
+    outcome = _finish(system, spec)
     assert len(ckpt.snapshots) >= 2
     now_ps, payload = ckpt.snapshots[len(ckpt.snapshots) // 2]
     assert 0 < now_ps < system.sim.now
@@ -488,9 +489,9 @@ class TestStockPickleRoundTrip:
             mutation=mutation, mutation_period=3)
         system, workload = build_system(
             preset(prog.config), FuzzFactory(prog.canonical_json()),
-            num_nodes=2, check_coherence=True)
-        outcome, restored = flight_recorded(system, "ops", int(0.1e6))
-        assert _finish(restored, "ops") == outcome
+            num_nodes=2, spec=RunSpec(check_coherence=True))
+        outcome, restored = flight_recorded(system, OPS, int(0.1e6))
+        assert _finish(restored, OPS) == outcome
         assert restored.workload.cursors == workload.cursors
         assert restored.workload.mutation_ticker.fired == \
             workload.mutation_ticker.fired > 0
@@ -498,16 +499,15 @@ class TestStockPickleRoundTrip:
     def test_multinode_oltp_with_observers(self):
         """Sanitizer, protocol trace, interval sampler and spans on the
         four-node protocol-engine path."""
-        observe = dict(probe_rate=16, sample_interval_ps=int(20e6),
-                       trace_spans=64)
+        observe = RunSpec(check_coherence=True, trace_capacity=256,
+                          probe_rate=16, sample_interval_ps=int(20e6),
+                          trace_spans=64)
         system, _ = build_system(
             preset("P8"), OltpFactory(OltpParams(
                 transactions=1, warmup_transactions=1)),
-            num_nodes=4, check_coherence=True, trace_capacity=256,
-            **observe)
-        outcome, restored = flight_recorded(
-            system, "transactions", int(20e6), **observe)
-        assert _finish(restored, "transactions", **observe) == outcome
+            num_nodes=4, spec=observe)
+        outcome, restored = flight_recorded(system, observe, int(20e6))
+        assert _finish(restored, observe) == outcome
         assert restored.checker.trace.events() and \
             restored.checker.trace.events() == system.checker.trace.events()
 
@@ -515,10 +515,9 @@ class TestStockPickleRoundTrip:
         system, _ = build_system(preset("P8"), OltpFactory(OltpParams(
             transactions=2, warmup_transactions=3)), num_nodes=2)
         mirror = MemoryMirror(system, primary=0, mirror=1)
-        outcome, restored = flight_recorded(system, "transactions",
-                                            int(20e6))
+        outcome, restored = flight_recorded(system, RunSpec(), int(20e6))
         restored_mirror = restored.nodes[0].mem_write_back.__self__
-        assert _finish(restored, "transactions") == outcome
+        assert _finish(restored, RunSpec()) == outcome
         assert restored_mirror.mirrored_lines == mirror.mirrored_lines
         assert restored_mirror.c_mirrored == mirror.c_mirrored > 0
 
@@ -533,10 +532,10 @@ class TestStockPickleRoundTrip:
         system.workload.bind_system(system)
         pci = system.io[0].pci
         pci.dma(0x100000, lines=32, is_write=True)
-        outcome, restored = flight_recorded(system, "ops", int(0.5e6))
+        outcome, restored = flight_recorded(system, OPS, int(0.5e6))
         transfer = restored.io[0].pci.transfers[0]
         assert 0 < transfer.done_lines < transfer.lines
-        assert _finish(restored, "ops") == outcome
+        assert _finish(restored, OPS) == outcome
         assert transfer.done_lines == pci.transfers[0].done_lines == 32
         assert transfer.end_ps == pci.transfers[0].end_ps
 

@@ -26,8 +26,7 @@ from repro.core.config import preset
 from repro.core.messages import AccessKind
 from repro.fastforward import FunctionalWarmer, PhaseStream, SampledRun
 from repro.harness.experiments import OltpFactory
-from repro.harness.runner import (SAMPLED_PERIOD, SAMPLED_WINDOW,
-                                  _sampled_key_extra, build_system, simulate)
+from repro.harness.runner import RunSpec, build_system, simulate
 from repro.sim.engine import Simulator
 from repro.workloads import OltpParams
 
@@ -45,7 +44,7 @@ def _sampled(warming: str, handoff: str, reuse_generators: bool = True,
     config = preset("P8" if nodes == 1 else "P2")
     factory = OltpFactory(OLTP_SMALL)
     system, _wl = build_system(config, factory, nodes,
-                               check_coherence=check)
+                               RunSpec(check_coherence=check))
     run = SampledRun(system, window=WINDOW, period=PERIOD,
                      warming=warming, handoff=handoff,
                      reuse_generators=reuse_generators, **kw)
@@ -255,17 +254,6 @@ class TestAdvanceTo:
 # ---------------------------------------------------------------------------
 
 class TestHarnessIntegration:
-    def test_sampled_key_extra(self):
-        base = (("oltp", 1.0),)
-        assert _sampled_key_extra(base, "detailed", 0, 0, "functional") == base
-        folded = _sampled_key_extra(base, "sampled", 0, 0, "functional")
-        assert folded == base + (("sampled", "sampled", SAMPLED_WINDOW,
-                                  SAMPLED_PERIOD, "functional"),)
-        # defaults resolve before folding: explicit default == omitted
-        explicit = _sampled_key_extra(base, "sampled", SAMPLED_WINDOW,
-                                      SAMPLED_PERIOD, "functional")
-        assert explicit == folded
-
     def test_simulate_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             simulate(preset("P1"), OltpFactory(OLTP_SMALL), mode="turbo")

@@ -28,7 +28,7 @@ import pytest
 
 from repro.core import PiranhaSystem, preset
 from repro.harness import Job, MigratoryFactory, clear_cache, run_jobs
-from repro.harness.runner import run_configured, simulate
+from repro.harness.runner import RunSpec, run_configured, simulate
 from repro.observe import (
     HostProfiler,
     SpanCollector,
@@ -419,10 +419,11 @@ class TestTelemetry:
 
 
 class TestHarnessIntegration:
-    def _job(self, **kw):
-        kw.setdefault("config", preset("P2"))
-        return Job(factory=MigratoryFactory(TINY_MICRO),
-                   units_attr="iterations", **kw)
+    def _job(self, config=None, telemetry=None, **fields):
+        return Job(config=config or preset("P2"),
+                   factory=MigratoryFactory(TINY_MICRO),
+                   spec=RunSpec(units_attr="iterations", **fields),
+                   telemetry=telemetry)
 
     def test_cache_key_folds_flightdeck_settings(self):
         plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
@@ -455,7 +456,7 @@ class TestHarnessIntegration:
     def test_parallel_jobs_carry_trace_and_profile(self):
         job = self._job(trace_spans=16, profile=8)
         serial = simulate(job.config, job.factory,
-                          units_attr=job.units_attr,
+                          units_attr=job.spec.units_attr,
                           trace_spans=16, profile=8)
         clear_cache()
         other = self._job(trace_spans=16, profile=8,

@@ -30,7 +30,7 @@ from repro.fuzz import generate, params_for
 from repro.fuzz.runner import FuzzFactory
 from repro.harness import Job, run_jobs
 from repro.harness.experiments import DssFactory, OltpFactory
-from repro.harness.runner import run_workload
+from repro.harness.runner import RunSpec, run_workload
 from repro.isa.kernels import IsaKernelFactory, IsaKernelParams
 from repro.workloads import DssParams, OltpParams
 
@@ -118,7 +118,8 @@ def test_golden_digest_parallel_jobs(monkeypatch):
     golden = load_golden()
     names = ["P1-oltp", "P1-isa-memcpy"]  # cheap points: workers re-simulate
     jobs = [Job(config=preset(CANONICAL[n][0]), factory=CANONICAL[n][1],
-                num_nodes=CANONICAL[n][3], units_attr=CANONICAL[n][2])
+                num_nodes=CANONICAL[n][3],
+                spec=RunSpec(units_attr=CANONICAL[n][2]))
             for n in names]
     results = run_jobs(jobs, jobs=2)
     for name, result in zip(names, results):

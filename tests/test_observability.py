@@ -31,7 +31,7 @@ from repro.harness.metrics import (
     timeseries_csv,
     validate_metrics,
 )
-from repro.harness.runner import run_configured, simulate
+from repro.harness.runner import RunSpec, run_configured, simulate
 from repro.sim import IntervalSampler, Simulator
 from repro.workloads import MicroParams, OltpParams, OltpWorkload
 
@@ -375,10 +375,10 @@ class TestSamplerCheckpointRestore:
 
 
 class TestMetricsExport:
-    def _job(self, **kw):
-        kw.setdefault("config", preset("P2"))
-        return Job(factory=MigratoryFactory(TINY_MICRO),
-                   units_attr="iterations", **kw)
+    def _job(self, config=None, **fields):
+        return Job(config=config or preset("P2"),
+                   factory=MigratoryFactory(TINY_MICRO),
+                   spec=RunSpec(units_attr="iterations", **fields))
 
     def test_simulate_attaches_valid_doc(self):
         result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
@@ -406,9 +406,9 @@ class TestMetricsExport:
     def test_parallel_path_matches_serial(self):
         job = self._job(probe_rate=4, sample_interval_ps=10_000_000)
         serial = simulate(job.config, job.factory,
-                          units_attr=job.units_attr,
-                          probe_rate=job.probe_rate,
-                          sample_interval_ps=job.sample_interval_ps)
+                          units_attr=job.spec.units_attr,
+                          probe_rate=job.spec.probe_rate,
+                          sample_interval_ps=job.spec.sample_interval_ps)
         clear_cache()
         # two distinct jobs so run_jobs actually opens the pool
         other = self._job(probe_rate=4, sample_interval_ps=10_000_000,

@@ -28,8 +28,8 @@ from repro.harness import (
     run_jobs,
     run_workload,
 )
-from repro.harness.cache import result_key, workload_token
-from repro.harness.runner import DISK_CACHE, run_configured, simulate
+from repro.harness.cache import workload_token
+from repro.harness.runner import DISK_CACHE, RunSpec, run_configured, simulate
 from repro.harness.sweep import replace_field, sweep_field
 from repro.workloads import MicroParams, OltpParams
 
@@ -56,7 +56,7 @@ def micro_jobs(n=4):
                 replace_field(base, "l2.size_bytes", v),
                 name=f"P2[l2={v}]"),
             factory=MigratoryFactory(TINY_MICRO),
-            units_attr="iterations")
+            spec=RunSpec(units_attr="iterations"))
         for v in values
     ]
 
@@ -85,7 +85,7 @@ class TestParallelEquivalence:
     def test_parallel_payload_matches_direct_simulate(self):
         job = micro_jobs(1)[0]
         direct = simulate(job.config, job.factory,
-                          units_attr=job.units_attr)
+                          units_attr=job.spec.units_attr)
         # single-point lists run serially; use a 2-point pool so the
         # first result genuinely crossed the process boundary
         pooled, _ = run_jobs(micro_jobs(2), jobs=2)
@@ -112,11 +112,11 @@ class TestParallelEquivalence:
         across the ProcessPool boundary in ``RunResult.extras``, matching
         the serial run exactly."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        jobs = [dataclasses.replace(j, check_coherence=True,
-                                    trace_capacity=256)
+        jobs = [dataclasses.replace(j, spec=dataclasses.replace(
+                    j.spec, check_coherence=True, trace_capacity=256))
                 for j in micro_jobs(2)]
         direct = simulate(jobs[0].config, jobs[0].factory,
-                          units_attr=jobs[0].units_attr,
+                          units_attr=jobs[0].spec.units_attr,
                           check_coherence=True, trace_capacity=256)
         pooled, _ = run_jobs(jobs, jobs=2)
         sanitizer_keys = [k for k in pooled.extras
@@ -126,6 +126,19 @@ class TestParallelEquivalence:
         assert "trace_events" in sanitizer_keys
         assert {k: pooled.extras[k] for k in sanitizer_keys} == \
                {k: direct.extras[k] for k in sanitizer_keys}
+
+    def test_sampled_jobs_parallel_match_serial(self, monkeypatch):
+        """A sampled-mode sweep point is expressible as a Job, and the
+        process pool returns the serial payloads."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        spec = RunSpec(units_attr="iterations", mode="sampled", window=30,
+                       period=60)
+        jobs = [dataclasses.replace(j, spec=spec) for j in micro_jobs(2)]
+        serial = run_jobs(jobs, jobs=1)
+        pooled = run_jobs(jobs, jobs=2)
+        assert [r.payload_tuple() for r in pooled] == \
+               [r.payload_tuple() for r in serial]
+        assert all(r.extras["sampling"]["windows"] > 0 for r in pooled)
 
     def test_resolve_jobs(self, monkeypatch):
         assert resolve_jobs(3) == 3
@@ -141,51 +154,46 @@ class TestDiskCache:
     def test_hit_serves_identical_payload(self):
         job = micro_jobs(1)[0]
         first = run_configured(job.config, job.factory,
-                               units_attr=job.units_attr)
+                               units_attr=job.spec.units_attr)
         clear_cache()  # drop the memo: the next lookup must hit the disk
         hits_before = DISK_CACHE.hits
         second = run_configured(job.config, job.factory,
-                                units_attr=job.units_attr)
+                                units_attr=job.spec.units_attr)
         assert DISK_CACHE.hits == hits_before + 1
         assert second.payload_tuple() == first.payload_tuple()
 
     def test_config_change_invalidates(self):
         jobs = micro_jobs(2)  # two points differing only in L2 size
-        key_a = result_key(jobs[0].config, jobs[0].factory, 1,
-                           jobs[0].units_attr, False, ())
-        key_b = result_key(jobs[1].config, jobs[1].factory, 1,
-                           jobs[1].units_attr, False, ())
+        key_a = jobs[0].spec.key(jobs[0].config, jobs[0].factory, 1)
+        key_b = jobs[1].spec.key(jobs[1].config, jobs[1].factory, 1)
         assert key_a != key_b
         run_configured(jobs[0].config, jobs[0].factory,
-                       units_attr=jobs[0].units_attr)
+                       units_attr=jobs[0].spec.units_attr)
         clear_cache()
         hits_before = DISK_CACHE.hits
         run_configured(jobs[1].config, jobs[1].factory,
-                       units_attr=jobs[1].units_attr)
+                       units_attr=jobs[1].spec.units_attr)
         assert DISK_CACHE.hits == hits_before  # different point: no hit
 
     def test_scale_env_part_of_key(self, monkeypatch):
         job = micro_jobs(1)[0]
         monkeypatch.setenv("REPRO_SCALE", "1.0")
-        key_full = result_key(job.config, job.factory, 1, job.units_attr,
-                              False, ())
+        key_full = job.spec.key(job.config, job.factory, 1)
         monkeypatch.setenv("REPRO_SCALE", "0.25")
-        key_quarter = result_key(job.config, job.factory, 1, job.units_attr,
-                                 False, ())
+        key_quarter = job.spec.key(job.config, job.factory, 1)
         assert key_full != key_quarter
 
     def test_opaque_factory_not_disk_keyable(self):
         assert workload_token(lambda c, n: None) is None
         job = micro_jobs(1)[0]
-        assert result_key(job.config, lambda c, n: None, 1,
-                          job.units_attr, False, ()) is None
+        assert job.spec.key(job.config, lambda c, n: None, 1) is None
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         cache = DiskCache(str(tmp_path / "torn"))
         job = micro_jobs(1)[0]
-        key = result_key(job.config, job.factory, 1, job.units_attr,
-                         False, ())
-        result = simulate(job.config, job.factory, units_attr=job.units_attr)
+        key = job.spec.key(job.config, job.factory, 1)
+        result = simulate(job.config, job.factory,
+                          units_attr=job.spec.units_attr)
         cache.put(key, result)
         target = cache._file(key)
         with open(target, "w", encoding="utf-8") as f:
@@ -194,7 +202,7 @@ class TestDiskCache:
 
     def test_info_and_clear(self):
         job = micro_jobs(1)[0]
-        run_configured(job.config, job.factory, units_attr=job.units_attr)
+        run_configured(job.config, job.factory, units_attr=job.spec.units_attr)
         info = DISK_CACHE.info()
         assert info["entries"] == 1
         assert info["bytes"] > 0
@@ -206,9 +214,9 @@ class TestMemoCache:
     def test_memo_inspectable_and_counts_hits(self):
         job = micro_jobs(1)[0]
         before = memo_cache_info()
-        run_configured(job.config, job.factory, units_attr=job.units_attr)
+        run_configured(job.config, job.factory, units_attr=job.spec.units_attr)
         result = run_configured(job.config, job.factory,
-                                units_attr=job.units_attr)
+                                units_attr=job.spec.units_attr)
         info = memo_cache_info()
         assert info["entries"] == before["entries"] + 1
         assert info["hits"] > before["hits"]
@@ -221,8 +229,10 @@ class TestMemoCache:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         job = micro_jobs(1)[0]
         entries_before = memo_cache_info()["entries"]
-        a = run_configured(job.config, job.factory, units_attr=job.units_attr)
-        b = run_configured(job.config, job.factory, units_attr=job.units_attr)
+        a = run_configured(job.config, job.factory,
+                           units_attr=job.spec.units_attr)
+        b = run_configured(job.config, job.factory,
+                           units_attr=job.spec.units_attr)
         assert memo_cache_info()["entries"] == entries_before
         assert DISK_CACHE.info()["entries"] == 0
         # ... but determinism still holds without the caches
@@ -230,13 +240,44 @@ class TestMemoCache:
 
     def test_run_workload_legacy_entry_point_memoises(self):
         result = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                              units_attr="iterations",
-                              cache_key_extra=("legacy",))
+                              units_attr="iterations")
         again = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                             units_attr="iterations",
-                             cache_key_extra=("legacy",))
+                             units_attr="iterations")
         assert again.payload_tuple() == result.payload_tuple()
         assert result.config == "P1"
+
+
+    def test_memo_answers_only_its_own_scale(self, monkeypatch):
+        """A default-parameter factory sizes its workload from
+        REPRO_SCALE, so a memo entry made at one scale must not answer
+        at another."""
+        monkeypatch.setenv("REPRO_SCALE", "1.0")
+        full = run_configured(preset("P1"), MigratoryFactory(),
+                              units_attr="iterations")
+        monkeypatch.setenv("REPRO_SCALE", "0.25")
+        quarter = run_configured(preset("P1"), MigratoryFactory(),
+                                 units_attr="iterations")
+        assert full.units == 1000
+        assert quarter.units == 250
+
+    def test_opaque_factories_are_never_memoised(self):
+        """Two closures sharing a qualname but not their parameters must
+        each simulate their own workload, and leave the memo alone."""
+        def closure(iterations):
+            def factory(config, num_nodes):
+                from repro.workloads import MigratoryWrites
+                return MigratoryWrites(
+                    MicroParams(iterations=iterations, warmup=30),
+                    cpus_per_node=config.cpus, num_nodes=num_nodes)
+            return factory
+
+        entries = memo_cache_info()["entries"]
+        small = run_configured(preset("P1"), closure(200),
+                               units_attr="iterations")
+        large = run_configured(preset("P1"), closure(400),
+                               units_attr="iterations")
+        assert (small.units, large.units) == (200, 400)
+        assert memo_cache_info()["entries"] == entries
 
 
 class TestReplaceFieldErrors:
