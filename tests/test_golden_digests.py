@@ -6,7 +6,10 @@ perturb them) — are pinned as SHA-256 digests of the deterministic
 measurement payload in ``tests/golden/digests.json``.  Three multi-node
 points (a cross-node ISA spinlock, four-node OLTP and a fixed-seed
 four-node fuzz program) pin the protocol engines, directory and
-interconnect the single-chip points never reach.
+interconnect the single-chip points never reach.  Three more single-chip
+points pin the on-chip request path's rarer branches: the OOO core's
+streaming misses and pending-entry waiters, the inclusive-L2 ablation,
+and a one-chip fuzz program's upgrades, barriers and same-line races.
 
 The digest covers :meth:`RunResult.payload_tuple` exactly — every field
 the harness documents as deterministic — so any unintentional behaviour
@@ -24,13 +27,16 @@ import hashlib
 import json
 import os
 
+import dataclasses
+
 import pytest
 
+from repro.core.config import preset
 from repro.fuzz import generate, params_for
 from repro.fuzz.runner import FuzzFactory
 from repro.harness import Job, run_jobs
 from repro.harness.experiments import DssFactory, OltpFactory
-from repro.harness.runner import RunSpec, run_workload
+from repro.harness.runner import RunSpec, run_configured
 from repro.isa.kernels import IsaKernelFactory, IsaKernelParams
 from repro.workloads import DssParams, OltpParams
 
@@ -49,8 +55,15 @@ OLTP_X4 = OltpParams(transactions=2, warmup_transactions=3)
 #: the CI fuzz seed on four nodes, shrunk to a tier-1 budget
 FUZZ_X4 = FuzzFactory(
     generate(params_for(2026, total_ops=800, nodes=4)).canonical_json())
+#: the same fuzz seed on one eight-CPU chip
+FUZZ_P8 = FuzzFactory(generate(
+    params_for(2026, total_ops=4000, nodes=1, cpus_per_node=8)
+).canonical_json())
+#: P8 with the inclusive-L2 ablation switched on
+P8_INCLUSIVE = dataclasses.replace(
+    preset("P8"), l2=dataclasses.replace(preset("P8").l2, inclusive=True))
 
-#: name -> (config, factory, units_attr, num_nodes)
+#: name -> (config or preset name, factory, units_attr, num_nodes)
 CANONICAL = {
     "P1-oltp": ("P1", OltpFactory(OLTP_Q), "transactions", 1),
     "P8-oltp": ("P8", OltpFactory(OLTP_Q), "transactions", 1),
@@ -65,6 +78,11 @@ CANONICAL = {
     # the multi-node protocol path: home/remote engines, TSRF, router
     "P8x4-oltp": ("P8", OltpFactory(OLTP_X4), "transactions", 4),
     "P8x4-fuzz-2026": ("P8", FUZZ_X4, "ops", 4),
+    # the single-chip request path's rarer branches
+    "OOO-oltp": ("OOO", OltpFactory(OLTP_Q), "transactions", 1),
+    "P8-inclusive-oltp": (P8_INCLUSIVE, OltpFactory(OLTP_Q),
+                          "transactions", 1),
+    "P8-fuzz-2026": ("P8", FUZZ_P8, "ops", 1),
 }
 
 
@@ -80,7 +98,9 @@ def payload_digest(result) -> str:
 
 def run_point(name: str):
     config, factory, units, nodes = CANONICAL[name]
-    return run_workload(config, factory, num_nodes=nodes, units_attr=units)
+    if isinstance(config, str):
+        config = preset(config)
+    return run_configured(config, factory, num_nodes=nodes, units_attr=units)
 
 
 def load_golden() -> dict:
@@ -112,8 +132,6 @@ def test_golden_digest_warm_cache():
 def test_golden_digest_parallel_jobs(monkeypatch):
     """The ProcessPool path computes the same digests as the pinned
     goldens (cache disabled so workers actually simulate)."""
-    from repro.core.config import preset
-
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     golden = load_golden()
     names = ["P1-oltp", "P1-isa-memcpy"]  # cheap points: workers re-simulate
