@@ -56,7 +56,10 @@ MAGIC = b"RPCKPT01"
 #: Schema version of the snapshot contract (manifest layout + what the
 #: payload contains).  Bump on incompatible change.  Schema 1 payloads
 #: embedded closure bytecode; schema 2 payloads are stock pickle.
-SCHEMA = 2
+#: Schema 3: the cache-path records (requests, L1/L2 lines, duplicate-tag
+#: and pending entries) are slotted and banks hold their memory
+#: controller, so schema-2 object layouts no longer restore.
+SCHEMA = 3
 
 _LEN = struct.Struct(">I")
 

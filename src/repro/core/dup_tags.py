@@ -16,7 +16,6 @@ accounting and is checked by a unit test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from .config import ChipConfig
@@ -26,14 +25,16 @@ from .messages import MESI
 L2_OWNER = -1
 
 
-@dataclass
 class DupEntry:
     """Duplicate tag/state for one line with at least one on-chip copy."""
 
-    sharers: Set[int] = field(default_factory=set)  # cache ids (cpu*2+instr)
-    owner: Optional[int] = None                      # cache id, L2_OWNER, None
-    #: per-sharer MESI state mirror (exact duplicate of the L1 state)
-    states: Dict[int, MESI] = field(default_factory=dict)
+    __slots__ = ("sharers", "owner", "states")
+
+    def __init__(self) -> None:
+        self.sharers: Set[int] = set()   # cache ids (cpu*2+instr)
+        self.owner: Optional[int] = None  # cache id, L2_OWNER, None
+        #: per-sharer MESI state mirror (exact duplicate of the L1 state)
+        self.states: Dict[int, MESI] = {}
 
     def is_exclusive(self) -> bool:
         return (
@@ -70,7 +71,9 @@ class DuplicateTags:
 
     def add_sharer(self, line: int, cache_id: int, state: MESI,
                    make_owner: bool) -> DupEntry:
-        e = self.entries.setdefault(line, DupEntry())
+        e = self.entries.get(line)
+        if e is None:
+            e = self.entries[line] = DupEntry()
         e.sharers.add(cache_id)
         e.states[cache_id] = state
         if make_owner:
@@ -80,7 +83,9 @@ class DuplicateTags:
         return e
 
     def set_l2_owner(self, line: int) -> None:
-        e = self.entries.setdefault(line, DupEntry())
+        e = self.entries.get(line)
+        if e is None:
+            e = self.entries[line] = DupEntry()
         e.owner = L2_OWNER
 
     def set_state(self, line: int, cache_id: int, state: MESI) -> None:

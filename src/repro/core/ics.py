@@ -28,6 +28,7 @@ BYTES_PER_CYCLE = 8
 
 LANE_LOW = 0
 LANE_HIGH = 1
+_LANES = (LANE_LOW, LANE_HIGH)
 
 
 class IntraChipSwitch(Component):
@@ -60,7 +61,7 @@ class IntraChipSwitch(Component):
         """
         if size_bytes <= 0:
             raise ValueError("transfer size must be positive")
-        if lane not in (LANE_LOW, LANE_HIGH):
+        if lane not in _LANES:
             raise ValueError(f"unknown ICS lane {lane}")
         now = self.sim.now
         # Pick the earliest-free datapath (the hardware pre-allocates via
@@ -75,11 +76,11 @@ class IntraChipSwitch(Component):
             self.c_conflicts.inc()
             self.a_queue_wait.add(start - now)
         cycles = -(-size_bytes // BYTES_PER_CYCLE)  # ceil division
-        busy_ps = cycles * self.clock.period_ps
-        free[path] = start + busy_ps
-        self.c_transfers.inc()
-        self.c_bytes.inc(size_bytes)
-        self.c_lane[lane].inc()
+        free[path] = start + cycles * self.clock.period_ps
+        # counters bumped in place: this runs once per L1 miss
+        self.c_transfers.value += 1
+        self.c_bytes.value += size_bytes
+        self.c_lane[lane].value += 1
         return (start - now) + self.base_latency_ps
 
     def utilization(self) -> float:

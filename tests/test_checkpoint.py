@@ -235,6 +235,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 1"):
             load_checkpoint(path, force=True)
 
+    def test_schema_2_refused(self, tmp_path):
+        """Schema-2 payloads pickle the cache-path records with the
+        pre-slots layout: refused even with ``force``, which skips only
+        the fingerprint check."""
+        payload = b"N."
+        manifest = self._manifest(payload)
+        manifest["schema"] = 2
+        path = str(tmp_path / "schema2.ckpt")
+        write_checkpoint(path, manifest, payload)
+        with pytest.raises(CheckpointError, match="schema 2"):
+            load_checkpoint(path, force=True)
+
     def test_fingerprint_enforced_unless_forced(self):
         manifest = self._manifest(b"")
         with pytest.raises(CheckpointError, match="fingerprint"):
