@@ -6,6 +6,8 @@ victim write-backs, ownership-filtered replacements, L1-to-L1 forwards,
 upgrades, and the clean-exclusive optimisation.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -237,3 +239,55 @@ class TestMissBreakdownAccounting:
         assert mb["l2_miss"] >= 1
         assert mb["l2_fwd"] >= 1
         assert mb["l2_hit"] >= 1
+
+
+class TestL2HitEvictionRace:
+    """An L2 read hit holds the line it looked up across its data-array
+    delay; a victim fill landing in the same set can evict that line before
+    the hit completes."""
+
+    @pytest.fixture
+    def tiny(self):
+        # one-line L1s and a one-line set per L2 bank: every fill evicts
+        cfg = preset("P8")
+        cfg = dataclasses.replace(
+            cfg,
+            l1=dataclasses.replace(cfg.l1, size_bytes=64, assoc=1),
+            l2=dataclasses.replace(cfg.l2, size_bytes=cfg.l2.banks * 64,
+                                   assoc=1),
+        )
+        return PiranhaSystem(cfg, num_nodes=1, checker=CoherenceChecker())
+
+    def test_owner_eviction_during_clean_exclusive_hit(self, tiny):
+        node = tiny.nodes[0]
+        nbanks = len(node.banks)
+        a = LINE                      # bank 0
+        b = LINE + nbanks * 64        # bank 0, the same (only) set as a
+        c = LINE + 64                 # bank 1
+        # park a in bank 0's L2 and c in bank 1's: each owner's next fill
+        # evicts its one L1 line into the L2
+        issue(tiny, 2, AccessKind.STORE, a)
+        issue(tiny, 2, AccessKind.LOAD, LINE + 2 * 64)
+        issue(tiny, 3, AccessKind.STORE, c)
+        issue(tiny, 3, AccessKind.LOAD, LINE + 3 * 64)
+        assert node.bank_for(a)._l2_line(a) is not None
+        assert node.bank_for(c)._l2_line(c) is not None
+        issue(tiny, 1, AccessKind.STORE, b)   # cpu1 owns b
+        # Two L2 read hits of equal latency, cpu1's issued first: its fill
+        # of c evicts b from its L1, the victim fill of b evicts a from
+        # bank 0, and only then does cpu0's hit on a complete.
+        out = []
+        for cpu, addr in ((1, c), (0, a)):
+            req = MemRequest(cpu_id=cpu, kind=AccessKind.LOAD, addr=addr,
+                             is_instr=False, node=0,
+                             done=lambda lat, src, cpu=cpu:
+                             out.append((cpu, src)))
+            req.issue_time = tiny.sim.now
+            node.issue_miss(req, RequestType.READ)
+        tiny.sim.run()
+        assert out == [(1, ReplySource.L2_HIT), (0, ReplySource.L2_HIT)]
+        bank0 = node.bank_for(a)
+        assert bank0._l2_line(a) is None
+        assert bank0._l2_line(b) is not None
+        assert node.l1d[0].peek(a).state == MESI.EXCLUSIVE
+        tiny.checker.verify_quiesced()
