@@ -13,9 +13,12 @@ checkpoint subsystem as a faithful hand-off mechanism, which is what
 lets functional fast-forward trust its snapshots.
 
 Functional-warming behaviour (state equivalence, declines, statistics)
-is tested at unit scale; cross-mode *accuracy* is characterised by
-``scripts/bench_wallclock.py --fastforward``, not asserted here — it is
-a statistical property, not a correctness invariant.
+is tested at unit scale.  A warm start from the warm-checkpoint store
+must reproduce the cold sampled payload bit for bit, at unit scale and
+at the quarter-scale P8 OLTP point with the default window and period.
+Cross-mode *accuracy* is a statistical property, not a correctness
+invariant, so it is not asserted here: perfbench's ``p8-oltp-sampled``
+workload gates it (``warm.sample_error``).
 """
 
 import os
@@ -259,17 +262,27 @@ class TestHarnessIntegration:
             simulate(preset("P1"), OltpFactory(OLTP_SMALL), mode="turbo")
 
     def test_warm_store_roundtrip(self, tmp_path, monkeypatch):
+        """A warm start restores the boundary snapshot and its payload
+        equals the cold run's bit for bit: at the small test point, and
+        at the quarter-scale P8 OLTP point (20 + 40 transactions) with
+        the default window and period."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = preset("P8")
-        factory = OltpFactory(OLTP_SMALL)
-        cold = simulate(config, factory, mode="sampled", warmup=True,
-                        window=WINDOW, period=PERIOD)
-        warm = simulate(config, factory, mode="sampled", warmup=True,
-                        window=WINDOW, period=PERIOD)
-        assert not cold.extras["sampling"]["skip_warm"]
-        assert warm.extras["sampling"]["skip_warm"]
-        # restoring the warm snapshot changes nothing measurable
-        assert payload_digest(cold) == payload_digest(warm)
-        ckpts = list((tmp_path / "checkpoints").rglob("*.ckpt"))
-        assert len(ckpts) == 1
+        points = [
+            ("small", OLTP_SMALL, dict(window=WINDOW, period=PERIOD)),
+            ("quarter", OltpParams(transactions=20, warmup_transactions=40),
+             {}),
+        ]
+        for name, params, sampling in points:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            factory = OltpFactory(params)
+            cold = simulate(config, factory, mode="sampled", warmup=True,
+                            **sampling)
+            warm = simulate(config, factory, mode="sampled", warmup=True,
+                            **sampling)
+            assert not cold.extras["sampling"]["skip_warm"]
+            assert warm.extras["sampling"]["skip_warm"]
+            # restoring the warm snapshot changes nothing measurable
+            assert payload_digest(cold) == payload_digest(warm)
+            ckpts = list((tmp_path / name / "checkpoints").rglob("*.ckpt"))
+            assert len(ckpts) == 1

@@ -63,19 +63,31 @@ def micro_jobs(n=4):
 
 class TestParallelEquivalence:
     def test_parallel_sweep_matches_serial(self):
-        """Acceptance: jobs=4 sweep identical to the serial records."""
-        values = [(128 + 64 * i) << 10 for i in range(6)]
-        factory = MigratoryFactory(TINY_MICRO)
-
-        os.environ["REPRO_NO_CACHE"] = "1"  # force both runs to simulate
-        try:
-            serial = sweep_field("P2", factory, "l2.size_bytes", values,
-                                 units_attr="iterations", jobs=1)
+        """Acceptance: a jobs=4 sweep, and a repeat the disk cache
+        serves, return records identical to the serial, uncached sweep
+        (a migratory and an OLTP L2-size sweep on P2)."""
+        sweeps = [
+            (MigratoryFactory(TINY_MICRO),
+             [(128 + 64 * i) << 10 for i in range(6)], "iterations"),
+            (OltpFactory(OltpParams(transactions=10, warmup_transactions=15)),
+             [(256 + 256 * i) << 10 for i in range(3)], "transactions"),
+        ]
+        for factory, values, units_attr in sweeps:
+            os.environ["REPRO_NO_CACHE"] = "1"  # the serial run simulates
+            try:
+                serial = sweep_field("P2", factory, "l2.size_bytes", values,
+                                     units_attr=units_attr, jobs=1)
+            finally:
+                del os.environ["REPRO_NO_CACHE"]
             parallel = sweep_field("P2", factory, "l2.size_bytes", values,
-                                   units_attr="iterations", jobs=4)
-        finally:
-            del os.environ["REPRO_NO_CACHE"]
-        assert parallel == serial
+                                   units_attr=units_attr, jobs=4)
+            assert parallel == serial
+            clear_cache()  # the repeat must come from the disk cache
+            hits = DISK_CACHE.hits
+            cached = sweep_field("P2", factory, "l2.size_bytes", values,
+                                 units_attr=units_attr, jobs=4)
+            assert cached == serial
+            assert DISK_CACHE.hits - hits == len(values)
 
     def test_run_jobs_preserves_input_order(self):
         jobs = micro_jobs(4)
