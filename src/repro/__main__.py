@@ -33,6 +33,7 @@ README's "Performance" section.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .area import floorplan_summary
@@ -41,6 +42,7 @@ from .harness.experiments import UNITS_ATTR
 from .harness.report import breakdown_bar, format_table
 from .harness.runner import RunSpec, build_system
 from .isa.kernels import KERNEL_NAMES, KernelWorkload, scaled_params
+from .observe.hostprof import HostProfiler
 from .workloads import (
     DssParams,
     DssWorkload,
@@ -106,7 +108,6 @@ def _cli_spec(args: argparse.Namespace) -> RunSpec:
         period=getattr(args, "period", 0),
         warming=getattr(args, "warming", "functional"),
         trace_spans=getattr(args, "trace_spans", 0) or 0,
-        profile=getattr(args, "profile", 0) or 0,
     ).resolve()
 
 
@@ -134,8 +135,7 @@ def _open_cli_telemetry(args: argparse.Namespace, system, config, spec):
     stream = TelemetryStream(path)
     stream.emit("run_start", config=config.name, workload=args.workload,
                 num_nodes=args.nodes, mode=spec.mode,
-                probe_rate=spec.probe_rate, trace_spans=spec.trace_spans,
-                profile=spec.profile)
+                probe_rate=spec.probe_rate, trace_spans=spec.trace_spans)
     if system.sampler is not None:
         system.sampler.on_record = stream.on_interval
     print(f"telemetry streaming to {path} "
@@ -144,7 +144,7 @@ def _open_cli_telemetry(args: argparse.Namespace, system, config, spec):
 
 
 def _finish_flightdeck(args: argparse.Namespace, system, config, spec,
-                       stream, result=None) -> None:
+                       stream, profiler=None, result=None) -> None:
     """Post-run flight-deck outputs: write the ``repro-trace/1`` file,
     print the host-profile summary, close the telemetry stream."""
     if spec.trace_spans and system.spans is not None:
@@ -164,8 +164,7 @@ def _finish_flightdeck(args: argparse.Namespace, system, config, spec,
         if problems:  # defensive: the tracer's invariants should hold
             print(f"WARNING: trace failed validation: {problems[0]}",
                   file=sys.stderr)
-    profiler = system.sim.profiler
-    if profiler is not None and profiler.events_sampled:
+    if profiler is not None:
         print()
         print(profiler.render(limit=10))
     if stream is not None:
@@ -237,10 +236,12 @@ def _run_sampled_cli(args: argparse.Namespace, config, system,
           f"{config.name}: window={spec.window} period={spec.period} "
           f"warming={spec.warming}")
     stream = _open_cli_telemetry(args, system, config, spec)
+    profiler = HostProfiler() if args.profile else None
     t0 = time.time()
     run = SampledRun(system, window=spec.window, period=spec.period,
                      warming=spec.warming, telemetry=stream)
-    run.run()
+    with profiler or contextlib.nullcontext():
+        run.run()
     result = run.to_result(config, args.nodes, spec, wall=time.time() - t0)
     sampling = result.extras["sampling"]
     print(f"\nwindows        : {sampling['windows']} x {spec.window} "
@@ -259,7 +260,7 @@ def _run_sampled_cli(args: argparse.Namespace, config, system,
             print(f"  {name:<14} {stats['mean']:.4f} +/- {stats['ci95']:.4f} "
                   f"({stats['rel_err']:.1%})")
     print(f"\nwall time      : {result.sim_wall_s:.2f} s")
-    _finish_flightdeck(args, run.system, config, spec, stream,
+    _finish_flightdeck(args, run.system, config, spec, stream, profiler,
                        result=result)
     return 0
 
@@ -284,8 +285,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpointer.start()
     print(f"simulating {args.workload} on {args.nodes} x {config.name} "
           f"({config.cpus * args.nodes} CPUs) ...")
+    profiler = HostProfiler() if args.profile else None
     try:
-        finish = system.run_to_completion()
+        with profiler or contextlib.nullcontext():
+            finish = system.run_to_completion()
         telemetry = system.verify() if system.checker is not None else None
     except AssertionError as exc:
         # CoherenceViolation from the sanitizer (mid-run audit or quiesce
@@ -322,7 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{probes['completed']} completed — " + ", ".join(parts))
     if getattr(args, "metrics", None):
         _emit_metrics(system, spec, args.metrics)
-    _finish_flightdeck(args, system, config, spec, stream)
+    _finish_flightdeck(args, system, config, spec, stream, profiler)
     if args.report:
         from .harness.perfmon import render_report, system_report
 
@@ -332,19 +335,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """``profile``: run one workload with the host self-profiler and
-    print the ranked (component, event-class) wall-clock hot spots —
-    where the *simulator* spends its time, not the simulated machine."""
-    args.profile = args.sample_rate
+    """``profile``: run one workload under the host profiler and print
+    where the *simulator* spent its host time, per layer and per
+    function — not where the simulated machine spent its time."""
     config, system, _spec = _build_checked_system(args)
-    print(f"profiling {args.workload} on {args.nodes} x {config.name} "
-          f"(sampling 1/{args.sample_rate} events) ...", file=sys.stderr)
-    system.run_to_completion()
-    profiler = system.sim.profiler
+    print(f"profiling {args.workload} on {args.nodes} x {config.name} ...",
+          file=sys.stderr)
+    with HostProfiler() as profiler:
+        system.run_to_completion()
     if args.json:
         import json
 
-        print(json.dumps(profiler.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(profiler.as_dict(limit=args.limit), indent=2,
+                         sort_keys=True))
     else:
         print(profiler.render(limit=args.limit))
     return 0
@@ -763,11 +766,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--trace-out", metavar="PATH", default=None,
                        help="span-trace output path (default "
                             "repro-trace.json)")
-    run_p.add_argument("--profile", type=int, nargs="?", const=16,
-                       default=0, metavar="N",
-                       help="host self-profiler: sample 1 of every N "
-                            "dispatched events (default 16) and print the "
-                            "ranked wall-clock hot spots")
+    run_p.add_argument("--profile", action="store_true",
+                       help="sample the host stack during the run and "
+                            "print where host time went, per layer and "
+                            "per function")
     run_p.add_argument("--telemetry", metavar="PATH", default=None,
                        help="stream live heartbeat/interval/checkpoint "
                             "records (JSONL) here; follow with "
@@ -817,19 +819,16 @@ def main(argv=None) -> int:
     report_p.set_defaults(fn=cmd_report)
 
     profile_p = sub.add_parser(
-        "profile", help="run a workload under the host self-profiler and "
-                        "print the ranked wall-clock hot spots")
+        "profile", help="run a workload under the host profiler and print "
+                        "where host time went, per layer and per function")
     profile_p.add_argument("--config", default="P8", choices=sorted(PRESETS))
     profile_p.add_argument("--workload", default="oltp",
                            choices=sorted(WORKLOADS))
     profile_p.add_argument("--nodes", type=int, default=1)
     profile_p.add_argument("--scale", type=float, default=0.25,
                            help="workload size multiplier")
-    profile_p.add_argument("--sample-rate", type=int, default=16, metavar="N",
-                           help="time 1 of every N dispatched events "
-                                "(default 16)")
     profile_p.add_argument("--limit", type=int, default=20,
-                           help="rows to print (default 20)")
+                           help="function rows to report (default 20)")
     profile_p.add_argument("--json", action="store_true",
                            help="emit the structured profile document "
                                 "instead of the table")

@@ -59,7 +59,10 @@ MAGIC = b"RPCKPT01"
 #: Schema 3: the cache-path records (requests, L1/L2 lines, duplicate-tag
 #: and pending entries) are slotted and banks hold their memory
 #: controller, so schema-2 object layouts no longer restore.
-SCHEMA = 3
+#: Schema 4: the simulator no longer carries a host-profiler attribute,
+#: so a schema-3 snapshot can hold a profiler object that no longer
+#: exists.
+SCHEMA = 4
 
 _LEN = struct.Struct(">I")
 

@@ -46,11 +46,11 @@ def warm_key(config, factory, num_nodes: int, spec,
 
     Only the spec fields that shape the warm object graph fold in: units
     attribute, sanitizer, trace ring, probe rate and sampler (a
-    sampler's pending tick lives in the event queue).  Spans, profile,
-    window and period stay out: span and profile observers are re-armed
-    (or disarmed) per run on restore, and the sampled window/period
-    only shape the measurement *after* the warm boundary — so one warm
-    snapshot serves every such variant of the point.
+    sampler's pending tick lives in the event queue).  Spans, window
+    and period stay out: the span observer is re-armed (or disarmed)
+    per run on restore, and the sampled window/period only shape the
+    measurement *after* the warm boundary — so one warm snapshot serves
+    every such variant of the point.
 
     ``variant`` namespaces snapshots whose warm state is *not* the
     detailed warm-up image: sampled runs park their CPUs at the boundary

@@ -163,8 +163,7 @@ class RunSpec:
     runs SMARTS-style sampled simulation with ``window``/``period``
     items per CPU and ``warming`` as the fast-forward regime;
     ``trace_spans=N`` keeps a causal span trace of up to N transactions
-    in ``extras["trace"]``; ``profile=N`` attaches the host
-    self-profiler at a 1-in-N event rate (``extras["host_profile"]``).
+    in ``extras["trace"]``.
 
     Execution strategy (``warmup``) and host targets (``telemetry``) are
     not measurement identity and stay outside the spec.
@@ -180,7 +179,6 @@ class RunSpec:
     period: int = 0
     warming: str = "functional"
     trace_spans: int = 0
-    profile: int = 0
 
     def resolve(self) -> "RunSpec":
         """The canonical spec: every implied setting made explicit, so
@@ -259,10 +257,6 @@ def build_system(
         system.enable_span_trace(spec.trace_spans)
     if spec.sample_interval_ps:
         system.enable_sampler(spec.sample_interval_ps)
-    if spec.profile:
-        from ..observe.hostprof import HostProfiler
-
-        system.sim.profiler = HostProfiler(spec.profile)
     return system, workload
 
 
@@ -435,7 +429,7 @@ def _simulate_inner(config, workload_factory, num_nodes, spec, warmup,
             workload=workload_token(workload_factory), num_nodes=num_nodes,
             mode=spec.mode, probe_rate=spec.probe_rate,
             sample_interval_ps=spec.sample_interval_ps,
-            trace_spans=spec.trace_spans, profile=spec.profile)
+            trace_spans=spec.trace_spans)
     if spec.mode == "sampled":
         from ..fastforward import SampledRun
 
@@ -525,13 +519,6 @@ def _arm_flightdeck(system: PiranhaSystem, spec: RunSpec, stream) -> None:
         system.spans = None
         if system.probes is not None:
             system.probes.on_finish = None
-    if spec.profile:
-        if system.sim.profiler is None:
-            from ..observe.hostprof import HostProfiler
-
-            system.sim.profiler = HostProfiler(spec.profile)
-    else:
-        system.sim.profiler = None
     if stream is not None and system.sampler is not None:
         system.sampler.on_record = stream.on_interval
 
@@ -539,16 +526,14 @@ def _arm_flightdeck(system: PiranhaSystem, spec: RunSpec, stream) -> None:
 def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
                               config: ChipConfig, num_nodes: int,
                               spec: RunSpec) -> None:
-    """Attach the span-trace document and the host-profile report.
+    """Attach the span-trace document.
 
     Shared by :func:`assemble_result` (detailed runs) and the sampled
     path (``SampledRun.to_result`` assembles its own payload, so the
     extras are grafted on afterwards).  The trace doc is deterministic
     for the same reason the metrics doc is — built purely from
     simulation state (probe stamps carry simulated time, kept txns drop
-    the process-global txn_id) — so it is safe to cache.  The host
-    profile is wall-clock and therefore NOT deterministic: fine in
-    ``extras`` (like ``sim_wall_s``), never in the payload.
+    the process-global txn_id) — so it is safe to cache.
     """
     if spec.trace_spans and system.spans is not None:
         from ..observe.spans import trace_doc
@@ -559,9 +544,6 @@ def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
         result.extras["trace"] = trace_doc(
             system.spans, config.name, num_nodes, spec.probe_rate,
             protocol_events)
-    profiler = system.sim.profiler
-    if profiler is not None:
-        result.extras["host_profile"] = profiler.as_dict()
 
 
 def _emit_run_end(stream, result: RunResult, cached: bool = False) -> None:

@@ -1,25 +1,24 @@
-"""Flight-deck observability: causal span traces, host self-profiling,
-and live run telemetry.
+"""Flight-deck observability: causal span traces, host profiling, and
+live run telemetry.
 
-Three layers on top of the PR-3 probe/sampler substrate:
+Three tools on top of the probe/sampler substrate:
 
 * :mod:`repro.observe.spans` promotes :class:`~repro.core.probe.TxnProbe`
   hop stamps into parent/child span trees (one tree per sampled coherence
   transaction) and exports them as a ``repro-trace/1`` document that is
   simultaneously Chrome trace-event / Perfetto JSON — open any run in a
   timeline viewer.
-* :mod:`repro.observe.hostprof` attributes the simulator's *own*
-  wall-clock to (component, event-class) pairs via a sampled hook in the
-  :meth:`~repro.sim.engine.Simulator.run` dispatch loop — zero cost (and
-  bit-identical event order) when disabled.
+* :mod:`repro.observe.hostprof` attributes the simulator's *own* host
+  time to layers and functions with a ``SIGPROF`` stack sampler wrapped
+  around a run from outside; the simulator carries no profiling hook.
 * :mod:`repro.observe.telemetry` streams heartbeat/progress records
   (interval-sampler deltas, sampled-window confidence intervals,
   checkpoint events) as JSONL to a file or fd, consumed live by
   ``repro watch``.
 
-All three thread through :mod:`repro.harness.runner` /
-:mod:`repro.harness.parallel` and fold their settings into the result
-cache keys (see DESIGN.md section 4i).
+Spans and telemetry thread through :mod:`repro.harness.runner` /
+:mod:`repro.harness.parallel`, and spans fold into the result cache key
+(see DESIGN.md section 4i).
 """
 
 from .hostprof import HostProfiler

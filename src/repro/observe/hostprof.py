@@ -1,173 +1,192 @@
-"""Host self-profiler: where does the *simulator's* wall-clock go?
+"""Host profiler: where does the *simulator's* own host time go?
 
-The ROADMAP's speed items (PDES sharding, the vectorized warm kernel)
-need attribution data — which (component, event-class) pairs burn the
-host CPU — before anything can be optimised with confidence.  Python's
-cProfile answers that at 2-4x slowdown and per-function (not
-per-component) granularity; this profiler instead hooks the one place
-every simulated event passes through, the dispatch loop in
-:meth:`Simulator.run`, and samples 1-in-``rate`` events with
-``perf_counter_ns`` bracketing.
+A statistical stack sampler that sits outside the simulation::
 
-Cost model:
+    with HostProfiler() as prof:
+        system.run_to_completion()
+    print(prof.render())
 
-* **Disabled** (``sim.profiler is None``): one attribute test per
-  ``run()`` *call*, not per event — the profiled loop is a separate
-  method, so the hot run-to-drain loop is byte-for-byte untouched and
-  event records stay bit-identical (gated by the golden-digest tests).
-* **Enabled**: one counter increment per event, plus two
-  ``perf_counter_ns`` calls and a dict update per *sampled* event.
-  At the default 1/16 rate this measures <5% overhead (tracked in
-  BENCH_observability.json).
+While the block runs, ``setitimer(ITIMER_PROF)`` delivers ``SIGPROF``
+every :data:`INTERVAL` of process CPU time.  The handler walks from the
+interrupted frame outwards to the first frame whose module owns a layer
+(:data:`MODULE_LAYERS`, the table ``perfbench/README.md`` documents) and
+counts one sample under that layer and the frame's function name.  Code
+in modules outside the table (``core/messages.py``, ``core/system.py``,
+the stats helpers, ...) is therefore charged to the layer that called
+it, and a sample with no layer frame on the stack goes to ``other``.
 
-Attribution key: events are classified by the bound method they fire —
-``(type(fn.__self__).__name__, fn.__name__)`` — which lands exactly on
-the component/event-class grid (``("MemoryChannel", "_deliver")``,
-``("CpuShim", "_batch")``, ...).  Periodic ticks unwrap to their inner
-callback with an ``every:`` prefix so samplers and audits are
-attributed to themselves, not to the ticker shim.
+Because it walks the real stack, the sampler charges work to the frame
+that is doing it: the CPU and workload-generator work that
+``L2Bank._fill`` resumes inline through ``MemRequest.complete`` lands on
+``cpu`` and ``workload``, not on the L2 event that dispatched it.
+Garbage collection cannot be interrupted by a Python-level handler, so
+a signal that arrives during a collection is handled right after it; a
+``gc.callbacks`` hook marks collections so those samples go to
+``other``, as in the benchmark's traced run.
 
-The profiler scales each sampled duration by the sampling rate, so
-``est_ns`` totals estimate full wall-clock per key; ``share`` is the
-fraction of *sampled* time and is rate-independent.
+The simulator carries no profiling hook at all, so a profiled run is
+bit-identical to an unprofiled one by construction.  Samples are
+statistical: at the kernel's tick rate (often 250 Hz, whatever
+:data:`INTERVAL` asks for) a one-second run collects a few hundred.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import gc
+import signal
+import threading
+import time
+from typing import Dict, List, Optional, Tuple
 
-ProfKey = Tuple[str, str]
+#: requested seconds of process CPU time between samples; the kernel
+#: rounds it up to its timer tick
+INTERVAL = 0.001
+
+#: every layer, in report order; ``other`` is garbage collection plus any
+#: sample with no layer frame on the stack
+LAYERS = ("engine", "cpu", "workload", "l1", "ics", "chip", "l2",
+          "dup_tags", "directory", "rdram", "protocol_engine",
+          "interconnect", "warm", "harness", "other")
+
+#: module (or package) name -> layer; the longest matching prefix wins
+MODULE_LAYERS = {
+    "repro.sim.engine": "engine",
+    "repro.core.cpu": "cpu",
+    "repro.core.tlb": "cpu",
+    "repro.workloads": "workload",
+    "repro.core.l1": "l1",
+    "repro.core.ics": "ics",
+    "repro.core.chip": "chip",
+    "repro.core.l2": "l2",
+    "repro.core.dup_tags": "dup_tags",
+    "repro.core.directory": "directory",
+    "repro.core.rdram": "rdram",
+    "repro.core.protocol_engine": "protocol_engine",
+    "repro.core.microcode": "protocol_engine",
+    "repro.core.microprograms": "protocol_engine",
+    "repro.core.tsrf": "protocol_engine",
+    "repro.interconnect": "interconnect",
+    "repro.fastforward": "warm",
+    "repro.harness.runner": "harness",
+}
 
 
-def event_key(fn) -> ProfKey:
-    """Classify an event callback into a (component, event-class) pair."""
-    inner = getattr(fn, "fn", None)
-    if inner is not None and type(fn).__name__ == "_PeriodicTick":
-        comp, name = event_key(inner)
-        return (comp, f"every:{name}")
-    owner = getattr(fn, "__self__", None)
-    if owner is not None:
-        return (type(owner).__name__, fn.__name__)
-    name = getattr(fn, "__name__", None)
-    if name is not None:
-        return ("function", name)
-    return (type(fn).__name__, "__call__")
+def layer_of_module(module: Optional[str]) -> Optional[str]:
+    """The layer that owns *module*, or None for unattributed modules."""
+    while module:
+        layer = MODULE_LAYERS.get(module)
+        if layer is not None:
+            return layer
+        module = module.rpartition(".")[0]
+    return None
 
 
 class HostProfiler:
-    """Sampled wall-clock attribution over dispatch-loop events.
+    """Sampled host-time attribution over ``(layer, function)`` pairs.
 
-    Attach with ``sim.profiler = HostProfiler(rate)`` (or through
-    ``build_system(..., RunSpec(profile=rate))``); :meth:`Simulator.run`
-    switches to its profiled loop when the attribute is set.  Picklable (plain
-    ints/dicts), so it survives the ProcessPool and rides checkpoints —
-    though wall-clock numbers are host-specific and therefore live in
-    ``RunResult.extras``, outside the deterministic payload.
+    A context manager; it may be entered more than once, and the samples
+    add up.  Only the main thread can take ``SIGPROF``, so entering from
+    another thread, or on a platform without ``setitimer``, raises
+    RuntimeError.
     """
 
-    def __init__(self, rate: int = 16) -> None:
-        if rate < 1:
-            raise ValueError(f"profile sample rate must be >= 1, got {rate}")
-        self.rate = int(rate)
-        self.events_seen = 0
-        self.events_sampled = 0
-        self.sampled_ns = 0
-        #: (component, event-class) -> [sample_count, total_ns]
-        self.buckets: Dict[ProfKey, List[int]] = {}
+    def __init__(self) -> None:
+        #: (layer, function name) -> samples
+        self.samples: Dict[Tuple[str, str], int] = {}
+        #: process CPU seconds spent inside the ``with`` blocks
+        self.cpu_s = 0.0
+        self._layers: Dict[object, Optional[str]] = {}  # code -> layer
+        self._in_gc = False
+        self._previous = None
+        self._cpu0 = 0.0
 
-    # -- recording (called from Simulator._run_profiled) -----------------
+    # -- sampling --------------------------------------------------------
 
-    def record(self, fn, dt_ns: int) -> None:
-        self.events_sampled += 1
-        self.sampled_ns += dt_ns
-        key = event_key(fn)
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [1, dt_ns]
+    def __enter__(self) -> "HostProfiler":
+        if not hasattr(signal, "setitimer"):
+            raise RuntimeError("host profiling needs signal.setitimer, "
+                               "which this platform lacks")
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("host profiling must run in the main thread "
+                               "(only it receives SIGPROF)")
+        self._previous = signal.signal(signal.SIGPROF, self._sample)
+        gc.callbacks.append(self._on_gc)
+        self._cpu0 = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL, INTERVAL)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        self.cpu_s += time.process_time() - self._cpu0
+        gc.callbacks.remove(self._on_gc)
+        signal.signal(signal.SIGPROF, self._previous)
+
+    def _on_gc(self, phase: str, _info: dict) -> None:
+        self._in_gc = phase == "start"
+
+    def _sample(self, _signum, frame) -> None:
+        if self._in_gc:
+            key = ("other", "<gc>")
         else:
-            bucket[0] += 1
-            bucket[1] += dt_ns
+            key = ("other", frame.f_code.co_name if frame else "?")
+            layers = self._layers
+            while frame is not None:
+                code = frame.f_code
+                try:
+                    layer = layers[code]
+                except KeyError:
+                    layer = layers[code] = layer_of_module(
+                        frame.f_globals.get("__name__"))
+                if layer is not None:
+                    key = (layer, code.co_name)
+                    break
+                frame = frame.f_back
+        self.samples[key] = self.samples.get(key, 0) + 1
 
-    # -- lifecycle -------------------------------------------------------
+    # -- report ----------------------------------------------------------
 
-    def reset(self) -> None:
-        self.events_seen = 0
-        self.events_sampled = 0
-        self.sampled_ns = 0
-        self.buckets = {}
+    @property
+    def total(self) -> int:
+        return sum(self.samples.values())
 
-    def merge(self, other: "HostProfiler") -> None:
-        """Fold another profiler's buckets in (multi-phase runs)."""
-        self.events_seen += other.events_seen
-        self.events_sampled += other.events_sampled
-        self.sampled_ns += other.sampled_ns
-        for key, (count, total) in other.buckets.items():
-            bucket = self.buckets.get(key)
-            if bucket is None:
-                self.buckets[key] = [count, total]
-            else:
-                bucket[0] += count
-                bucket[1] += total
+    def shares(self) -> Dict[str, float]:
+        """Fraction of samples per layer, every layer listed; they sum
+        to 1 once any sample was taken."""
+        counts = dict.fromkeys(LAYERS, 0)
+        for (layer, _fn), n in self.samples.items():
+            counts[layer] += n
+        total = self.total
+        return {layer: n / total if total else 0.0
+                for layer, n in counts.items()}
 
-    # -- export ----------------------------------------------------------
+    def hottest(self, limit: int = 20) -> List[Dict[str, object]]:
+        """The *limit* most-sampled ``(layer, function)`` rows."""
+        total = self.total or 1
+        rows = sorted(self.samples.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [{"layer": layer, "function": fn, "samples": n,
+                 "share": n / total}
+                for (layer, fn), n in rows[:limit]]
 
-    def report_rows(self) -> List[Dict[str, object]]:
-        """Ranked hot-spot rows, hottest first."""
-        total = self.sampled_ns or 1
-        rows = []
-        for (comp, event), (count, t_ns) in self.buckets.items():
-            rows.append({
-                "component": comp,
-                "event": event,
-                "samples": count,
-                "sampled_ns": t_ns,
-                "mean_ns": t_ns / count,
-                "est_ns": t_ns * self.rate,
-                "share": t_ns / total,
-            })
-        rows.sort(key=lambda r: (-r["sampled_ns"], r["component"], r["event"]))
-        return rows
-
-    def as_dict(self) -> Dict[str, object]:
+    def as_dict(self, limit: int = 20) -> Dict[str, object]:
         return {
-            "rate": self.rate,
-            "events_seen": self.events_seen,
-            "events_sampled": self.events_sampled,
-            "sampled_ns": self.sampled_ns,
-            "est_total_ns": self.sampled_ns * self.rate,
-            "hotspots": self.report_rows(),
+            "samples": self.total,
+            "cpu_s": self.cpu_s,
+            "shares": self.shares(),
+            "hottest": self.hottest(limit),
         }
 
     def render(self, limit: int = 20) -> str:
-        """Human-readable ranked table for ``repro profile``."""
-        rows = self.report_rows()[:limit]
-        lines = [
-            f"host profile: {self.events_seen} events, "
-            f"{self.events_sampled} sampled (1/{self.rate}), "
-            f"{self.sampled_ns / 1e6:.1f} ms sampled wall-clock",
-            f"{'component':<24} {'event':<28} {'share':>6} "
-            f"{'samples':>8} {'mean us':>8} {'est ms':>8}",
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['component']:<24} {r['event']:<28} "
-                f"{r['share'] * 100:>5.1f}% {r['samples']:>8} "
-                f"{r['mean_ns'] / 1e3:>8.2f} {r['est_ns'] / 1e6:>8.1f}"
-            )
-        if len(self.report_rows()) > limit:
-            lines.append(f"... {len(self.buckets) - limit} more keys")
+        """The layer table and the hottest functions, for the terminal."""
+        lines = [f"host profile: {self.total} samples over "
+                 f"{self.cpu_s:.2f} s of process CPU time",
+                 f"{'layer':<16} {'share':>6}"]
+        for layer, share in sorted(self.shares().items(),
+                                   key=lambda kv: -kv[1]):
+            if share:
+                lines.append(f"{layer:<16} {share * 100:>5.1f}%")
+        lines.append(f"{'layer':<16} {'function':<36} {'share':>6} "
+                     f"{'samples':>8}")
+        for row in self.hottest(limit):
+            lines.append(f"{row['layer']:<16} {row['function']:<36} "
+                         f"{row['share'] * 100:>5.1f}% {row['samples']:>8}")
         return "\n".join(lines)
-
-    # -- checkpoint/restore ----------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)

@@ -121,11 +121,6 @@ class Simulator:
         self._events_fired: int = 0
         self._dead: int = 0              # cancelled entries still queued
         self._events_cancelled: int = 0  # cumulative cancel() count
-        #: optional :class:`~repro.observe.hostprof.HostProfiler`; when
-        #: set, :meth:`run` dispatches through :meth:`_run_profiled`.
-        #: Checked once per run() call, so the hot loop below is
-        #: untouched (and event order bit-identical) when disabled.
-        self.profiler = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -212,8 +207,6 @@ class Simulator:
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, *until_ps* passes, or
         *max_events* fire.  Returns the number of events fired."""
-        if self.profiler is not None:
-            return self._run_profiled(until_ps, max_events)
         q = self._queue
         pop = heapq.heappop
         fired = 0
@@ -264,51 +257,6 @@ class Simulator:
                 fired += 1
         return fired
 
-    def _run_profiled(self, until_ps: Optional[int] = None,
-                      max_events: Optional[int] = None) -> int:
-        """The :meth:`run` loop with sampled wall-clock attribution.
-
-        A separate method (rather than branches inside ``run``) so the
-        unprofiled hot loop carries zero per-event cost.  Heap
-        operations, cancellation handling and time advancement are
-        identical to :meth:`run`'s bounded path — the only additions are
-        the per-event sample decision and the ``perf_counter_ns``
-        bracket around sampled callbacks — so simulated behaviour is
-        bit-identical with or without the profiler.
-        """
-        from time import perf_counter_ns
-
-        prof = self.profiler
-        rate = prof.rate
-        record = prof.record
-        q = self._queue
-        pop = heapq.heappop
-        fired = 0
-        while q:
-            head_ps = q[0][0]
-            if until_ps is not None and head_ps > until_ps:
-                self.now = until_ps
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            time_ps, _seq, handle = pop(q)
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            handle.sim = None
-            self.now = time_ps
-            self._events_fired += 1
-            prof.events_seen += 1
-            fn = handle.fn
-            if prof.events_seen % rate == 0:
-                t0 = perf_counter_ns()
-                fn(*handle.args)
-                record(fn, perf_counter_ns() - t0)
-            else:
-                fn(*handle.args)
-            fired += 1
-        return fired
-
     def halt(self) -> None:
         """Discard every pending event (the queue drains immediately).
 
@@ -349,9 +297,6 @@ class Simulator:
         return dict(self.__dict__)
 
     def load_state(self, state: dict) -> None:
-        # Snapshots written before the profiler existed carry no
-        # "profiler" key; default it so run() stays attribute-safe.
-        self.profiler = None
         self.__dict__.update(state)
 
     def __getstate__(self) -> dict:

@@ -39,7 +39,6 @@ FIELD_VALUES = {
     "period": st.integers(0, 10_000),
     "warming": st.sampled_from(WARMINGS),
     "trace_spans": st.integers(0, 512),
-    "profile": st.integers(0, 64),
 }
 
 raw_specs = st.builds(RunSpec, **FIELD_VALUES)
@@ -122,7 +121,6 @@ runnable_specs = st.builds(
     period=st.sampled_from((0, 60, SAMPLED_PERIOD)),
     warming=st.sampled_from(WARMINGS),
     trace_spans=st.sampled_from((0, 8)),
-    profile=st.just(0),
 )
 
 

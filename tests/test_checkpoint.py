@@ -247,6 +247,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 2"):
             load_checkpoint(path, force=True)
 
+    def test_schema_3_refused(self, tmp_path):
+        """Schema-3 snapshots pickle the simulator with its host-profiler
+        attribute (and, if taken while profiling, the old profiler
+        object): refused even with ``force``."""
+        payload = b"N."
+        manifest = self._manifest(payload)
+        manifest["schema"] = 3
+        path = str(tmp_path / "schema3.ckpt")
+        write_checkpoint(path, manifest, payload)
+        with pytest.raises(CheckpointError, match="schema 3"):
+            load_checkpoint(path, force=True)
+
     def test_fingerprint_enforced_unless_forced(self):
         manifest = self._manifest(b"")
         with pytest.raises(CheckpointError, match="fingerprint"):

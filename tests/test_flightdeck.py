@@ -7,9 +7,10 @@ Covers the PR's acceptance criteria:
   reconcile with the probe latency histograms from the same run,
 * the exported ``repro-trace/1`` document validates against its schema
   and is simultaneously well-formed Chrome trace-event / Perfetto input,
-* the host profiler perturbs nothing when disabled (bit-identical
-  deterministic payloads) and attributes sampled wall-clock to
-  (component, event-class) pairs when enabled,
+* the host profiler samples the stack from outside the simulation: a
+  profiled run is bit-identical to an unprofiled one, its layer shares
+  sum to one over perfbench's layer table, and it puts the previous
+  ``SIGPROF`` handler back and stops its timer however the run ends,
 * telemetry streams carry run_start / interval / window / checkpoint /
   run_end records, survive the harness (serial, parallel, sampled,
   cached) and fold into the result-cache key as an enable marker,
@@ -18,9 +19,14 @@ Covers the PR's acceptance criteria:
   verbs work end to end.
 """
 
+import contextlib
 import dataclasses
+import gc
+import importlib.util
 import io
 import json
+import pathlib
+import signal
 import threading
 import time
 
@@ -28,7 +34,8 @@ import pytest
 
 from repro.core import PiranhaSystem, preset
 from repro.harness import Job, MigratoryFactory, clear_cache, run_jobs
-from repro.harness.runner import RunSpec, run_configured, simulate
+from repro.harness.runner import (RunSpec, build_system, run_configured,
+                                  simulate)
 from repro.observe import (
     HostProfiler,
     SpanCollector,
@@ -39,10 +46,9 @@ from repro.observe import (
     trace_doc,
     validate_trace,
 )
-from repro.observe.hostprof import event_key
+from repro.observe import hostprof
 from repro.observe.telemetry import follow_records, parse_line
 from repro.observe.spans import HOP_TRACKS, TRACKS, chrome_events
-from repro.sim import Simulator
 from repro.workloads import MicroParams, OltpParams, OltpWorkload
 
 TINY_MICRO = MicroParams(iterations=120, warmup=30)
@@ -209,37 +215,44 @@ class TestTraceDoc:
         assert any("unknown track" in p for p in validate_trace(bad))
 
 
+def profiled_migratory(prof=None):
+    """Run a P2 migratory point long enough (~0.15 s) to collect samples
+    under *prof* (a new profiler by default); returns the profiler."""
+    if prof is None:
+        prof = HostProfiler()
+    system, _ = build_system(
+        preset("P2"), MigratoryFactory(MicroParams(iterations=5000,
+                                                   warmup=30)),
+        1, RunSpec(units_attr="iterations"))
+    with prof:
+        system.run_to_completion()
+    return prof
+
+
 class TestHostProfiler:
-    def test_event_key_classification(self):
-        class Widget:
-            def frob(self):
-                pass
+    def test_layer_classification(self):
+        """The layer list and module table are perfbench's, read from
+        ``perfbench/tracer.py`` by path so the two cannot drift."""
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                      path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert hostprof.MODULE_LAYERS == tracer.MODULE_LAYERS
+        assert hostprof.LAYERS == tracer.LAYERS
+        assert hostprof.layer_of_module("repro.core.l2") == "l2"
+        assert hostprof.layer_of_module("repro.workloads.oltp") == "workload"
+        assert hostprof.layer_of_module("repro.core.messages") is None
 
-        def bare():
-            pass
-
-        w = Widget()
-        assert event_key(w.frob) == ("Widget", "frob")
-        assert event_key(bare) == ("function", "bare")
-
-    def test_event_key_unwraps_periodic_ticks(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_every(100, lambda: fired.append(1) or False)
-        # grab the _PeriodicTick wrapper straight from the queue
-        tick = next(handle.fn for _, _, handle in sim._queue
-                    if type(handle.fn).__name__ == "_PeriodicTick")
-        comp, event = event_key(tick)
-        assert event.startswith("every:")
-
-    def test_disabled_profiler_is_bit_identical(self):
+    def test_disabled_profiler_is_bit_identical(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs simulate
         base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
                         units_attr="iterations")
-        profiled = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                            units_attr="iterations", profile=4)
+        with HostProfiler():
+            profiled = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
+                                units_attr="iterations")
         assert profiled.payload_tuple() == base.payload_tuple()
-        assert "host_profile" not in base.extras
-        assert "host_profile" in profiled.extras
+        assert "host_profile" not in profiled.extras
 
     def test_span_tracing_never_perturbs_measurement(self):
         base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
@@ -251,46 +264,80 @@ class TestHostProfiler:
         assert validate_trace(traced.extras["trace"]) == []
 
     def test_sampled_attribution(self):
-        result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", profile=4)
-        prof = result.extras["host_profile"]
-        assert prof["rate"] == 4
-        assert prof["events_seen"] > 0
-        # 1-in-4 sampling, exact by construction of the dispatch counter
-        assert prof["events_sampled"] == prof["events_seen"] // 4
-        assert prof["hotspots"]
-        top = prof["hotspots"][0]
-        assert top["samples"] > 0 and top["sampled_ns"] > 0
-        assert sum(r["share"] for r in prof["hotspots"]) == pytest.approx(1.0)
-        comps = {r["component"] for r in prof["hotspots"]}
-        assert "L2Bank" in comps or "InOrderCpu" in comps
+        prof = profiled_migratory()
+        assert prof.total > 0 and prof.cpu_s > 0
+        shares = prof.shares()
+        assert tuple(shares) == hostprof.LAYERS
+        assert sum(shares.values()) == pytest.approx(1.0)
+        assert {layer for layer, _fn in prof.samples} <= set(hostprof.LAYERS)
+        doc = prof.as_dict()
+        assert doc["samples"] == prof.total
+        assert sum(doc["shares"].values()) == pytest.approx(1.0)
+        assert sum(r["samples"] for r in prof.hottest(limit=10**6)) \
+            == prof.total
 
     def test_multinode_events_name_their_component(self):
-        """Every event of a four-node OLTP run is a component's bound
-        method, so nothing lands in the anonymous ``function`` bucket and
-        the home-lookup completion is charged to ``L2Bank``."""
+        """A four-node OLTP run spends host time in the protocol engines
+        and the interconnect, and the sampler charges it there."""
         from repro.harness import OltpFactory
 
-        result = simulate(preset("P8"), OltpFactory(OltpParams(
-            transactions=2, warmup_transactions=3)), num_nodes=4,
-            units_attr="transactions", profile=1)
-        keys = {(r["component"], r["event"])
-                for r in result.extras["host_profile"]["hotspots"]}
-        assert [k for k in keys if k[0] == "function"] == []
-        assert ("L2Bank", "_finish_home_lookup") in keys
+        system, _ = build_system(preset("P8"), OltpFactory(OltpParams(
+            transactions=2, warmup_transactions=3)), 4)
+        with HostProfiler() as prof:
+            system.run_to_completion()
+        shares = prof.shares()
+        assert shares["protocol_engine"] > 0
+        assert shares["interconnect"] > 0
 
     def test_merge_and_render(self):
-        a, b = HostProfiler(2), HostProfiler(2)
-        a.record(len, 100)
-        b.record(len, 50)
-        b.events_seen = 4
-        a.merge(b)
-        assert a.buckets[event_key(len)] == [2, 150]
-        assert "host profile" in a.render()
+        """Entering one profiler twice adds the samples up."""
+        prof = profiled_migratory()
+        first = prof.total
+        profiled_migratory(prof)
+        assert prof.total > first
+        text = prof.render()
+        assert text.startswith(f"host profile: {prof.total} samples")
+        assert "function" in text
 
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            HostProfiler(0)
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_handler_and_timer_restored(self, fail):
+        """On a normal exit and on an exception, the previous SIGPROF
+        handler is back and the profiling timer is stopped."""
+        def previous(_signum, _frame):
+            pass
+
+        before = signal.signal(signal.SIGPROF, previous)
+        gc_hooks = list(gc.callbacks)
+        try:
+            with pytest.raises(ZeroDivisionError) if fail \
+                    else contextlib.nullcontext():
+                with HostProfiler():
+                    assert signal.getsignal(signal.SIGPROF) is not previous
+                    assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
+                    if fail:
+                        1 / 0
+            assert signal.getsignal(signal.SIGPROF) is previous
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert gc.callbacks == gc_hooks
+        finally:
+            signal.signal(signal.SIGPROF, before)
+
+    def test_off_main_thread_rejected(self):
+        errors = []
+
+        def enter():
+            try:
+                with HostProfiler():
+                    pass
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        before = signal.getsignal(signal.SIGPROF)
+        worker = threading.Thread(target=enter)
+        worker.start()
+        worker.join()
+        assert len(errors) == 1 and "main thread" in str(errors[0])
+        assert signal.getsignal(signal.SIGPROF) is before
 
 
 class TestTelemetry:
@@ -430,11 +477,8 @@ class TestHarnessIntegration:
                                units_attr="iterations")
         traced = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
                                 units_attr="iterations", trace_spans=16)
-        profiled = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                  units_attr="iterations", profile=8)
         assert "trace" not in plain.extras
         assert "trace" in traced.extras
-        assert "host_profile" in profiled.extras
         # distinct cache entries: a traced repeat keeps its trace
         again = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
                                units_attr="iterations", trace_spans=16)
@@ -453,19 +497,17 @@ class TestHarnessIntegration:
                                   probe_rate=4)
         assert explicit.extras["trace"]["probe_rate"] == 4
 
-    def test_parallel_jobs_carry_trace_and_profile(self):
-        job = self._job(trace_spans=16, profile=8)
+    def test_parallel_jobs_carry_trace(self):
+        job = self._job(trace_spans=16)
         serial = simulate(job.config, job.factory,
-                          units_attr=job.spec.units_attr,
-                          trace_spans=16, profile=8)
+                          units_attr=job.spec.units_attr, trace_spans=16)
         clear_cache()
-        other = self._job(trace_spans=16, profile=8,
+        other = self._job(trace_spans=16,
                           config=dataclasses.replace(preset("P2"),
                                                      name="P2b"))
         results = run_jobs([job, other], jobs=2)
         for result in results:
             assert validate_trace(result.extras["trace"]) == []
-            assert result.extras["host_profile"]["events_sampled"] > 0
         assert (json.dumps(results[0].extras["trace"], sort_keys=True)
                 == json.dumps(serial.extras["trace"], sort_keys=True))
 
@@ -486,9 +528,8 @@ class TestHarnessIntegration:
     def test_sampled_mode_attaches_trace_extras(self):
         result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
                           units_attr="iterations", mode="sampled",
-                          window=30, period=60, trace_spans=16, profile=8)
+                          window=30, period=60, trace_spans=16)
         assert validate_trace(result.extras["trace"]) == []
-        assert result.extras["host_profile"]["events_seen"] > 0
 
 
 class TestPartialTailFlush:
@@ -529,7 +570,7 @@ class TestCli:
         out = tmp_path / "trace.json"
         rc = main(["run", "--config", "P2", "--workload", "migratory",
                    "--scale", "0.2", "--trace-spans", "32",
-                   "--trace-out", str(out), "--profile", "8"])
+                   "--trace-out", str(out), "--profile"])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert validate_trace(doc) == []
@@ -538,11 +579,23 @@ class TestCli:
         assert "span trace written" in printed
         assert "host profile:" in printed
 
+    def test_run_profile_prints_layer_table(self, capsys):
+        from repro.__main__ import main
+
+        rc = main(["run", "--config", "P2", "--workload", "migratory",
+                   "--scale", "5", "--profile"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("host profile:"))
+        assert lines[header + 1].split() == ["layer", "share"]
+        assert lines[header + 2].split()[0] in hostprof.LAYERS
+
     def test_profile_verb(self, capsys):
         from repro.__main__ import main
 
         rc = main(["profile", "--config", "P2", "--workload", "migratory",
-                   "--scale", "0.2", "--sample-rate", "4"])
+                   "--scale", "0.2"])
         assert rc == 0
         assert "host profile:" in capsys.readouterr().out
 
@@ -550,11 +603,13 @@ class TestCli:
         from repro.__main__ import main
 
         rc = main(["profile", "--config", "P2", "--workload", "migratory",
-                   "--scale", "0.2", "--sample-rate", "4", "--json"])
+                   "--scale", "5", "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rate"] == 4
-        assert doc["hotspots"]
+        assert doc["samples"] > 0
+        assert set(doc["shares"]) == set(hostprof.LAYERS)
+        assert sum(doc["shares"].values()) == pytest.approx(1.0)
+        assert doc["hottest"]
 
     def test_run_telemetry_then_watch(self, tmp_path, capsys):
         from repro.__main__ import main
