@@ -6,7 +6,7 @@ the checkpoint subsystem, and reports per-metric-class confidence
 intervals for the sampled estimates.
 """
 
-from .orchestrator import PhaseStream, SampledRun, run_sampled
+from .orchestrator import PhaseStream, SampledRun
 from .warm import CHUNK_ITEMS, FunctionalWarmer
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "FunctionalWarmer",
     "PhaseStream",
     "SampledRun",
-    "run_sampled",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.cpu import WARMUP_DONE
 from ..core.messages import AccessKind, request_for
@@ -153,15 +153,6 @@ class FunctionalWarmer:
                         still.append(entry)
                         break
             work = still
-
-    def advance(self, cpu, max_items: Optional[int] = None,
-                stop_at_boundary: bool = False,
-                tail: Optional[int] = None) -> Tuple[int, bool, bool]:
-        """Collect-and-apply for a single CPU (no interleaving)."""
-        buf, consumed, hit_boundary, exhausted = self.collect(
-            cpu, max_items, stop_at_boundary, tail)
-        self.apply_interleaved([(cpu, buf)])
-        return consumed, hit_boundary, exhausted
 
     def _apply(self, chip, cpu, l1i, l1d, item) -> None:
         """Apply one work item's cache effects (no time, no events)."""

@@ -29,16 +29,18 @@ from .parallel import Job, run_jobs
 from .runner import RunResult, RunSpec, run_workload, scale_factor
 
 
-def _oltp_params() -> OltpParams:
-    scale = scale_factor()
+def _oltp_scaled(scale: float) -> OltpParams:
     base = OltpParams()
-    if scale != 1.0:
-        base = replace(
-            base,
-            transactions=max(20, int(base.transactions * scale)),
-            warmup_transactions=max(40, int(base.warmup_transactions * scale)),
-        )
-    return base
+    return replace(
+        base,
+        transactions=max(20, int(base.transactions * scale)),
+        warmup_transactions=max(40, int(base.warmup_transactions * scale)),
+    )
+
+
+# Each factory's ``scaled(scale)`` is its workload's one scale -> params
+# rule; ``params=None`` applies it at ``REPRO_SCALE``, and the CLI's
+# ``--scale`` applies it through :func:`scaled_factory`.
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,10 @@ class OltpFactory:
     """TPC-B-like OLTP workload builder (picklable, cache-tokenable)."""
 
     params: Optional[OltpParams] = None
+    scaled = staticmethod(_oltp_scaled)
 
     def __call__(self, config, num_nodes):
-        return OltpWorkload(self.params or _oltp_params(),
+        return OltpWorkload(self.params or self.scaled(scale_factor()),
                             cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
@@ -58,24 +61,26 @@ class DssFactory:
 
     params: Optional[DssParams] = None
 
+    @staticmethod
+    def scaled(scale: float) -> DssParams:
+        base = DssParams()
+        return replace(base, rows=max(60, int(base.rows * scale)))
+
     def __call__(self, config, num_nodes):
-        p = self.params
-        if p is None:
-            scale = scale_factor()
-            p = DssParams()
-            if scale != 1.0:
-                p = replace(p, rows=max(60, int(p.rows * scale)))
-        return DssWorkload(p, cpus_per_node=config.cpus, num_nodes=num_nodes)
+        return DssWorkload(self.params or self.scaled(scale_factor()),
+                           cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
 @dataclass(frozen=True)
 class TpccFactory:
-    """TPC-C-like workload builder (derives params from the TPC-B base)."""
+    """TPC-C-like workload builder (derives params from the TPC-B base,
+    which is what ``params`` and ``scaled`` hold)."""
 
     params: Optional[OltpParams] = None
+    scaled = staticmethod(_oltp_scaled)
 
     def __call__(self, config, num_nodes):
-        base = tpcc_params(self.params or _oltp_params())
+        base = tpcc_params(self.params or self.scaled(scale_factor()))
         return TpccWorkload(base, cpus_per_node=config.cpus,
                             num_nodes=num_nodes)
 
@@ -86,14 +91,14 @@ class WebFactory:
 
     params: Optional[WebParams] = None
 
+    @staticmethod
+    def scaled(scale: float) -> WebParams:
+        base = WebParams()
+        return replace(base, queries=max(40, int(base.queries * scale)))
+
     def __call__(self, config, num_nodes):
-        p = self.params
-        if p is None:
-            scale = scale_factor()
-            p = WebParams()
-            if scale != 1.0:
-                p = replace(p, queries=max(40, int(p.queries * scale)))
-        return WebWorkload(p, cpus_per_node=config.cpus, num_nodes=num_nodes)
+        return WebWorkload(self.params or self.scaled(scale_factor()),
+                           cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
 @dataclass(frozen=True)
@@ -102,18 +107,18 @@ class MigratoryFactory:
 
     params: Optional[MicroParams] = None
 
+    @staticmethod
+    def scaled(scale: float) -> MicroParams:
+        base = MicroParams()
+        return replace(base, iterations=max(200, int(base.iterations * scale)))
+
     def __call__(self, config, num_nodes):
-        p = self.params
-        if p is None:
-            scale = scale_factor()
-            p = MicroParams()
-            if scale != 1.0:
-                p = replace(p, iterations=max(200, int(p.iterations * scale)))
-        return MigratoryWrites(p, cpus_per_node=config.cpus,
-                               num_nodes=num_nodes)
+        return MigratoryWrites(self.params or self.scaled(scale_factor()),
+                               cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
-#: name -> factory class, for the CLI sweep command and ad-hoc studies
+#: name -> factory class: the one workload table (CLI choices, ``repro
+#: list``, sweeps, figures)
 FACTORIES = {
     "oltp": OltpFactory,
     "dss": DssFactory,
@@ -132,6 +137,13 @@ UNITS_ATTR = {
     "migratory": "iterations",
     "isa": "iterations",
 }
+
+
+def scaled_factory(name: str, scale: float):
+    """The :data:`FACTORIES` entry *name* with its params fixed by the
+    workload's scale rule at *scale* (what ``--scale`` builds)."""
+    cls = FACTORIES[name]
+    return cls(cls.scaled(scale))
 
 
 def run_oltp(config_name: str, num_nodes: int = 1, **kw) -> RunResult:

@@ -37,53 +37,29 @@ from typing import Dict, List, Optional
 SCHEMA = "repro-metrics/1"
 
 
-def metrics_doc(system, result=None, probe_rate: int = 0,
+def metrics_doc(system, result, probe_rate: int = 0,
                 sample_interval_ps: int = 0) -> Dict[str, object]:
-    """Assemble the full metrics document from a finished system.
-
-    *result* (a :class:`~repro.harness.runner.RunResult`) supplies the
-    run-summary block when available; CLI paths that bypass the runner
-    pass ``None`` and get a summary computed from the system directly.
-    """
+    """Assemble the full metrics document from a finished system and the
+    :class:`~repro.harness.runner.RunResult` measured from it (the
+    run-summary block)."""
     from .perfmon import system_report
 
     now = system.sim.now
-    if result is not None:
-        run = {
-            "config": result.config,
-            "cpus": result.cpus,
-            "nodes": result.nodes,
-            "workload": result.workload,
-            "units": result.units,
-            "time_per_unit_ns": result.time_per_unit_ns,
-            "throughput": result.throughput,
-            "busy_frac": result.busy_frac,
-            "l2_frac": result.l2_frac,
-            "mem_frac": result.mem_frac,
-            "miss_hit_frac": result.miss_hit_frac,
-            "miss_fwd_frac": result.miss_fwd_frac,
-            "miss_mem_frac": result.miss_mem_frac,
-        }
-    else:
-        summary = system.execution_summary()
-        total = summary["total_ps"] or 1
-        mb = system.miss_breakdown()
-        misses = sum(mb.values()) or 1
-        run = {
-            "config": system.config.name,
-            "cpus": system.config.cpus,
-            "nodes": system.num_proc_nodes,
-            "workload": None,
-            "units": None,
-            "time_per_unit_ns": None,
-            "throughput": None,
-            "busy_frac": summary["busy_ps"] / total,
-            "l2_frac": summary["l2_stall_ps"] / total,
-            "mem_frac": summary["mem_stall_ps"] / total,
-            "miss_hit_frac": mb["l2_hit"] / misses,
-            "miss_fwd_frac": mb["l2_fwd"] / misses,
-            "miss_mem_frac": mb["l2_miss"] / misses,
-        }
+    run = {
+        "config": result.config,
+        "cpus": result.cpus,
+        "nodes": result.nodes,
+        "workload": result.workload,
+        "units": result.units,
+        "time_per_unit_ns": result.time_per_unit_ns,
+        "throughput": result.throughput,
+        "busy_frac": result.busy_frac,
+        "l2_frac": result.l2_frac,
+        "mem_frac": result.mem_frac,
+        "miss_hit_frac": result.miss_hit_frac,
+        "miss_fwd_frac": result.miss_fwd_frac,
+        "miss_mem_frac": result.miss_mem_frac,
+    }
     run["finish_ps"] = now
     run["probe_rate"] = probe_rate
     run["sample_interval_ps"] = sample_interval_ps

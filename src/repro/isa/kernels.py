@@ -660,14 +660,15 @@ class IsaKernelFactory:
 
     params: Optional[IsaKernelParams] = None
 
-    def __call__(self, config, num_nodes: int) -> KernelWorkload:
-        params = self.params
-        if params is None:
-            from ..harness.runner import scale_factor
+    @staticmethod
+    def scaled(scale: float) -> IsaKernelParams:
+        return scaled_params("spinlock", scale)
 
-            params = scaled_params("spinlock", scale_factor())
-        return KernelWorkload(params, cpus_per_node=config.cpus,
-                              num_nodes=num_nodes)
+    def __call__(self, config, num_nodes: int) -> KernelWorkload:
+        from ..harness.runner import scale_factor
+
+        return KernelWorkload(self.params or self.scaled(scale_factor()),
+                              cpus_per_node=config.cpus, num_nodes=num_nodes)
 
 
 def scaled_params(kernel: str, scale: float = 1.0) -> IsaKernelParams:

@@ -49,7 +49,7 @@ from repro.fuzz.reference import MemoryModelViolation
 from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
 from repro.harness.runner import (DISK_CACHE, RunSpec, assemble_result,
-                                  build_system, simulate)
+                                  build_system, run_system, simulate)
 from repro.harness.sweep import (load_manifest, manifest_path,
                                  record_from_result, sweep_field)
 from repro.sim.engine import _PeriodicTick
@@ -273,15 +273,12 @@ class TestCheckpointFormat:
 
 class TestCheckpointFiles:
     def test_save_restore_resumes_measurement(self, tmp_path):
-        from repro.harness.metrics import metrics_doc
-
         factory = OltpFactory(TINY_OLTP)
-        observed = RunSpec(probe_rate=16, sample_interval_ps=int(10e6))
+        observed = RunSpec(probe_rate=16,
+                           sample_interval_ps=int(10e6)).resolve()
         base_system, _ = build_system(preset("P1"), factory, 1, observed)
-        base_system.run_to_completion()
-        baseline = json.dumps(
-            metrics_doc(base_system, None, probe_rate=16,
-                        sample_interval_ps=int(10e6)), sort_keys=True)
+        baseline = json.dumps(run_system(base_system, observed)
+                              .extras["metrics"], sort_keys=True)
 
         system, _workload = build_system(preset("P1"), factory, 1, observed)
         capture = WarmCapture(system, halt=True)
@@ -298,9 +295,7 @@ class TestCheckpointFiles:
 
         got_manifest, restored = load_checkpoint(path)
         assert got_manifest == manifest
-        restored.run_to_completion()
-        doc = metrics_doc(restored, None, probe_rate=16,
-                          sample_interval_ps=int(10e6))
+        doc = run_system(restored, observed).extras["metrics"]
         assert json.dumps(doc, sort_keys=True) == baseline
 
     def test_config_digest_mismatch_refused(self, tmp_path):

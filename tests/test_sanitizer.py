@@ -284,14 +284,16 @@ class TestHarnessCliParity:
     def test_identical_telemetry_in_extras(self, monkeypatch, tmp_path):
         """`run_workload(check_coherence=True)` and `repro run --check`
         must run the identical audit set and report identical sanitizer
-        telemetry: both funnel through `PiranhaSystem.verify()`."""
+        telemetry: both measure through `run_system`, which funnels the
+        audit through `PiranhaSystem.verify()`."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         from repro.__main__ import _build_checked_system
         from repro.harness.experiments import MigratoryFactory
-        from repro.harness.runner import run_workload
+        from repro.harness.runner import run_system, run_workload
 
-        # harness path (scale 0.25 -> iterations=max(200, 1000*0.25)=250,
-        # matching the CLI's WORKLOADS["migratory"] construction)
+        # harness path, params explicit (scale 0.25 -> iterations =
+        # max(200, 1000*0.25) = 250, MigratoryFactory.scaled's rule,
+        # which the CLI's --scale goes through)
         result = run_workload(
             "P2", MigratoryFactory(params=MicroParams(iterations=250)),
             num_nodes=2, units_attr="iterations", check_coherence=True)
@@ -299,12 +301,12 @@ class TestHarnessCliParity:
         # CLI path: exactly what cmd_run does for --check
         args = argparse.Namespace(config="P2", nodes=2, workload="migratory",
                                   scale=0.25, check=True, trace=0)
-        _, system, checker = _build_checked_system(args)
-        system.run_to_completion()
-        cli_telemetry = system.verify()
+        system, spec = _build_checked_system(args)
+        cli = run_system(system, spec)
 
         harness_sanitizer = {k: v for k, v in result.extras.items()
                              if not k.startswith("cache_")}
-        assert harness_sanitizer == cli_telemetry
+        assert harness_sanitizer == cli.extras
+        assert cli.payload_tuple() == result.payload_tuple()
         assert harness_sanitizer["audit_quiesced"] == 1.0
         assert harness_sanitizer["audit_continuous_runs"] > 0
