@@ -226,11 +226,12 @@ class PiranhaSystem:
             # whatever accumulates afterwards.
             if self.sampler is not None:
                 self.sampler.finalize()
-        return max(
-            (cpu.finish_time or 0)
-            for node in self.nodes for cpu in node.cpus
-            if cpu.thread is not None
-        )
+        return self.finish_ps()
+
+    def finish_ps(self) -> int:
+        """When the last workload CPU finished (ps); a sampler tick may
+        have run the clock on past it."""
+        return max((cpu.finish_time or 0) for cpu in self.all_cpus())
 
     # -- protocol sanitizer -----------------------------------------------------
 
