@@ -10,6 +10,11 @@ interconnect the single-chip points never reach.  Three more single-chip
 points pin the on-chip request path's rarer branches: the OOO core's
 streaming misses and pending-entry waiters, the inclusive-L2 ablation,
 and a one-chip fuzz program's upgrades, barriers and same-line races.
+Four sampled points pin functional warming (``L2Bank.warm_request``):
+P8, the inclusive-L2 ablation, P8 under the protocol sanitizer's
+checker hooks, and P2x2, whose multi-node declines leave misses cold.
+For those the warmer's ``extras["sampling"]["warm"]`` counters are
+pinned next to the digest.
 
 The digest covers :meth:`RunResult.payload_tuple` exactly — every field
 the harness documents as deterministic — so any unintentional behaviour
@@ -63,7 +68,11 @@ FUZZ_P8 = FuzzFactory(generate(
 P8_INCLUSIVE = dataclasses.replace(
     preset("P8"), l2=dataclasses.replace(preset("P8").l2, inclusive=True))
 
-#: name -> (config or preset name, factory, units_attr, num_nodes)
+#: sampled mode with every setting spelled out (six windows at OLTP_Q)
+SAMPLED = dict(mode="sampled", window=100, period=500, warming="functional")
+
+#: name -> (config or preset name, factory, units_attr, num_nodes[,
+#: RunSpec fields])
 CANONICAL = {
     "P1-oltp": ("P1", OltpFactory(OLTP_Q), "transactions", 1),
     "P8-oltp": ("P8", OltpFactory(OLTP_Q), "transactions", 1),
@@ -83,6 +92,16 @@ CANONICAL = {
     "P8-inclusive-oltp": (P8_INCLUSIVE, OltpFactory(OLTP_Q),
                           "transactions", 1),
     "P8-fuzz-2026": ("P8", FUZZ_P8, "ops", 1),
+    # functional warming: single chip, the inclusive ablation, the
+    # checker hooks, and the multi-node declines
+    "P8-oltp-sampled": ("P8", OltpFactory(OLTP_Q), "transactions", 1,
+                        SAMPLED),
+    "P8-inclusive-oltp-sampled": (P8_INCLUSIVE, OltpFactory(OLTP_Q),
+                                  "transactions", 1, SAMPLED),
+    "P8-oltp-sampled-checked": ("P8", OltpFactory(OLTP_Q), "transactions",
+                                1, dict(SAMPLED, check_coherence=True)),
+    "P2x2-oltp-sampled": ("P2", OltpFactory(OLTP_Q), "transactions", 2,
+                          SAMPLED),
 }
 
 
@@ -97,10 +116,17 @@ def payload_digest(result) -> str:
 
 
 def run_point(name: str):
-    config, factory, units, nodes = CANONICAL[name]
+    config, factory, units, nodes, *fields = CANONICAL[name]
     if isinstance(config, str):
         config = preset(config)
-    return run_configured(config, factory, num_nodes=nodes, units_attr=units)
+    return run_configured(config, factory, num_nodes=nodes, units_attr=units,
+                          **(fields[0] if fields else {}))
+
+
+def warm_summary(result):
+    """The functional warmer's counters of a sampled run, else None."""
+    sampling = result.extras.get("sampling")
+    return sampling["warm"] if sampling is not None else None
 
 
 def load_golden() -> dict:
@@ -119,6 +145,7 @@ def test_golden_digest_serial(name):
         f"  current payload: {list(result.payload_tuple())}\n"
         f"If this change is intentional, regenerate with "
         f"`python tests/test_golden_digests.py --regen`.")
+    assert warm_summary(result) == golden[name].get("warm")
 
 
 def test_golden_digest_warm_cache():
@@ -153,6 +180,8 @@ def regen() -> None:
             "payload": [repr(v) if isinstance(v, float) else v
                         for v in result.payload_tuple()],
         }
+        if warm_summary(result) is not None:
+            doc[name]["warm"] = warm_summary(result)
         print(f"{name}: {doc[name]['digest']}")
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
