@@ -62,7 +62,10 @@ MAGIC = b"RPCKPT01"
 #: Schema 4: the simulator no longer carries a host-profiler attribute,
 #: so a schema-3 snapshot can hold a profiler object that no longer
 #: exists.
-SCHEMA = 4
+#: Schema 5: event-queue entries are ``(time, seq, fn, args)`` tuples and
+#: the simulator keeps no cancellation counters, so a schema-4 queue of
+#: ``EventHandle`` objects no longer restores.
+SCHEMA = 5
 
 _LEN = struct.Struct(">I")
 

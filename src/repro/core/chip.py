@@ -186,11 +186,6 @@ class PiranhaChip(Component):
         identical path to a CPU miss."""
         self.issue_miss(req, reqtype)
 
-    def route_l1_eviction(self, cache_id: int, eviction) -> None:
-        """Replacement notifications travel to the *victim's* bank (which
-        may differ from the bank that triggered the fill)."""
-        self.bank_for(eviction.addr).l1_eviction(cache_id, eviction)
-
     def mem_write_back(self, line: int, version: int, bank_idx: int) -> None:
         """Dirty L2 victim with a local home: write straight to memory."""
         self.mcs[bank_idx].write_line(line)

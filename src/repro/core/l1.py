@@ -35,16 +35,10 @@ class L1Line:
     dirty: bool = False
     version: int = 0          # data-token for the coherence checker
 
-
-@dataclass(slots=True)
-class Eviction:
-    """Information about a victim line handed back to the caller."""
-
-    addr: int
-    state: MESI
-    owner: bool
-    dirty: bool
-    version: int
+    @property
+    def addr(self) -> int:
+        """The line's address."""
+        return self.tag << LINE_SHIFT
 
 
 class LookupResult(NamedTuple):
@@ -150,10 +144,11 @@ class L1Cache:
         owner: bool,
         version: int = 0,
         dirty: bool = False,
-    ) -> Optional[Eviction]:
-        """Install a line, returning the eviction (if any) for the caller
-        (the L2 transaction flow) to route: owner lines write back to the
-        L2, non-owner lines just update the duplicate tags."""
+    ) -> Optional[L1Line]:
+        """Install a line, returning the replaced line (if any) for the
+        caller (the L2 transaction flow) to route: owner lines write back
+        to the L2, non-owner lines just update the duplicate tags.  The
+        victim has left the cache, so the caller reads it as it was."""
         if state == INVALID:
             raise ValueError("cannot fill an INVALID line")
         tag = addr >> LINE_SHIFT
@@ -166,13 +161,11 @@ class L1Cache:
             existing.version = max(version, existing.version)
             lru_set.move_to_end(tag)
             return None
-        evicted: Optional[Eviction] = None
+        victim = None
         if len(lru_set) >= self.assoc:
-            victim_tag, victim = lru_set.popitem(last=False)
-            evicted = Eviction(victim_tag << LINE_SHIFT, victim.state,
-                               victim.owner, victim.dirty, victim.version)
+            victim = lru_set.popitem(last=False)[1]
         lru_set[tag] = L1Line(tag, state, owner, dirty, version)
-        return evicted
+        return victim
 
     def invalidate(self, addr: int) -> Optional[L1Line]:
         """Remove a line (on-chip invalidations need no ack: the intra-chip

@@ -67,10 +67,13 @@ class RequestType(enum.IntEnum):
 
 
 # Enum members bound to module-level names once.  The per-miss code
-# (request_for() below, cpu.py, l1.py, l2.py) imports these instead of
+# (request_for() below, cpu.py, l1.py, l2.py, the warmer) and the
+# workload generators import these instead of
 # reading ``MESI.SHARED`` and the like: on Python 3.11 every member read off
 # an enum class runs ``EnumType.__getattr__``'s Python-level hook.
 IFETCH = AccessKind.IFETCH
+LOAD = AccessKind.LOAD
+STORE = AccessKind.STORE
 WH64 = AccessKind.WH64
 MEMBAR = AccessKind.MEMBAR
 INVALID = MESI.INVALID
@@ -89,8 +92,7 @@ REMOTE_MEM = ReplySource.REMOTE_MEM
 REMOTE_DIRTY = ReplySource.REMOTE_DIRTY
 
 #: accesses that need only a readable copy
-_READ_KINDS = frozenset(
-    {AccessKind.IFETCH, AccessKind.LOAD, AccessKind.LOAD_LOCKED})
+_READ_KINDS = frozenset({IFETCH, LOAD, AccessKind.LOAD_LOCKED})
 
 
 def request_for(kind: AccessKind, current: MESI) -> RequestType:

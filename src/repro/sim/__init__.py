@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (engine, stats, deterministic RNG)."""
 
-from .engine import PS_PER_NS, Clock, Component, EventHandle, Simulator, ns
+from .engine import PS_PER_NS, Clock, Component, Simulator, ns
 from .rng import derive_seed, substream
 from .sampler import IntervalSampler
 from .stats import Accumulator, Counter, Histogram, StatGroup, TimeWeighted
@@ -10,7 +10,6 @@ __all__ = [
     "PS_PER_NS",
     "Clock",
     "Component",
-    "EventHandle",
     "Simulator",
     "ns",
     "substream",

@@ -18,17 +18,17 @@ paths: ``run`` pops the heap directly instead of delegating to
 :meth:`Simulator.step`, and ``schedule`` builds the heap entry inline
 instead of delegating to :meth:`Simulator.schedule_at`.
 
-Cancellation is lazy: :meth:`EventHandle.cancel` only flags the handle,
-and the dead heap entry is discarded when it surfaces.  The simulator
-keeps an exact count of dead entries so :attr:`Simulator.pending` reports
-live events only, and compacts the heap when dead entries outnumber live
-ones, so long-lived simulations that cancel heavily (timeout patterns)
-don't accumulate an ever-growing queue.
+A queued event is the bare heap entry ``(time, seq, fn, args)``: no
+handle object is allocated and nothing can be cancelled.  An event, once
+scheduled, fires; a module that may not want its callback any more
+checks its own state when the callback runs (the periodic observers of
+:meth:`Simulator.schedule_every` stop by returning a falsy value).
+``(time, seq)`` is unique, so the heap never compares callbacks.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
 #: Picoseconds per nanosecond; all latency constants in the config are
@@ -71,36 +71,6 @@ class Clock:
         return f"Clock({self.freq_mhz} MHz, {self.period_ps} ps)"
 
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
-
-    __slots__ = ("time", "fn", "args", "cancelled", "sim")
-
-    def __init__(self, time: int, fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None) -> None:
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        #: owning simulator while the event is pending; cleared when the
-        #: event fires so a late ``cancel()`` cannot corrupt the
-        #: simulator's dead-entry accounting.
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Cancel the event; a cancelled event is skipped when it fires.
-
-        Cancelling an event that already fired (or cancelling twice) is a
-        harmless no-op.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self.sim
-        if sim is not None:
-            sim._note_cancelled()
-
-
 class Simulator:
     """The event queue and global simulated time.
 
@@ -109,42 +79,33 @@ class Simulator:
     switch guarantees in hardware.
     """
 
-    #: minimum number of dead (cancelled-but-queued) entries before the
-    #: heap is considered for compaction; below this, scanning the heap
-    #: costs more than lazily discarding the entries.
-    COMPACT_MIN_DEAD = 64
-
     def __init__(self) -> None:
         self.now: int = 0
+        #: heap of ``(time, seq, fn, args)`` entries
         self._queue: List[tuple] = []
         self._seq: int = 0
         self._events_fired: int = 0
-        self._dead: int = 0              # cancelled entries still queued
-        self._events_cancelled: int = 0  # cumulative cancel() count
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay_ps`` picoseconds from now."""
         if delay_ps < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay_ps})")
-        time_ps = self.now + delay_ps
-        handle = EventHandle(time_ps, fn, args, self)
-        heapq.heappush(self._queue, (time_ps, self._seq, handle))
+        heappush(self._queue, (self.now + delay_ps, self._seq, fn, args))
         self._seq += 1
-        return handle
 
     def schedule_every(self, interval_ps: int,
-                       fn: Callable[[], Any]) -> EventHandle:
+                       fn: Callable[[], Any]) -> None:
         """Run ``fn()`` every *interval_ps*, starting one interval from
         now, for as long as it returns a truthy value.
 
         Used for periodic observers (the interval telemetry sampler, the
         continuous protocol audit) that must stop rescheduling once the
         simulation goes quiescent — a perpetual timer would keep the
-        event queue alive forever under run-to-drain.  Returns the handle
-        for the first tick; cancelling it stops the timer only until the
-        next reschedule, so observers should stop via their return value.
+        event queue alive forever under run-to-drain.  Queued events
+        cannot be cancelled, so returning a falsy value is the only way
+        to stop the timer.
 
         The ticker is a :class:`_PeriodicTick` instance rather than a
         closure so a pending tick can ride a checkpoint: a restored event
@@ -154,108 +115,66 @@ class Simulator:
         if interval_ps <= 0:
             raise ValueError(
                 f"repeat interval must be positive, got {interval_ps}")
-        return self.schedule(interval_ps, _PeriodicTick(self, interval_ps, fn))
+        self.schedule(interval_ps, _PeriodicTick(self, interval_ps, fn))
 
-    def schedule_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule_at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time_ps``."""
         if time_ps < self.now:
             raise ValueError(
                 f"cannot schedule into the past (t={time_ps}, now={self.now})"
             )
-        handle = EventHandle(time_ps, fn, args, self)
-        heapq.heappush(self._queue, (time_ps, self._seq, handle))
+        heappush(self._queue, (time_ps, self._seq, fn, args))
         self._seq += 1
-        return handle
-
-    # -- cancellation bookkeeping ---------------------------------------
-
-    def _note_cancelled(self) -> None:
-        """Record one cancellation; compact the heap when dead entries
-        outnumber live ones."""
-        self._events_cancelled += 1
-        self._dead += 1
-        if self._dead >= self.COMPACT_MIN_DEAD and self._dead * 2 >= len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        ``(time, seq)`` keys are unique, so heapify preserves the exact
-        FIFO-within-timestamp firing order.
-        """
-        self._queue = [e for e in self._queue if not e[2].cancelled]
-        heapq.heapify(self._queue)
-        self._dead = 0
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
-        q = self._queue
-        while q:
-            time_ps, _seq, handle = heapq.heappop(q)
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            handle.sim = None
-            self.now = time_ps
-            self._events_fired += 1
-            handle.fn(*handle.args)
-            return True
-        return False
+        if not self._queue:
+            return False
+        time_ps, _seq, fn, args = heappop(self._queue)
+        self.now = time_ps
+        self._events_fired += 1
+        fn(*args)
+        return True
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, *until_ps* passes, or
         *max_events* fire.  Returns the number of events fired."""
         q = self._queue
-        pop = heapq.heappop
-        fired = 0
+        pop = heappop
+        start = self._events_fired
         if until_ps is None and max_events is None:
             # Hot path: run-to-drain (what every workload simulation uses).
             # No bound checks, locals bound outside the loop.
             while q:
-                time_ps, _seq, handle = pop(q)
-                if handle.cancelled:
-                    self._dead -= 1
-                    continue
-                handle.sim = None
+                time_ps, _seq, fn, args = pop(q)
                 self.now = time_ps
                 self._events_fired += 1
-                handle.fn(*handle.args)
-                fired += 1
-            return fired
+                fn(*args)
+            return self._events_fired - start
         # Bounded path.  The until_ps check only needs the head timestamp;
         # once an event at time T is admitted, every other event at exactly
         # T is admissible too, so the inner loop drains the whole timestamp
         # batch without re-checking the bound.
+        limit = None if max_events is None else start + max_events
         while q:
-            head_ps = q[0][0]
-            if until_ps is not None and head_ps > until_ps:
+            if until_ps is not None and q[0][0] > until_ps:
                 self.now = until_ps
                 break
-            if max_events is not None and fired >= max_events:
+            if limit is not None and self._events_fired >= limit:
                 break
-            time_ps, _seq, handle = pop(q)
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            handle.sim = None
+            time_ps, _seq, fn, args = pop(q)
             self.now = time_ps
             self._events_fired += 1
-            handle.fn(*handle.args)
-            fired += 1
+            fn(*args)
             while q and q[0][0] == time_ps:
-                if max_events is not None and fired >= max_events:
+                if limit is not None and self._events_fired >= limit:
                     break
-                _t, _s, h = pop(q)
-                if h.cancelled:
-                    self._dead -= 1
-                    continue
-                h.sim = None
+                _t, _s, fn, args = pop(q)
                 self._events_fired += 1
-                h.fn(*h.args)
-                fired += 1
-        return fired
+                fn(*args)
+        return self._events_fired - start
 
     def halt(self) -> None:
         """Discard every pending event (the queue drains immediately).
@@ -264,7 +183,6 @@ class Simulator:
         state up to the snapshot point and not the rest of the run; the
         simulator itself stays usable (new events can be scheduled)."""
         self._queue = []
-        self._dead = 0
 
     def advance_to(self, time_ps: int) -> None:
         """Jump the clock to *time_ps* without firing anything.
@@ -272,27 +190,27 @@ class Simulator:
         Statistical fast-forward phases advance machine state outside the
         event queue and then use this to move simulated time by their
         estimate.  Jumping over pending work would make those events fire
-        in their own past, so any live event earlier than the target must
-        be drained (``run()``) or cancelled first; this raises otherwise.
+        in their own past, so every event earlier than the target must be
+        drained (``run()``) first; this raises otherwise.
         """
         if time_ps < self.now:
             raise ValueError(
                 f"cannot advance into the past (t={time_ps}, now={self.now})"
             )
-        for entry in self._queue:
-            if not entry[2].cancelled and entry[0] < time_ps:
-                raise RuntimeError(
-                    f"cannot fast-forward to {time_ps} ps past a pending "
-                    f"event at {entry[0]} ps; drain the queue first"
-                )
+        q = self._queue
+        if q and q[0][0] < time_ps:
+            raise RuntimeError(
+                f"cannot fast-forward to {time_ps} ps past a pending "
+                f"event at {q[0][0]} ps; drain the queue first"
+            )
         self.now = time_ps
 
     # -- checkpoint/restore ----------------------------------------------
 
     def state_dict(self) -> dict:
-        """Complete serialisable state: clock, event queue (handles carry
-        their callbacks), sequence counter and cancellation accounting.
-        The queue rides the snapshot verbatim, so FIFO-within-timestamp
+        """Complete serialisable state: clock, event queue (entries carry
+        their callbacks), sequence counter and fired-event count.  The
+        queue rides the snapshot verbatim, so FIFO-within-timestamp
         ordering is preserved exactly across a restore."""
         return dict(self.__dict__)
 
@@ -307,18 +225,13 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events currently queued."""
-        return len(self._queue) - self._dead
+        """Number of events currently queued."""
+        return len(self._queue)
 
     @property
     def events_fired(self) -> int:
         """Total number of events executed so far."""
         return self._events_fired
-
-    @property
-    def events_cancelled(self) -> int:
-        """Total number of events cancelled so far."""
-        return self._events_cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now} ps, pending={self.pending})"
@@ -367,7 +280,7 @@ class Component:
         self.sim = sim
         self.name = name
         self.stats = StatGroup(name)
-        self.schedule: Callable[..., EventHandle] = sim.schedule
+        self.schedule: Callable[..., None] = sim.schedule
 
     @property
     def now(self) -> int:

@@ -28,7 +28,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.messages import AccessKind
+from ..core.messages import IFETCH, AccessKind
 from ..sim.rng import substream
 
 LINE = 64
@@ -246,7 +246,7 @@ class CodeWalk:
         items = []
         for i in range(self.run_lines):
             line = (start + i) % self.region.lines
-            items.append((self.instrs_per_line, AccessKind.IFETCH,
+            items.append((self.instrs_per_line, IFETCH,
                           self.region.line_addr(line), True))
         return items
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..core.messages import AccessKind
+from ..core.messages import IFETCH, LOAD, STORE
 from ..sim.rng import substream
 from .base import AddressSpaceBuilder, Workload, WorkloadThread
 
@@ -104,19 +104,19 @@ class DssWorkload(Workload):
                 for i in range(p.lines_per_row):
                     line = part_base + (cursor + i) % p.partition_lines
                     dep = rng.random() < p.dependent_fraction
-                    yield (4, AccessKind.LOAD, self.table.line_addr(line), dep)
+                    yield (4, LOAD, self.table.line_addr(line), dep)
                 cursor = (cursor + p.lines_per_row) % p.partition_lines
                 # per-row executor work over the scan loop's code lines
                 for c in range(chunks):
                     code_line = (row * chunks + c) % p.code_lines
-                    yield (instrs_per_chunk, AccessKind.IFETCH,
+                    yield (instrs_per_chunk, IFETCH,
                            self.code.line_addr(code_line), True)
                 # aggregation state update (private, hits)
-                yield (6, AccessKind.STORE,
+                yield (6, STORE,
                        self.agg.line_addr(agg_base + row % p.agg_lines), True)
                 # periodic result-buffer merge (the only sharing)
                 if row % 64 == 63:
-                    yield (20, AccessKind.STORE,
+                    yield (20, STORE,
                            self.result.line_addr(global_cpu % p.result_lines),
                            True)
 

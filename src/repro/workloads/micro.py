@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..core.messages import AccessKind
+from ..core.messages import LOAD, STORE, WH64
 from ..sim.rng import substream
 from .base import AddressSpaceBuilder, Workload, WorkloadThread
 
@@ -82,7 +82,7 @@ class PrivateStream(_MicroBase):
         base = (node * self.cpus_per_node + cpu) * p.lines
         i = 0
         while True:
-            yield (p.work_per_access, AccessKind.LOAD,
+            yield (p.work_per_access, LOAD,
                    self.private.line_addr(base + i % p.lines), False)
             i += 1
 
@@ -96,7 +96,7 @@ class SharedReadOnly(_MicroBase):
         p = self.params
         while True:
             line = rng.randrange(p.lines)
-            yield (p.work_per_access, AccessKind.LOAD,
+            yield (p.work_per_access, LOAD,
                    self.shared.line_addr(line), True)
 
 
@@ -111,9 +111,9 @@ class MigratoryWrites(_MicroBase):
         hot = max(1, p.lines // 16)
         while True:
             line = rng.randrange(hot)
-            yield (p.work_per_access, AccessKind.LOAD,
+            yield (p.work_per_access, LOAD,
                    self.shared.line_addr(line), True)
-            yield (p.work_per_access, AccessKind.STORE,
+            yield (p.work_per_access, STORE,
                    self.shared.line_addr(line), True)
 
 
@@ -129,10 +129,10 @@ class ProducerConsumer(_MicroBase):
         while True:
             line = i % p.lines
             if producer:
-                yield (p.work_per_access, AccessKind.WH64,
+                yield (p.work_per_access, WH64,
                        self.shared.line_addr(line), True)
             else:
-                yield (p.work_per_access, AccessKind.LOAD,
+                yield (p.work_per_access, LOAD,
                        self.shared.line_addr(line), True)
             i += 1
 
@@ -146,6 +146,5 @@ class UniformRandom(_MicroBase):
         p = self.params
         while True:
             line = rng.randrange(p.lines)
-            kind = (AccessKind.STORE if rng.random() < p.write_fraction
-                    else AccessKind.LOAD)
+            kind = STORE if rng.random() < p.write_fraction else LOAD
             yield (p.work_per_access, kind, self.shared.line_addr(line), True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.messages import AccessKind
+from ..core.messages import LOAD, STORE, WH64, AccessKind
 from ..sim.rng import substream
 from .base import (
     AddressSpaceBuilder,
@@ -191,7 +191,7 @@ class OltpWorkload(Workload):
 
         def private_ref() -> None:
             line = proc_base["private"] + rng.randrange(p.private_lines)
-            kind = AccessKind.STORE if rng.random() < 0.4 else AccessKind.LOAD
+            kind = STORE if rng.random() < 0.4 else LOAD
             ops.append((0, kind, self.private.line_addr(line), True))
 
         def metadata_ref() -> None:
@@ -200,7 +200,7 @@ class OltpWorkload(Workload):
             else:
                 line = meta_sampler.sample(rng.random())
             write = rng.random() < p.metadata_write_fraction
-            kind = AccessKind.STORE if write else AccessKind.LOAD
+            kind = STORE if write else LOAD
             ops.append((0, kind, self.metadata.line_addr(line), dep()))
 
         # 0. index walk: B-tree leaf lookups (root/branch levels hit in
@@ -214,7 +214,7 @@ class OltpWorkload(Workload):
                 block %= p.index_lines // p.account_block_lines
                 leaf = (block * p.account_block_lines
                         + rng.randrange(p.account_block_lines))
-            ops.append((0, AccessKind.LOAD, self.index.line_addr(leaf), dep()))
+            ops.append((0, LOAD, self.index.line_addr(leaf), dep()))
         # 1. account row: read-modify-write inside a zipf-hot 4 KB block
         def account_line() -> int:
             rank = self._account_block_sampler.sample(rng.random())
@@ -229,8 +229,8 @@ class OltpWorkload(Workload):
         account_row = aline // p.account_lines_per_row
         for i in range(p.account_lines_per_row):
             line = account_row * p.account_lines_per_row + i
-            ops.append((0, AccessKind.LOAD, self.account.line_addr(line), dep()))
-        ops.append((0, AccessKind.STORE,
+            ops.append((0, LOAD, self.account.line_addr(line), dep()))
+        ops.append((0, STORE,
                     self.account.line_addr(account_row * p.account_lines_per_row),
                     True))
         # 2. branch row: hot, contended read-modify-write (the submitting
@@ -238,14 +238,14 @@ class OltpWorkload(Workload):
         branch_rows = self._branch_rows[node] if local() else range(p.branches)
         branch_row = branch_rows[rng.randrange(len(branch_rows))]
         bline = branch_row * self.row_stride
-        ops.append((0, AccessKind.LOAD, self.branch.line_addr(bline), True))
-        ops.append((0, AccessKind.STORE, self.branch.line_addr(bline), True))
+        ops.append((0, LOAD, self.branch.line_addr(bline), True))
+        ops.append((0, STORE, self.branch.line_addr(bline), True))
         # 3. teller row
         teller_rows = self._teller_rows[node] if local() else range(p.tellers)
         teller_row = teller_rows[rng.randrange(len(teller_rows))]
         tline = teller_row * self.teller_stride
-        ops.append((0, AccessKind.LOAD, self.teller.line_addr(tline), True))
-        ops.append((0, AccessKind.STORE, self.teller.line_addr(tline), True))
+        ops.append((0, LOAD, self.teller.line_addr(tline), True))
+        ops.append((0, STORE, self.teller.line_addr(tline), True))
         # 4. history append (per-process stripes out of node-local chunks;
         #    whole-line writes -> wh64)
         hcursor = proc_base["history"] + txn_index * p.history_lines_per_txn
@@ -254,14 +254,14 @@ class OltpWorkload(Workload):
                 hline = self.history_shards.local_line(node, hcursor + i)
             else:
                 hline = (hcursor + i) % self.history.lines
-            ops.append((0, AccessKind.WH64, self.history.line_addr(hline), True))
+            ops.append((0, WH64, self.history.line_addr(hline), True))
         # 5. redo-log append (node-local log stripe)
         lcursor = proc_base["log_cursor"] + txn_index
         if multi:
             log_line = self.log_shards.local_line(node, lcursor)
         else:
             log_line = lcursor % self.log.lines
-        ops.append((0, AccessKind.STORE, self.log.line_addr(log_line), True))
+        ops.append((0, STORE, self.log.line_addr(log_line), True))
         # 6. metadata + private filler, shuffled through the transaction
         for _ in range(p.metadata_accesses_per_txn):
             metadata_ref()
@@ -319,7 +319,7 @@ class OltpWorkload(Workload):
                     cursor = block_cursors.setdefault(slot, start)
                     for i in range(p.block_io_lines_per_txn):
                         line = (cursor + i) % p.account_lines
-                        yield (2, AccessKind.LOAD,
+                        yield (2, LOAD,
                                self.account.line_addr(line), False)
                     block_cursors[slot] = (
                         cursor + p.block_io_lines_per_txn) % p.account_lines

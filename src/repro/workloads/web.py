@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..core.messages import AccessKind
+from ..core.messages import IFETCH, LOAD, STORE
 from ..sim.rng import substream
 from .base import AddressSpaceBuilder, Workload, WorkloadThread, ZipfSampler
 
@@ -87,14 +87,14 @@ class WebWorkload(Workload):
                     for i in range(p.segment_lines):
                         line = start + i
                         # posting-list lines stream through the window
-                        yield (4, AccessKind.LOAD,
+                        yield (4, LOAD,
                                self.index.line_addr(line), False)
                         # scoring work over the resident service loop
                         code_line = (query * 7 + seg * 3 + i) % p.code_lines
-                        yield (p.instrs_per_line, AccessKind.IFETCH,
+                        yield (p.instrs_per_line, IFETCH,
                                self.code.line_addr(code_line), True)
                 # result assembly (private, hits)
-                yield (30, AccessKind.STORE,
+                yield (30, STORE,
                        self.result.line_addr(result_base
                                              + query % p.result_lines), True)
 

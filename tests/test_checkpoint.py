@@ -259,6 +259,17 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 3"):
             load_checkpoint(path, force=True)
 
+    def test_schema_4_refused(self, tmp_path):
+        """Schema-4 snapshots queue events as ``EventHandle`` objects,
+        which no longer exist: refused even with ``force``."""
+        payload = b"N."
+        manifest = self._manifest(payload)
+        manifest["schema"] = 4
+        path = str(tmp_path / "schema4.ckpt")
+        write_checkpoint(path, manifest, payload)
+        with pytest.raises(CheckpointError, match="schema 4"):
+            load_checkpoint(path, force=True)
+
     def test_fingerprint_enforced_unless_forced(self):
         manifest = self._manifest(b"")
         with pytest.raises(CheckpointError, match="fingerprint"):
@@ -365,9 +376,8 @@ class TestResumableSweep:
 
 
 def _pending_tickers(system):
-    return [h for _, _, h in system.sim._queue
-            if isinstance(getattr(h, "fn", None), _PeriodicTick)
-            or isinstance(h, _PeriodicTick)]
+    return [fn for _, _, fn, _ in system.sim._queue
+            if isinstance(fn, _PeriodicTick)]
 
 
 class TestPeriodicRestore:

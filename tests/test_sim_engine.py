@@ -64,13 +64,6 @@ class TestSimulator:
         sim.run()
         assert times == [100, 250]
 
-    def test_cancel(self, sim):
-        fired = []
-        handle = sim.schedule(100, fired.append, "x")
-        handle.cancel()
-        sim.run()
-        assert fired == []
-
     def test_cannot_schedule_into_past(self, sim):
         sim.schedule(10, lambda: None)
         sim.run()
@@ -120,72 +113,14 @@ class TestSimulator:
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
-
-class TestCancellation:
-    def test_pending_excludes_cancelled(self, sim):
-        handles = [sim.schedule(10 * (i + 1), lambda: None) for i in range(5)]
+    def test_pending_counts_queued_events(self, sim):
+        for i in range(5):
+            sim.schedule(10 * (i + 1), lambda: None)
         assert sim.pending == 5
-        handles[0].cancel()
-        handles[3].cancel()
+        sim.run(max_events=2)
         assert sim.pending == 3
-        assert sim.events_cancelled == 2
-
-    def test_double_cancel_counts_once(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert sim.events_cancelled == 1
+        sim.run()
         assert sim.pending == 0
-
-    def test_cancel_after_fire_is_noop(self, sim):
-        handle = sim.schedule(10, lambda: None)
-        sim.run()
-        handle.cancel()
-        assert sim.events_cancelled == 0
-        assert sim.pending == 0
-
-    def test_compaction_drops_dead_entries(self, sim):
-        keep = []
-        handles = [sim.schedule(i + 1, keep.append, i) for i in range(200)]
-        for handle in handles[:150]:
-            handle.cancel()
-        # compaction fired once dead entries reached half the queue
-        # (at the 100th cancel), so the heap holds fewer than the 200
-        # scheduled entries, and never more than live + post-compact dead
-        assert len(sim._queue) == 100
-        assert sim.pending == 50
-        assert sim.events_cancelled == 150
-        sim.run()
-        assert keep == list(range(150, 200))  # order preserved exactly
-
-    def test_compaction_preserves_fifo_at_equal_times(self, sim):
-        fired = []
-        handles = [sim.schedule(100, fired.append, i) for i in range(100)]
-        for handle in handles[:80:2]:
-            handle.cancel()
-        for handle in handles[1:80:2]:
-            handle.cancel()
-        sim.run()
-        assert fired == list(range(80, 100))
-
-    def test_cancel_during_same_timestamp_drain(self, sim):
-        fired = []
-        victim = sim.schedule(60, fired.append, "victim")
-        sim.schedule(50, victim.cancel)
-        sim.schedule(60, fired.append, "survivor")
-        sim.run()
-        assert fired == ["survivor"]
-        assert sim.events_cancelled == 1
-
-    def test_cancel_same_timestamp_later_event(self, sim):
-        # a callback cancels a not-yet-fired event at its own timestamp:
-        # the drain loop must skip the dead entry
-        fired = []
-        sim.schedule(50, lambda: victim.cancel())
-        victim = sim.schedule(50, fired.append, "victim")
-        sim.schedule(50, fired.append, "survivor")
-        sim.run()
-        assert fired == ["survivor"]
 
 
 class TestRunBounds:
@@ -221,15 +156,6 @@ class TestRunBounds:
         sim.run(until_ps=35)
         assert fired == [0, 1, 2]
         assert sim.now == 35
-
-    def test_cancelled_events_do_not_count_toward_max(self, sim):
-        fired = []
-        handle = sim.schedule(10, fired.append, "dead")
-        sim.schedule(20, fired.append, "a")
-        sim.schedule(30, fired.append, "b")
-        handle.cancel()
-        sim.run(max_events=2)
-        assert fired == ["a", "b"]
 
     def test_same_timestamp_rescheduling_stays_fifo(self, sim):
         fired = []
