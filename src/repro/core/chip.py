@@ -27,6 +27,17 @@ from .rdram import MemoryController
 from .syscontrol import SystemControl
 
 
+#: packet types steered to the home engine, the remote engine and the
+#: system controller (Section 2.6.2); replies go to the waiting engine
+_HOME_TYPES = frozenset({
+    PacketType.READ, PacketType.READ_EXCLUSIVE, PacketType.EXCLUSIVE,
+    PacketType.EXCLUSIVE_NO_DATA, PacketType.WRITEBACK})
+_REMOTE_TYPES = frozenset({
+    PacketType.FWD_READ, PacketType.FWD_READ_EXCLUSIVE,
+    PacketType.INVALIDATE, PacketType.CMI_INVALIDATE})
+_SYSCONTROL_TYPES = frozenset({PacketType.INTERRUPT, PacketType.CONTROL})
+
+
 def _mirror_bucket(state):
     """A MESI state as the duplicate tags can know it: E and M are one
     bucket (silent E->M upgrades never cross the ICS)."""
@@ -46,6 +57,14 @@ class PiranhaChip(Component):
         #: sanitizer checker (shared with the system, fixed at build)
         checker = system.checker
         self.checker = checker
+        #: system geometry, bound once here (before the banks, which read
+        #: ``num_nodes``) rather than looked up through the system on
+        #: every message
+        self.num_nodes: int = system.num_nodes
+        self.topology = system.topology
+        self.dirstore = system.dirstores[node_id]
+        #: home node id for an address (8 KB-interleaved)
+        self.home_of: Callable[[int], int] = system.address_map.home_of
 
         # -- first-level caches + CPUs ------------------------------------
         self.l1i: List[L1Cache] = []
@@ -110,29 +129,9 @@ class PiranhaChip(Component):
         self._pending_acks: Dict[int, set] = {}
         self._fence_waiters: Dict[int, List[Callable[[], None]]] = {}
 
-    # -----------------------------------------------------------------------
-    # System-facing properties (delegated to the owning PiranhaSystem)
-    # -----------------------------------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self.system.num_nodes
-
-    @property
-    def topology(self):
-        return self.system.topology
-
-    @property
-    def dirstore(self):
-        return self.system.dirstores[self.node_id]
-
     def is_home(self, addr: int) -> bool:
         """True when this node is the home of *addr*."""
-        return self.system.address_map.home_of(addr) == self.node_id
-
-    def home_of(self, addr: int) -> int:
-        """Home node id for *addr* (8 KB-interleaved)."""
-        return self.system.address_map.home_of(addr)
+        return self.home_of(addr) == self.node_id
 
     def mem_version(self, line: int) -> int:
         """Committed memory version of *line* (authoritative image)."""
@@ -198,7 +197,7 @@ class PiranhaChip(Component):
 
     def note_acks_complete(self, addr: int) -> None:
         """All invalidation acks for one eager grant have arrived."""
-        self.c_acks_completed.inc()
+        self.c_acks_completed.value += 1
         for cpu_id, lines in list(self._pending_acks.items()):
             lines.discard(addr)
             if not lines:
@@ -229,14 +228,14 @@ class PiranhaChip(Component):
                 f"{self.name}: inter-node packet {pkt} in a single-node "
                 f"system (no network attached)"
             )
-        self.c_packets_sent.inc()
+        self.c_packets_sent.value += 1
         if self.trace is not None:
             self.trace.record("pkt_send", self.node_id, line_addr(pkt.addr),
                               f"{pkt.ptype.name} -> node{pkt.dst}")
         if not self._send_packet_fn(pkt):
             # OQ full: retry after a cycle (the paper's flow control).
             self.schedule(2000, self.send_packet, pkt)
-            self.c_packets_sent.inc(-1)
+            self.c_packets_sent.value -= 1
         elif pkt.probe is not None:
             # stamp only on the accepted offer so backpressure retries
             # don't inflate the hop count
@@ -249,33 +248,22 @@ class PiranhaChip(Component):
                               f"{pkt.ptype.name} <- node{pkt.src}")
         if pkt.probe is not None:
             pkt.probe.stamp("pkt_recv", self.sim.now)
-        if pkt.ptype in REPLY_TYPES:
-            return self._route_reply(pkt)
-        if pkt.ptype in (
-            PacketType.READ,
-            PacketType.READ_EXCLUSIVE,
-            PacketType.EXCLUSIVE,
-            PacketType.EXCLUSIVE_NO_DATA,
-            PacketType.WRITEBACK,
-        ):
-            return self.home_engine.deliver_external(pkt)
-        if pkt.ptype in (
-            PacketType.FWD_READ,
-            PacketType.FWD_READ_EXCLUSIVE,
-            PacketType.INVALIDATE,
-            PacketType.CMI_INVALIDATE,
-        ):
+        ptype = pkt.ptype
+        if ptype in REPLY_TYPES:
+            # replies match whichever engine has the waiting TSRF entry:
+            # scan the home engine once and hand it the entry it found
+            home = self.home_engine
+            entry = home.match_reply(line_addr(pkt.addr), int(ptype))
+            if entry is not None:
+                return home.deliver_external(pkt, entry)
             return self.remote_engine.deliver_external(pkt)
-        if pkt.ptype in (PacketType.INTERRUPT, PacketType.CONTROL):
+        if ptype in _HOME_TYPES:
+            return self.home_engine.deliver_external(pkt)
+        if ptype in _REMOTE_TYPES:
+            return self.remote_engine.deliver_external(pkt)
+        if ptype in _SYSCONTROL_TYPES:
             return self.syscontrol.deliver(pkt)
         raise RuntimeError(f"{self.name}: unroutable packet {pkt}")
-
-    def _route_reply(self, pkt: Packet) -> bool:
-        """Replies match whichever engine has the waiting TSRF entry."""
-        addr = line_addr(pkt.addr)
-        if self.home_engine.has_waiting_external(addr, int(pkt.ptype)):
-            return self.home_engine.deliver_external(pkt)
-        return self.remote_engine.deliver_external(pkt)
 
     # -----------------------------------------------------------------------
     # Workload control

@@ -20,8 +20,7 @@ accounting that justifies the "free" storage claim.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 #: Bits freed per 64-byte line by widening the ECC granularity.
 DIRECTORY_BITS = 44
@@ -45,9 +44,18 @@ class DirState(enum.IntEnum):
     EXCLUSIVE = 3        # one remote node holds the line dirty/exclusive
 
 
-@dataclass(frozen=True)
-class DirectoryEntry:
-    """Decoded directory contents for one line."""
+#: the states by their 2-bit code, and bound to module names (the
+#: codec and the protocol handlers compare them on every message)
+_STATES = tuple(DirState)
+DIR_UNCACHED = DirState.UNCACHED
+DIR_SHARED = DirState.SHARED
+DIR_SHARED_COARSE = DirState.SHARED_COARSE
+DIR_EXCLUSIVE = DirState.EXCLUSIVE
+
+
+class DirectoryEntry(NamedTuple):
+    """Decoded directory contents for one line (immutable; a named tuple
+    because the protocol engines build one per read and update)."""
 
     state: DirState
     sharers: FrozenSet[int]   # remote nodes (exact for pointers, superset
@@ -56,7 +64,11 @@ class DirectoryEntry:
 
     @staticmethod
     def uncached() -> "DirectoryEntry":
-        return DirectoryEntry(DirState.UNCACHED, frozenset(), None)
+        """The empty entry (one shared instance)."""
+        return _UNCACHED
+
+
+_UNCACHED = DirectoryEntry(DIR_UNCACHED, frozenset(), None)
 
 
 def coarse_group(node: int, num_nodes: int) -> int:
@@ -74,16 +86,17 @@ def coarse_members(bit: int, num_nodes: int) -> Tuple[int, ...]:
 
 def encode(entry: DirectoryEntry, num_nodes: int) -> int:
     """Encode a directory entry into its 44-bit in-ECC representation."""
-    if entry.state == DirState.UNCACHED:
-        return DirState.UNCACHED << _STATE_SHIFT
-    if entry.state == DirState.EXCLUSIVE:
+    state = entry.state
+    if state == DIR_UNCACHED:
+        return DIR_UNCACHED << _STATE_SHIFT
+    if state == DIR_EXCLUSIVE:
         if entry.owner is None:
             raise ValueError("EXCLUSIVE entry needs an owner")
         if not 0 <= entry.owner < num_nodes:
             raise ValueError(f"owner {entry.owner} out of range")
-        return (DirState.EXCLUSIVE << _STATE_SHIFT) | entry.owner
+        return (DIR_EXCLUSIVE << _STATE_SHIFT) | entry.owner
     sharers = sorted(entry.sharers)
-    if entry.state == DirState.SHARED:
+    if state == DIR_SHARED:
         if not sharers:
             raise ValueError("SHARED entry needs at least one sharer")
         if len(sharers) > MAX_POINTERS:
@@ -97,12 +110,12 @@ def encode(entry: DirectoryEntry, num_nodes: int) -> int:
             if not 0 <= node < num_nodes:
                 raise ValueError(f"sharer {node} out of range")
             field |= node << (i * POINTER_BITS)
-        return (DirState.SHARED << _STATE_SHIFT) | field
+        return (DIR_SHARED << _STATE_SHIFT) | field
     # Coarse vector
     field = 0
     for node in sharers:
         field |= 1 << coarse_group(node, num_nodes)
-    return (DirState.SHARED_COARSE << _STATE_SHIFT) | field
+    return (DIR_SHARED_COARSE << _STATE_SHIFT) | field
 
 
 def decode(bits: int, num_nodes: int) -> DirectoryEntry:
@@ -114,13 +127,13 @@ def decode(bits: int, num_nodes: int) -> DirectoryEntry:
     """
     if not 0 <= bits < (1 << DIRECTORY_BITS):
         raise ValueError(f"directory field must fit in {DIRECTORY_BITS} bits")
-    state = DirState(bits >> _STATE_SHIFT)
+    state = _STATES[bits >> _STATE_SHIFT]
     field = bits & _SHARER_MASK
-    if state == DirState.UNCACHED:
-        return DirectoryEntry.uncached()
-    if state == DirState.EXCLUSIVE:
+    if state == DIR_UNCACHED:
+        return _UNCACHED
+    if state == DIR_EXCLUSIVE:
         return DirectoryEntry(state, frozenset({field}), field)
-    if state == DirState.SHARED:
+    if state == DIR_SHARED:
         count = (field >> (MAX_POINTERS * POINTER_BITS)) + 1
         sharers = set()
         for i in range(count):
@@ -137,13 +150,13 @@ def add_sharer(entry: DirectoryEntry, node: int, num_nodes: int) -> DirectoryEnt
     """Add a remote sharer, switching representations when the limited
     pointers overflow (past 4 remote sharing nodes in a 1 K system)."""
     sharers = set(entry.sharers) | {node}
-    if entry.state == DirState.SHARED_COARSE or len(sharers) > MAX_POINTERS:
-        return DirectoryEntry(DirState.SHARED_COARSE, frozenset(sharers), None)
-    return DirectoryEntry(DirState.SHARED, frozenset(sharers), None)
+    if entry.state == DIR_SHARED_COARSE or len(sharers) > MAX_POINTERS:
+        return DirectoryEntry(DIR_SHARED_COARSE, frozenset(sharers), None)
+    return DirectoryEntry(DIR_SHARED, frozenset(sharers), None)
 
 
 def make_exclusive(node: int) -> DirectoryEntry:
-    return DirectoryEntry(DirState.EXCLUSIVE, frozenset({node}), node)
+    return DirectoryEntry(DIR_EXCLUSIVE, frozenset({node}), node)
 
 
 class DirectoryStore:
@@ -166,12 +179,12 @@ class DirectoryStore:
         self.reads += 1
         bits = self._bits.get(line)
         if bits is None:
-            return DirectoryEntry.uncached()
+            return _UNCACHED
         return decode(bits, self.num_nodes)
 
     def write(self, line: int, entry: DirectoryEntry) -> None:
         self.writes += 1
-        if entry.state == DirState.UNCACHED:
+        if entry.state == DIR_UNCACHED:
             self._bits.pop(line, None)
         else:
             self._bits[line] = encode(entry, self.num_nodes)
@@ -199,10 +212,6 @@ class DirectoryStore:
         auditing must not perturb the access statistics it audits."""
         for line, bits in self._bits.items():
             yield line, decode(bits, self.num_nodes)
-
-    def tracked_lines(self) -> int:
-        """Number of lines with a non-UNCACHED directory entry."""
-        return len(self._bits)
 
 
 def ecc_accounting(line_bytes: int = 64) -> Dict[str, int]:

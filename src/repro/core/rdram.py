@@ -22,7 +22,7 @@ from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig, LatencyParams, MemoryParams
 
 
-@dataclass
+@dataclass(slots=True)
 class MemAccessResult:
     """Timing outcome of one line access."""
 
@@ -50,6 +50,9 @@ class RdramChannel(Component):
         self.keep_open_ps = ns(mem.page_keep_open_ns)
         #: 64 bytes over 1.6 GB/s = 40 ns of channel occupancy per line.
         self.t_line_transfer = int(64 / (mem.channel_gb_s * 1e9) * 1e12)
+        self._page_bytes = mem.page_bytes
+        self._devices = mem.rdram_per_channel
+        self._device_banks = mem.banks_per_device
         #: open pages: (device, bank) -> (page address, close deadline)
         self._open_pages: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._channel_free = 0
@@ -59,59 +62,54 @@ class RdramChannel(Component):
         self.c_writes = self.stats.counter("writes")
         self.c_queued = self.stats.counter("queued_behind_channel")
 
-    # -- geometry ----------------------------------------------------------
-
-    def _device_of(self, addr: int) -> int:
-        """Interleave pages across the channel's RDRAM devices."""
-        return (addr // self.mem.page_bytes) % self.mem.rdram_per_channel
-
-    def _page_of(self, addr: int) -> int:
-        return addr // self.mem.page_bytes
-
     # -- access ------------------------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
                probe=None) -> MemAccessResult:
         """Perform one line read/write; returns its timing."""
-        now = self.now
-        self.c_accesses.inc()
-        (self.c_writes if is_write else self.c_reads).inc()
-
-        device = self._device_of(addr)
-        page = self._page_of(addr)
-        # a device's consecutive pages rotate across its internal banks,
+        now = self.sim.now
+        self.c_accesses.value += 1
+        if is_write:
+            self.c_writes.value += 1
+        else:
+            self.c_reads.value += 1
+        # pages interleave across the channel's RDRAM devices, and a
+        # device's consecutive pages rotate across its internal banks,
         # each of which keeps its own page open
-        bank = (page // self.mem.rdram_per_channel) % self.mem.banks_per_device
-        open_info = self._open_pages.get((device, bank))
+        page = addr // self._page_bytes
+        devices = self._devices
+        key = (page % devices, (page // devices) % self._device_banks)
+        open_info = self._open_pages.get(key)
         page_hit = (
             open_info is not None
             and open_info[0] == page
             and now <= open_info[1]
         )
         if page_hit:
-            self.c_page_hits.inc()
+            self.c_page_hits.value += 1
         access_ps = self.t_page_hit if page_hit else self.t_random
 
         # Channel occupancy: each line holds the 1.6 GB/s channel for its
         # 40 ns data transfer; device access (row activation) pipelines
         # with the previous line's transfer, so sustained throughput is
         # bandwidth-limited while an unloaded access sees full latency.
-        start = max(now, self._channel_free)
+        start = self._channel_free
         if start > now:
-            self.c_queued.inc()
+            self.c_queued.value += 1
+        else:
+            start = now
         critical = (start - now) + access_ps
         done = critical + self.t_rest
         self._channel_free = start + self.t_line_transfer
 
         # Keep the page open for ~1 us from this access.
-        self._open_pages[(device, bank)] = (page, now + self.keep_open_ps)
+        self._open_pages[key] = (page, now + self.keep_open_ps)
         if probe is not None:
             # whole access charged in one event: stamp the critical word
             # at its computed future time (channel queueing included)
             probe.stamp("mem_data", now + critical)
             probe.note("dram_page_hit", page_hit)
-        return MemAccessResult(critical_word_ps=critical, line_done_ps=done,
-                               page_hit=page_hit)
+        return MemAccessResult(critical, done, page_hit)
 
     def warm_access(self, addr: int, is_write: bool = False) -> bool:
         """Page-state-only access for functional warming.
@@ -123,21 +121,24 @@ class RdramChannel(Component):
         detailed window with a phantom queue.  Returns the page-hit
         outcome.
         """
-        now = self.now
-        self.c_accesses.inc()
-        (self.c_writes if is_write else self.c_reads).inc()
-        device = self._device_of(addr)
-        page = self._page_of(addr)
-        bank = (page // self.mem.rdram_per_channel) % self.mem.banks_per_device
-        open_info = self._open_pages.get((device, bank))
+        now = self.sim.now
+        self.c_accesses.value += 1
+        if is_write:
+            self.c_writes.value += 1
+        else:
+            self.c_reads.value += 1
+        page = addr // self._page_bytes
+        devices = self._devices
+        key = (page % devices, (page // devices) % self._device_banks)
+        open_info = self._open_pages.get(key)
         page_hit = (
             open_info is not None
             and open_info[0] == page
             and now <= open_info[1]
         )
         if page_hit:
-            self.c_page_hits.inc()
-        self._open_pages[(device, bank)] = (page, now + self.keep_open_ps)
+            self.c_page_hits.value += 1
+        self._open_pages[key] = (page, now + self.keep_open_ps)
         return page_hit
 
     def forgive_backlog(self) -> None:
@@ -190,29 +191,25 @@ class MemoryController(Component):
         return ((line >> self._bank_bits) << 6) | (addr & 63)
 
     def read_line(self, addr: int, probe=None) -> MemAccessResult:
-        """Read a line (data + in-ECC directory bits arrive together)."""
-        res = self.channel.access(self._channel_addr(addr), is_write=False,
-                                  probe=probe)
+        """Read a line (data + in-ECC directory bits arrive together);
+        the channel's result, shifted by the controller overhead."""
+        res = self.channel.access(self._channel_addr(addr), False, probe)
         if probe is not None:
             # shift the channel's critical-word stamp by the MC overhead
             # so the mem_data hop covers engine + RAC + DRAM end-to-end
             label, t = probe.stamps[-1]
             if label == "mem_data":
                 probe.stamps[-1] = (label, t + self.t_overhead)
-        return MemAccessResult(
-            critical_word_ps=res.critical_word_ps + self.t_overhead,
-            line_done_ps=res.line_done_ps + self.t_overhead,
-            page_hit=res.page_hit,
-        )
+        res.critical_word_ps += self.t_overhead
+        res.line_done_ps += self.t_overhead
+        return res
 
     def write_line(self, addr: int) -> MemAccessResult:
         """Write a line (data and/or updated directory bits)."""
-        res = self.channel.access(self._channel_addr(addr), is_write=True)
-        return MemAccessResult(
-            critical_word_ps=res.critical_word_ps + self.t_overhead,
-            line_done_ps=res.line_done_ps + self.t_overhead,
-            page_hit=res.page_hit,
-        )
+        res = self.channel.access(self._channel_addr(addr), True)
+        res.critical_word_ps += self.t_overhead
+        res.line_done_ps += self.t_overhead
+        return res
 
     def warm_read_line(self, addr: int) -> bool:
         """Timing-free line read for functional warming: advances the

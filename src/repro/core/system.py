@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..interconnect.packets import Packet
 from ..interconnect.router import Router, RouterParams, build_routers
 from ..interconnect.topology import Topology, fully_connected, line, ring
 from ..mem.addr import AddressMap
@@ -97,7 +96,7 @@ class PiranhaSystem:
             self.routers = build_routers(self.sim, self.topology, router_params)
             for node in self.nodes:
                 router = self.routers[node.node_id]
-                router.iq.set_default_disposition(_Disposition(node))
+                router.iq.set_default_disposition(node.deliver_packet)
                 node.attach_network(router.oq.offer)
         self._running_cpus = 0
         self._warmed_cpus = 0
@@ -478,15 +477,3 @@ class PiranhaSystem:
                 total[key] += value
         return total
 
-
-class _Disposition:
-    """Callable IQ handler with a can_accept probe (see queues.InputQueue)."""
-
-    def __init__(self, node: PiranhaChip) -> None:
-        self.node = node
-
-    def __call__(self, pkt: Packet) -> bool:
-        return self.node.deliver_packet(pkt)
-
-    def can_accept(self, pkt: Packet) -> bool:
-        return True

@@ -12,28 +12,27 @@ detailed measurement window opened right after a fast-forward phase sees
 the L1s, L2, duplicate tags, directory and DRAM row buffers in the state
 a monolithic run would have left them.
 
-Batches are pulled as flat per-CPU reference-stream chunks so the
-instruction accounting vectorises (numpy when available, plain Python
-otherwise); the cache mutations themselves are inherently sequential.
+Items are pulled as flat per-CPU reference-stream chunks, one
+:meth:`~repro.workloads.base.WorkloadThread.take` call each, so the
+per-item cost is the generator's own; the cache mutations themselves are
+inherently sequential.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
+from operator import itemgetter
 from typing import Dict, Optional
 
 from ..core.cpu import WARMUP_DONE
 from ..core.messages import IFETCH, MEMBAR, WH64, CacheId, request_for
 from ..mem.addr import LINE_SHIFT
 
-try:  # numpy is optional: aggregation falls back to pure Python
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: work items pulled from a thread per batch during fast-forward periods
 CHUNK_ITEMS = 2048
+
+_INSTRUCTIONS = itemgetter(0)
 
 
 class FunctionalWarmer:
@@ -92,37 +91,23 @@ class FunctionalWarmer:
         hit_boundary = False
         exhausted = False
         buf = deque(maxlen=tail)
-        if stop_at_boundary:
-            instructions = 0
-            for item in thread:
-                consumed += 1
-                if item[1] is None and item[2] == WARMUP_DONE:
-                    hit_boundary = True
-                    break
-                instructions += item[0]
-                buf.append(item)
-            else:
+        until = WARMUP_DONE if stop_at_boundary else None
+        remaining = (int(max_items) if max_items is not None
+                     and not stop_at_boundary else -1)
+        while remaining:
+            want = CHUNK_ITEMS if remaining < 0 else min(CHUNK_ITEMS,
+                                                         remaining)
+            batch, hit_boundary = thread.take(want, until)
+            consumed += len(batch) + hit_boundary
+            self.instructions += sum(map(_INSTRUCTIONS, batch))
+            buf.extend(batch)
+            if hit_boundary:
+                break
+            if len(batch) < want:
                 exhausted = True
-            self.instructions += instructions
-        else:
-            remaining = int(max_items) if max_items is not None else -1
-            while remaining:
-                want = CHUNK_ITEMS if remaining < 0 else min(CHUNK_ITEMS,
-                                                             remaining)
-                batch = list(islice(thread, want))
-                if not batch:
-                    exhausted = True
-                    break
-                consumed += len(batch)
-                if remaining > 0:
-                    remaining -= len(batch)
-                if _np is not None:
-                    self.instructions += int(_np.fromiter(
-                        (it[0] for it in batch), dtype=_np.int64,
-                        count=len(batch)).sum())
-                else:
-                    self.instructions += sum(it[0] for it in batch)
-                buf.extend(batch)
+                break
+            if remaining > 0:
+                remaining -= len(batch)
         self.items += consumed
         self.skimmed += consumed - len(buf)
         return buf, consumed, hit_boundary, exhausted

@@ -87,26 +87,24 @@ class OutputQueue(Component):
     def __init__(self, sim: Simulator, name: str, capacity: int = 16) -> None:
         super().__init__(sim, name)
         self.queue = PriorityFifos(capacity)
-        self._router_pull: Optional[Callable[[], None]] = None
+        self._router_drain: Optional[Callable[[], None]] = None
         self.c_accepted = self.stats.counter("packets_accepted")
         self.c_rejected = self.stats.counter("packets_rejected")
 
-    def attach_router(self, pull: Callable[[], None]) -> None:
-        """Register the router's kick callback, invoked when work arrives."""
-        self._router_pull = pull
+    def attach_router(self, drain: Callable[[], None]) -> None:
+        """Register the router's drain callback, scheduled (0 delay) each
+        time work arrives."""
+        self._router_drain = drain
 
     def offer(self, pkt: Packet) -> bool:
         """Packet switch pushes a packet into the OQ; False when full."""
         if not self.queue.push(pkt):
             self.c_rejected.inc()
             return False
-        self.c_accepted.inc()
-        if self._router_pull is not None:
-            self._router_pull()
+        self.c_accepted.value += 1
+        if self._router_drain is not None:
+            self.schedule(0, self._router_drain)
         return True
-
-    def peek(self) -> Optional[Packet]:
-        return self.queue.peek_highest()
 
     def pop(self) -> Optional[Packet]:
         return self.queue.pop_highest()
@@ -117,13 +115,21 @@ class OutputQueue(Component):
 
 class InputQueue(Component):
     """IQ: receives terminal packets from the router and delivers them to
-    target modules through the disposition vector."""
+    target modules through the disposition vector.
+
+    A handler may carry a ``can_accept(pkt)`` probe; the bypass rule
+    consults it.  Probes are looked up once, when an entry is programmed:
+    with none programmed every packet is deliverable, so the drain simply
+    pops the highest-priority head.
+    """
 
     def __init__(self, sim: Simulator, name: str, capacity: int = 64) -> None:
         super().__init__(sim, name)
         self.queue = PriorityFifos(capacity)
         #: disposition vector: PacketType -> delivery callback
         self.disposition: Dict[PacketType, Callable[[Packet], bool]] = {}
+        #: the programmed entries' ``can_accept`` probes, where they have one
+        self._probes: Dict[PacketType, Callable[[Packet], bool]] = {}
         self.c_received = self.stats.counter("packets_received")
         self.c_delivered = self.stats.counter("packets_delivered")
         self.c_bypassed = self.stats.counter("low_priority_bypasses")
@@ -133,12 +139,18 @@ class InputQueue(Component):
         """Program one entry of the disposition vector.  The handler returns
         True when the module accepted the packet."""
         self.disposition[ptype] = handler
+        probe = getattr(handler, "can_accept", None)
+        if probe is not None:
+            self._probes[ptype] = probe
+        else:
+            self._probes.pop(ptype, None)
 
     def set_default_disposition(self, handler: Callable[[Packet], bool]) -> None:
         """Program every not-yet-set entry to *handler* (the system
         controller receives everything by default after reset)."""
         for ptype in PacketType:
-            self.disposition.setdefault(ptype, handler)
+            if ptype not in self.disposition:
+                self.set_disposition(ptype, handler)
 
     @property
     def full(self) -> bool:
@@ -148,7 +160,7 @@ class InputQueue(Component):
         """Router hands over a terminal packet; False when the IQ is full."""
         if not self.queue.push(pkt):
             return False
-        self.c_received.inc()
+        self.c_received.value += 1
         self._schedule_drain()
         return True
 
@@ -160,39 +172,37 @@ class InputQueue(Component):
     def _drain(self) -> None:
         self._drain_scheduled = False
         queue = self.queue
+        disposition = self.disposition
         while queue.size:
-            # Highest-priority head first; if its destination is blocked the
-            # bypass rule lets a lower-priority head proceed instead.
-            pkt = queue.pop_first(self._deliverable)
-            if pkt is None:
-                # Something is still blocked; retry after a cycle.
-                self.schedule(2000, self._poll_blocked)
-                return
-            head = queue.peek_highest()
-            if head is not None and head.priority > pkt.priority:
-                self.c_bypassed.inc()
-            # _deliverable resolved the handler, so the lookup cannot miss
-            if not self.disposition[pkt.ptype](pkt):  # pragma: no cover
+            if self._probes:
+                # Highest-priority head first; if its destination is
+                # blocked the bypass rule lets a lower-priority head
+                # proceed instead.
+                pkt = queue.pop_first(self._deliverable)
+                if pkt is None:
+                    # Something is still blocked; retry after a cycle.
+                    self.schedule(2000, self._poll_blocked)
+                    return
+                head = queue.peek_highest()
+                if head is not None and head.priority > pkt.priority:
+                    self.c_bypassed.inc()
+            else:
+                pkt = queue.pop_highest()
+            handler = disposition.get(pkt.ptype)
+            if handler is None:
+                raise KeyError(
+                    f"{self.name}: no disposition entry for {pkt.ptype.name}")
+            if not handler(pkt):  # pragma: no cover
                 raise RuntimeError(  # the handler lied in its probe
                     f"{self.name}: handler refused probed packet {pkt}")
-            self.c_delivered.inc()
+            self.c_delivered.value += 1
 
     def _poll_blocked(self) -> None:
         self._schedule_drain()
 
-    def _handler_for(self, pkt: Packet) -> Callable[[Packet], bool]:
-        handler = self.disposition.get(pkt.ptype)
-        if handler is None:
-            raise KeyError(
-                f"{self.name}: no disposition entry for {pkt.ptype.name}"
-            )
-        return handler
-
     def _deliverable(self, pkt: Packet) -> bool:
-        probe = getattr(self._handler_for(pkt), "can_accept", None)
-        if probe is not None:
-            return bool(probe(pkt))
-        return True
+        probe = self._probes.get(pkt.ptype)
+        return probe is None or bool(probe(pkt))
 
     def __len__(self) -> int:
         return len(self.queue)

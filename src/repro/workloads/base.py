@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from ..core.messages import IFETCH, AccessKind
@@ -83,6 +84,36 @@ class WorkloadThread:
             raise
         self.emitted += 1
         return item
+
+    def take(self, limit: int, until: Optional[int] = None
+             ) -> Tuple[List[WorkItem], bool]:
+        """Pull up to *limit* items in one call rather than one
+        ``__next__`` each.  With *until*, stop after the first access-free
+        item at address *until* (a sentinel: consumed, not returned).
+
+        Returns ``(items, hit_sentinel)``; ``emitted``, exhaustion and the
+        lazy rebuild after a restore advance exactly as the same run of
+        ``__next__`` calls would advance them.
+        """
+        gen = self._gen
+        if gen is None:
+            if self._exhausted:
+                return [], False
+            gen = self._rebuild()
+        if until is None:
+            items = list(islice(gen, limit))
+        else:
+            items = []
+            append = items.append
+            for item in islice(gen, limit):
+                if item[1] is None and item[2] == until:
+                    self.emitted += len(items) + 1
+                    return items, True
+                append(item)
+        self.emitted += len(items)
+        if len(items) < limit:
+            self._exhausted = True
+        return items, False
 
     def _rebuild(self) -> Iterator[WorkItem]:
         """Regenerate and fast-forward the stream after a restore."""

@@ -1,5 +1,7 @@
 """Unit tests for the in-ECC directory (§2.5.2)."""
 
+import pickle
+
 import pytest
 
 from repro.core.directory import (
@@ -138,3 +140,33 @@ class TestDirectoryStore:
         with pytest.raises(ValueError):
             store.write(0x0, DirectoryEntry(DirState.SHARED,
                                             frozenset(range(6)), None))
+
+
+class TestEntryValue:
+    """``DirectoryEntry`` is an immutable value: the uncached entry is one
+    shared constant, and entries survive a pickle round trip."""
+
+    def test_uncached_is_one_shared_constant(self):
+        store = DirectoryStore(0, N)
+        assert DirectoryEntry.uncached() is DirectoryEntry.uncached()
+        assert store.read(0x40) is DirectoryEntry.uncached()
+        assert decode(encode(DirectoryEntry.uncached(), N), N) \
+            is DirectoryEntry.uncached()
+
+    def test_immutable(self):
+        entry = DirectoryEntry.uncached()
+        with pytest.raises(AttributeError):
+            entry.owner = 3
+        assert entry.owner is None
+
+    @pytest.mark.parametrize("entry", [
+        DirectoryEntry.uncached(),
+        DirectoryEntry(DirState.SHARED, frozenset({1, 9}), None),
+        DirectoryEntry(DirState.SHARED_COARSE, frozenset(range(6)), None),
+        make_exclusive(5),
+    ])
+    def test_pickle_round_trip(self, entry):
+        out = pickle.loads(pickle.dumps(entry))
+        assert out == entry and type(out) is DirectoryEntry
+        assert (out.state, out.sharers, out.owner) == (
+            entry.state, entry.sharers, entry.owner)

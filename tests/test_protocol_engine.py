@@ -236,3 +236,54 @@ class TestRetriedBankResponses:
         assert entry.vars["version"] == 5
         assert entry.vars["owner"] == 1
         assert entry.waiting is None
+
+
+def receive_accepting(engine):
+    """``(pc, reply type)`` of an external RECEIVE in *engine*'s program
+    and a reply packet type it has a branch-table slot for."""
+    from repro.core.microcode import Op
+    from repro.interconnect.packets import PacketType
+
+    store = engine.program.store
+    for pc, word in enumerate(store):
+        if word is None or word.op != Op.RECEIVE:
+            continue
+        for ptype in (PacketType.DATA_REPLY, PacketType.DATA_EXCLUSIVE_REPLY,
+                      PacketType.ACK_REPLY, PacketType.INVAL_ACK,
+                      PacketType.WRITEBACK_ACK):
+            if store[word.next_addr | int(ptype)] is not None:
+                return pc, ptype
+    raise AssertionError("no RECEIVE accepts a reply")
+
+
+class TestReplyRouting:
+    """The chip hands a reply to the engine whose TSRF entry waits for
+    it, scanning the home engine once; an unmatched reply is re-posted
+    through the chip one engine cycle later."""
+
+    @pytest.fixture
+    def p8x2(self):
+        return PiranhaSystem(preset("P8"), num_nodes=2)
+
+    def test_unmatched_reply_reposted_and_counted_once(self, p8x2):
+        from repro.interconnect.packets import Packet
+
+        chip = p8x2.nodes[0]
+        home, remote = chip.home_engine, chip.remote_engine
+        started = TestRetriedBankResponses.record_starts(home)
+        pc, ptype = receive_accepting(home)
+        pkt = Packet(ptype, 1, 0, addr=0x1000)
+        assert chip.deliver_packet(pkt)
+        # no engine waits: the remote engine counts it once and re-posts
+        assert (home.c_ext_msgs.value, remote.c_ext_msgs.value) == (0, 1)
+        ((time_ps, _seq, fn, args),) = p8x2.sim._queue
+        assert (time_ps, fn, args) == (home.INSTR_PS, chip.deliver_packet,
+                                       (pkt,))
+        # the home engine's thread parks before the retry lands
+        entry = home.tsrf.allocate(0x1000, pc, p8x2.sim.now)
+        entry.waiting = "external"
+        p8x2.sim.run()
+        assert started == [(entry, int(ptype), home.INSTR_PS)]
+        assert (home.c_ext_msgs.value, remote.c_ext_msgs.value) == (1, 1)
+        assert entry.vars["_msg"] is pkt
+        assert entry.waiting is None

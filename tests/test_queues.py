@@ -93,12 +93,15 @@ class TestOutputQueue:
         assert oq.c_rejected.value == 1
 
     def test_router_kick(self):
+        """An accepted offer schedules the router's drain, zero delay."""
         sim = Simulator()
         oq = OutputQueue(sim, "oq")
         kicks = []
-        oq.attach_router(lambda: kicks.append(1))
+        oq.attach_router(lambda: kicks.append(sim.now))
         oq.offer(pkt())
-        assert kicks == [1]
+        assert kicks == []
+        sim.run()
+        assert kicks == [0]
 
 
 class TestInputQueue:
@@ -149,6 +152,39 @@ class TestInputQueue:
         assert "low" in kinds          # the bypass happened
         assert "high" not in kinds     # still blocked
         assert iq.c_bypassed.value >= 1
+
+    def test_handler_without_probe_always_deliverable(self):
+        """A handler with no ``can_accept`` probe takes every packet, in
+        priority order, with no bypass and no blocked retry."""
+        sim = Simulator()
+        iq = InputQueue(sim, "iq")
+        got = []
+        iq.set_default_disposition(lambda p: got.append(p.priority) or True)
+        for prio in (0, 3, 1, 2):
+            iq.receive(pkt(prio=prio))
+        sim.run()
+        assert got == [3, 2, 1, 0]
+        assert iq.c_delivered.value == 4 and iq.c_bypassed.value == 0
+        assert iq._deliverable(pkt())
+
+    def test_reprogrammed_entry_drops_its_probe(self):
+        sim = Simulator()
+        iq = InputQueue(sim, "iq")
+
+        class Blocked:
+            def __call__(self, p):
+                return True
+
+            def can_accept(self, p):
+                return False
+
+        iq.set_disposition(PacketType.READ, Blocked())
+        assert not iq._deliverable(pkt(ptype=PacketType.READ))
+        got = []
+        iq.set_disposition(PacketType.READ, lambda p: got.append(p) or True)
+        iq.receive(pkt(ptype=PacketType.READ))
+        sim.run()
+        assert len(got) == 1
 
     def test_full_iq_refuses(self):
         sim = Simulator()

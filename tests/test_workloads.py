@@ -215,3 +215,56 @@ class TestMicrobenchmarks:
         wl = MigratoryWrites(cpus_per_node=1)
         kinds = {k for _, k, _, _ in wl.thread_for(0, 0) if k}
         assert AccessKind.LOAD in kinds and AccessKind.STORE in kinds
+
+
+class TestBulkPull:
+    """``WorkloadThread.take`` pulls many items in one call and keeps the
+    thread's ``emitted`` count, exhaustion and restore behaviour exactly
+    as the same ``__next__`` calls would."""
+
+    PARAMS = OltpParams(transactions=2, warmup_transactions=1)
+
+    def thread(self):
+        wl = OltpWorkload(self.PARAMS, cpus_per_node=1)
+        thread = wl.thread_for(0, 0)
+        thread.bind_source(wl, 0, 0)
+        return thread
+
+    def test_take_matches_next(self):
+        reference = list(self.thread())
+        thread = self.thread()
+        first, hit = thread.take(100)
+        assert not hit and first == reference[:100]
+        assert thread.emitted == 100
+        rest, hit = thread.take(len(reference))
+        assert first + rest == reference
+        assert thread.emitted == len(reference) and thread._exhausted
+        assert thread.take(10) == ([], False)
+        with pytest.raises(StopIteration):
+            next(thread)
+
+    def test_take_until_consumes_the_sentinel(self):
+        reference = list(self.thread())
+        mark = next(i for i, item in enumerate(reference)
+                    if item[1] is None and item[2] == WARMUP_DONE)
+        thread = self.thread()
+        items, hit = [], False
+        while not hit:
+            batch, hit = thread.take(7, until=WARMUP_DONE)
+            items += batch
+        assert items == reference[:mark]
+        assert thread.emitted == mark + 1
+        assert next(thread) == reference[mark + 1]
+
+    def test_checkpoint_after_bulk_pull_resumes_at_same_item(self):
+        import pickle
+
+        reference = list(self.thread())
+        thread = self.thread()
+        thread.take(123)
+        restored = pickle.loads(pickle.dumps(thread))
+        assert restored.emitted == 123
+        batch, _hit = restored.take(50)     # rebuilds lazily, then resumes
+        assert batch == reference[123:173]
+        assert next(restored) == reference[173]
+        assert restored.emitted == 174
