@@ -65,7 +65,9 @@ MAGIC = b"RPCKPT01"
 #: Schema 5: event-queue entries are ``(time, seq, fn, args)`` tuples and
 #: the simulator keeps no cancellation counters, so a schema-4 queue of
 #: ``EventHandle`` objects no longer restores.
-SCHEMA = 5
+#: Schema 6: packets are slotted, directory entries are named tuples, and
+#: the IQ's disposition wrapper class is gone.
+SCHEMA = 6
 
 _LEN = struct.Struct(">I")
 

@@ -270,6 +270,18 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="schema 4"):
             load_checkpoint(path, force=True)
 
+    def test_schema_5_refused(self, tmp_path):
+        """Schema-5 snapshots pickle packets and directory entries as
+        dataclasses and hold IQ disposition wrappers that no longer
+        exist: refused even with ``force``."""
+        payload = b"N."
+        manifest = self._manifest(payload)
+        manifest["schema"] = 5
+        path = str(tmp_path / "schema5.ckpt")
+        write_checkpoint(path, manifest, payload)
+        with pytest.raises(CheckpointError, match="schema 5"):
+            load_checkpoint(path, force=True)
+
     def test_fingerprint_enforced_unless_forced(self):
         manifest = self._manifest(b"")
         with pytest.raises(CheckpointError, match="fingerprint"):
