@@ -49,9 +49,6 @@ from .harness import (
     figure6b,
     figure7,
     figure8,
-    run_dss,
-    run_oltp,
-    run_tpcc,
 )
 from .sim import Clock, Simulator
 from .workloads import (
@@ -90,9 +87,6 @@ __all__ = [
     "figure6b",
     "figure7",
     "figure8",
-    "run_dss",
-    "run_oltp",
-    "run_tpcc",
     "Clock",
     "Simulator",
     "DssParams",

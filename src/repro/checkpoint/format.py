@@ -67,7 +67,9 @@ MAGIC = b"RPCKPT01"
 #: ``EventHandle`` objects no longer restores.
 #: Schema 6: packets are slotted, directory entries are named tuples, and
 #: the IQ's disposition wrapper class is gone.
-SCHEMA = 6
+#: Schema 7: the system controller keeps no error log, so a schema-6
+#: controller's layout no longer restores.
+SCHEMA = 7
 
 _LEN = struct.Struct(">I")
 

@@ -52,9 +52,8 @@ from .messages import (
     ReplySource,
     RequestType,
 )
-from .microcode import Assembler, Instr, Op, Program, Sequencer, disassemble
+from .microcode import Assembler, Instr, Op, Program, Sequencer
 from .protocol_engine import ProtocolEngine
-from .ras import MemoryMirror, PersistentMemory, ProtocolWatchdog
 from .rdram import MemoryController, RdramChannel
 from .syscontrol import SystemControl
 from .tlb import Tlb
@@ -126,11 +125,7 @@ __all__ = [
     "Op",
     "Program",
     "Sequencer",
-    "disassemble",
     "ProtocolEngine",
-    "MemoryMirror",
-    "PersistentMemory",
-    "ProtocolWatchdog",
     "Tlb",
     "MemoryController",
     "RdramChannel",

@@ -293,8 +293,8 @@ def audit_tsrf(system, quiesced: bool = True,
     At quiesce every entry must have been freed (allocations == frees,
     occupancy 0) and no message may still be parked waiting for an entry.
     Mid-run (``quiesced=False``) an entry older than *timeout_ps* is
-    reported as leaked — the software equivalent of the RAS watchdog's
-    timed-out-transaction scan.  At any time, the TSRF's O(1) live count
+    reported as leaked — the timed-out-transaction scan of §2.7's
+    TSRF timers.  At any time, the TSRF's O(1) live count
     must equal a scan of its entries (and allocations minus frees), with
     the high-water mark between it and the file size.  Returns total TSRF
     entries inspected.

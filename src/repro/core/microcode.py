@@ -139,45 +139,6 @@ class Program:
         return word
 
 
-def disassemble(program: "Program") -> str:
-    """Human-readable microstore listing (debug/bring-up tooling, the
-    moral equivalent of the paper's 'sophisticated microcode assembler'
-    round trip).
-
-    Symbolic names are recovered from the program's symbol tables; branch
-    trampolines are annotated with their targets.
-    """
-    by_addr = {addr: label for label, addr in program.entry_points.items()}
-    rev = {
-        Op.SEND: {v: k for k, v in program.messages.items()},
-        Op.LSEND: {v: k for k, v in program.messages.items()},
-        Op.TEST: {v: k for k, v in program.conditions.items()},
-        Op.SET: {v: k for k, v in program.actions.items()},
-        Op.MOVE: {v: k for k, v in program.actions.items()},
-    }
-    lines = []
-    for addr, word in enumerate(program.store):
-        if word is None:
-            continue
-        label = by_addr.get(addr, "")
-        sym = rev.get(word.op, {}).get(word.arg1, f"#{word.arg1}")
-        if word.op == Op.MOVE and word.arg1 == 0 and word.arg2 == 0:
-            body = f"JUMP    -> {word.next_addr}"
-            target = by_addr.get(word.next_addr)
-            if target:
-                body += f" ({target})"
-        elif word.op in (Op.RECEIVE, Op.LRECEIVE):
-            body = f"{word.op.name:<7} table@{word.next_addr}"
-        elif word.op == Op.TEST:
-            body = f"{word.op.name:<7} {sym} table@{word.next_addr}"
-        else:
-            body = f"{word.op.name:<7} {sym} -> {word.next_addr}"
-            if word.next_addr == END:
-                body = f"{word.op.name:<7} {sym} -> END"
-        lines.append(f"{addr:4d}  {label:<22s} {body}")
-    return "\n".join(lines)
-
-
 class Assembler:
     """Translate a symbolic protocol program into the 1024-word store.
 

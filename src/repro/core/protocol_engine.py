@@ -181,18 +181,18 @@ class ProtocolEngine(Component):
             self.stalled.append(("ext", pkt))
             return True
         try:
-            entry = self.tsrf.allocate(
-                addr, pc, self.sim.now,
-                _msg=pkt,
-                req_node=pkt.info.get("req_node", pkt.src),
-                req_cpu=pkt.info.get("req_cpu", 0),
-                req_ptype=ptype,
-                version=pkt.info.get("version", 0),
-                sharing=pkt.info.get("sharing", False),
-                chain=tuple(pkt.info.get("chain", ())),
-                is_local=False,
-                probe=pkt.probe,
-            )
+            info = pkt.info
+            entry = self.tsrf.allocate(addr, pc, self.sim.now, {
+                "_msg": pkt,
+                "req_node": info.get("req_node", pkt.src),
+                "req_cpu": info.get("req_cpu", 0),
+                "req_ptype": ptype,
+                "version": info.get("version", 0),
+                "sharing": info.get("sharing", False),
+                "chain": tuple(info.get("chain", ())),
+                "is_local": False,
+                "probe": pkt.probe,
+            })
         except TsrfFullError:
             self.c_tsrf_stalls.inc()
             self.stalled.append(("ext", pkt))
@@ -215,11 +215,9 @@ class ProtocolEngine(Component):
             self.c_tsrf_stalls.inc()
             self.stalled.append(("local", (kind, addr, vars)))
             return
+        vars.setdefault("is_local", True)
         try:
-            entry = self.tsrf.allocate(
-                line_addr(addr), pc, self.sim.now,
-                is_local=vars.pop("is_local", True), **vars,
-            )
+            entry = self.tsrf.allocate(line_addr(addr), pc, self.sim.now, vars)
         except TsrfFullError:
             self.c_tsrf_stalls.inc()
             self.stalled.append(("local", (kind, addr, vars)))

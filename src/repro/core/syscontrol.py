@@ -10,7 +10,7 @@ also boot the traditional Alpha way from a serial EPROM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..interconnect.packets import Packet, PacketType
 from ..sim.engine import Component, Simulator
@@ -21,7 +21,6 @@ REG_NUM_NODES = 0x01
 REG_ROUTING_BASE = 0x10     # routing-table entries live above this
 REG_CPU_ENABLE = 0x02       # bitmask of running CPUs
 REG_INTERRUPT_PENDING = 0x03
-REG_ERROR_LOG = 0x04
 
 
 class SystemControl(Component):
@@ -34,9 +33,7 @@ class SystemControl(Component):
             REG_NODE_ID: chip.node_id,
             REG_CPU_ENABLE: (1 << chip.config.cpus) - 1,
             REG_INTERRUPT_PENDING: 0,
-            REG_ERROR_LOG: 0,
         }
-        self.error_log: List[dict] = []
         self.interrupts: List[Packet] = []
         self.initialized = False
         self.c_control = self.stats.counter("control_packets")
@@ -100,8 +97,3 @@ class SystemControl(Component):
             self.deliver(pkt)
         else:
             self.chip.send_packet(pkt)
-
-    def log_error(self, record: dict) -> None:
-        """RAS hook: capture a protocol/time-out error for diagnostics."""
-        self.error_log.append(dict(record, time_ps=self.now))
-        self.registers[REG_ERROR_LOG] = len(self.error_log)

@@ -10,9 +10,9 @@ The 16-entry bound is architectural: it is what makes Piranha's network
 buffering requirement independent of system size (Section 2.5.3, with
 cruise-missile invalidates bounding messages per entry at four).
 
-The TSRF also anchors the RAS hooks of Section 2.7: every entry carries a
-timer, and the engine can encapsulate a timed-out entry's state in a
-control message directed at recovery software.
+Every entry carries a timer (Section 2.7); the sanitizer's mid-run
+:func:`~repro.core.checker.audit_tsrf` reports an entry older than its
+time-out as a hung protocol thread.
 """
 
 from __future__ import annotations
@@ -75,8 +75,10 @@ class Tsrf:
         self.frees = 0
         self.alloc_failures = 0
 
-    def allocate(self, addr: int, pc: int, now_ps: int, **vars: Any) -> TsrfEntry:
-        """Claim a free entry for a new protocol thread."""
+    def allocate(self, addr: int, pc: int, now_ps: int,
+                 vars: Dict[str, Any]) -> TsrfEntry:
+        """Claim a free entry for a new protocol thread; the entry takes
+        *vars* itself, so the caller hands over a dict it no longer uses."""
         for entry in self.entries:
             if not entry.valid:
                 entry.valid = True
@@ -84,7 +86,7 @@ class Tsrf:
                 entry.pc = pc
                 entry.waiting = None
                 entry.timer = now_ps
-                entry.vars = vars  # a fresh dict: **vars always builds one
+                entry.vars = vars
                 self.allocations += 1
                 self.live += 1
                 if self.live > self.high_water:
@@ -122,7 +124,7 @@ class Tsrf:
         return len(self.entries) - self.live
 
     def timed_out(self, now_ps: int, timeout_ps: int) -> List[TsrfEntry]:
-        """Entries older than *timeout_ps* (RAS error-recovery hook)."""
+        """Entries older than *timeout_ps* (the TSRF time-out scan)."""
         return [
             e for e in self.entries
             if e.valid and now_ps - e.timer > timeout_ps

@@ -26,7 +26,7 @@ from ..workloads.oltp import OltpParams, OltpWorkload
 from ..workloads.tpcc import TpccWorkload, tpcc_params
 from ..workloads.web import WebParams, WebWorkload
 from .parallel import Job, run_jobs
-from .runner import RunResult, RunSpec, run_workload, scale_factor
+from .runner import RunResult, RunSpec, scale_factor
 
 
 def _oltp_scaled(scale: float) -> OltpParams:
@@ -144,21 +144,6 @@ def scaled_factory(name: str, scale: float):
     workload's scale rule at *scale* (what ``--scale`` builds)."""
     cls = FACTORIES[name]
     return cls(cls.scaled(scale))
-
-
-def run_oltp(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, OltpFactory(), num_nodes,
-                        units_attr="transactions", **kw)
-
-
-def run_dss(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, DssFactory(), num_nodes,
-                        units_attr="rows", **kw)
-
-
-def run_tpcc(config_name: str, num_nodes: int = 1, **kw) -> RunResult:
-    return run_workload(config_name, TpccFactory(), num_nodes,
-                        units_attr="transactions", **kw)
 
 
 def run_points(points: Sequence[Tuple[str, str, int]],

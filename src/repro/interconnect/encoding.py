@@ -123,30 +123,6 @@ def decode(word: int) -> tuple:
     return data18, random_bit
 
 
-def encode_stream(words16, crc_bits, random_bits):
-    """Encode parallel sequences of 16-bit data words, 2-bit CRC/flow-control
-    fields, and random bits into channel words."""
-    out = []
-    for data16, crc2, rnd in zip(words16, crc_bits, random_bits):
-        if not 0 <= data16 < (1 << 16):
-            raise EncodingError(f"data word {data16:#x} exceeds 16 bits")
-        if not 0 <= crc2 < 4:
-            raise EncodingError(f"CRC/flow field {crc2:#x} exceeds 2 bits")
-        out.append(encode((crc2 << 16) | data16, rnd))
-    return out
-
-
-def decode_stream(words):
-    """Inverse of :func:`encode_stream`; returns (data16s, crc2s, randoms)."""
-    data16s, crc2s, randoms = [], [], []
-    for word in words:
-        data18, rnd = decode(word)
-        data16s.append(data18 & 0xFFFF)
-        crc2s.append(data18 >> 16)
-        randoms.append(rnd)
-    return data16s, crc2s, randoms
-
-
 def codebook_capacity() -> int:
     """Number of available non-complementary balanced codewords."""
     return _CODEBOOK_SIZE

@@ -6,15 +6,15 @@ same header plus a 64-byte (512-bit) data section.  At 64 data bits per
 500 MHz system clock, packets serialise in 2 or 10 interconnect clock
 cycles respectively — exactly the figures the paper quotes.
 
-The 128-bit header is packed/unpacked bit-exactly here; the 4-bit packet
-type field is what the input queue's *disposition vector* indexes to steer
+The model keeps the header's fields, not its bits; the 4-bit packet type
+field is what the input queue's *disposition vector* indexes to steer
 arriving packets to their target module (Section 2.6.2).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class Lane(enum.IntEnum):
@@ -91,21 +91,6 @@ LONG_BITS = 128 + 512
 SHORT_CYCLES = SHORT_BITS // 64
 LONG_CYCLES = LONG_BITS // 64
 
-# Header field widths (sum = 128)
-_FIELDS: Tuple[Tuple[str, int], ...] = (
-    ("ptype", 4),
-    ("src", 10),      # up to 1024 nodes
-    ("dst", 10),
-    ("lane", 2),
-    ("priority", 2),  # 4 interconnect priority levels (Section 2.6.2)
-    ("age", 8),       # hot-potato age escalation
-    ("txn_id", 16),
-    ("addr", 44),     # line address bits
-    ("reserved", 32),
-)
-assert sum(width for _, width in _FIELDS) == SHORT_BITS
-
-
 #: lane and data flag per packet type, indexed by the 4-bit type code:
 #: the tables ``Packet.__init__`` reads instead of the enum-keyed mappings
 _LANE_OF = tuple(DEFAULT_LANE[ptype] for ptype in PacketType)
@@ -162,64 +147,6 @@ class Packet:
     def wire_cycles(self) -> int:
         """Serialisation time in 500 MHz interconnect clock cycles (2 / 10)."""
         return LONG_CYCLES if self.has_data else SHORT_CYCLES
-
-    def pack_header(self) -> int:
-        """Pack the 128-bit wire header."""
-        values = {
-            "ptype": int(self.ptype),
-            "src": self.src,
-            "dst": self.dst,
-            "lane": int(self.lane),
-            "priority": self.priority,
-            "age": min(self.age, 255),
-            "txn_id": self.txn_id & 0xFFFF,
-            "addr": (self.addr >> 6) & ((1 << 44) - 1),  # line address
-            "reserved": 0,
-        }
-        header = 0
-        shift = SHORT_BITS
-        for name, width in _FIELDS:
-            shift -= width
-            value = values[name]
-            if not 0 <= value < (1 << width):
-                raise ValueError(f"field {name}={value} exceeds {width} bits")
-            header |= value << shift
-        return header
-
-    @classmethod
-    def unpack_header(cls, header: int) -> "Packet":
-        """Recover a packet (header fields only) from its 128-bit encoding."""
-        if not 0 <= header < (1 << SHORT_BITS):
-            raise ValueError("header must be a 128-bit integer")
-        values = {}
-        shift = SHORT_BITS
-        for name, width in _FIELDS:
-            shift -= width
-            values[name] = (header >> shift) & ((1 << width) - 1)
-        return cls(
-            ptype=PacketType(values["ptype"]),
-            src=values["src"],
-            dst=values["dst"],
-            addr=values["addr"] << 6,
-            txn_id=values["txn_id"],
-            lane=Lane(values["lane"]),
-            priority=values["priority"],
-            age=values["age"],
-        )
-
-    def is_request(self) -> bool:
-        """True for request-class packets (as opposed to replies)."""
-        return self.ptype in (
-            PacketType.READ,
-            PacketType.READ_EXCLUSIVE,
-            PacketType.EXCLUSIVE,
-            PacketType.EXCLUSIVE_NO_DATA,
-            PacketType.WRITEBACK,
-            PacketType.FWD_READ,
-            PacketType.FWD_READ_EXCLUSIVE,
-            PacketType.INVALIDATE,
-            PacketType.CMI_INVALIDATE,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,7 +21,6 @@ from .micro import (
 )
 from .oltp import OltpParams, OltpWorkload
 from .tpcc import TpccWorkload, tpcc_params
-from .trace import TraceWorkload, read_trace, record_thread, record_workload
 from .web import WebParams, WebWorkload
 
 __all__ = [
@@ -45,10 +44,6 @@ __all__ = [
     "OltpWorkload",
     "TpccWorkload",
     "tpcc_params",
-    "TraceWorkload",
-    "read_trace",
-    "record_thread",
-    "record_workload",
     "WebParams",
     "WebWorkload",
 ]

@@ -355,12 +355,3 @@ class NodeShards:
         line = chunk * self.chunk_lines + index % self.chunk_lines
         return line % self.region.lines
 
-
-def round_robin_home_layout(region: Region, num_nodes: int,
-                            granularity: int = 8192) -> List[int]:
-    """Which node is home for each chunk of a region (informational; the
-    AddressMap in :mod:`repro.mem.addr` is authoritative)."""
-    homes = []
-    for offset in range(0, region.bytes, granularity):
-        homes.append(((region.base + offset) // granularity) % num_nodes)
-    return homes

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import CoherenceChecker, PiranhaSystem, preset
-from repro.core.ras import ProtocolWatchdog
-from repro.sim import substream
+from repro.core.checker import audit_tsrf
+from repro.sim import ns, substream
 from repro.workloads import MicroParams, OltpParams, OltpWorkload, UniformRandom
 from repro.workloads.base import WorkloadThread
 from repro.core.messages import AccessKind
@@ -82,16 +82,20 @@ class TestContendedSharing:
 
 class TestProtocolProperties:
     def test_watchdog_sees_no_timeouts_in_healthy_run(self):
+        """Liveness: the mid-run audits scan every TSRF for a protocol
+        thread live longer than the time-out and find none; at quiesce
+        every entry is free."""
         checker = CoherenceChecker()
         system = PiranhaSystem(preset("P2"), num_nodes=2, checker=checker)
-        wd = ProtocolWatchdog(system.sim, system, timeout_ns=500_000.0)
+        system.enable_continuous_audit(interval_ps=ns(50_000),
+                                       tsrf_timeout_ps=ns(500_000))
         wl = OltpWorkload(OltpParams(transactions=10, warmup_transactions=10),
                           cpus_per_node=2, num_nodes=2)
         system.attach_workload(wl)
-        wd.arm()
         system.run_to_completion()
         checker.verify_quiesced()
-        assert wd.c_timeouts.value == 0
+        assert system.continuous_audits > 0
+        assert audit_tsrf(system) == 2 * 2 * 16
 
     def test_engine_occupancy_reported(self):
         wl = OltpWorkload(OltpParams(transactions=10, warmup_transactions=10),

@@ -9,9 +9,7 @@ from repro.interconnect import (
     EncodingError,
     codebook_capacity,
     decode,
-    decode_stream,
     encode,
-    encode_stream,
     is_balanced,
     popcount,
 )
@@ -77,18 +75,3 @@ class TestErrorDetection:
         with pytest.raises(EncodingError):
             decode(0)
 
-
-class TestStreams:
-    def test_stream_roundtrip(self):
-        data = [0, 1, 0xFFFF, 0xABCD]
-        crc = [0, 1, 2, 3]
-        rnd = [0, 1, 1, 0]
-        wire = encode_stream(data, crc, rnd)
-        d, c, r = decode_stream(wire)
-        assert d == data and c == crc and r == rnd
-
-    def test_stream_validates_widths(self):
-        with pytest.raises(EncodingError):
-            encode_stream([1 << 16], [0], [0])
-        with pytest.raises(EncodingError):
-            encode_stream([0], [4], [0])

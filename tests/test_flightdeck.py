@@ -244,6 +244,12 @@ class TestHostProfiler:
         assert hostprof.layer_of_module("repro.workloads.oltp") == "workload"
         assert hostprof.layer_of_module("repro.core.messages") is None
 
+    def test_every_layer_module_imports(self):
+        """perfbench's traced run imports each module of the table by
+        name, so deleting one must fail here first."""
+        for module in hostprof.MODULE_LAYERS:
+            importlib.import_module(module)
+
     def test_disabled_profiler_is_bit_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs simulate
         base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),

@@ -299,29 +299,3 @@ class TestSequencerErrors:
         with pytest.raises(MicrocodeError, match="outside microstore"):
             Sequencer(program, Environment.bind(program, {}, {}, {}, {})
                       ).run(entry)
-
-
-class TestDisassembler:
-    def test_remote_program_listing(self):
-        from repro.core.microcode import disassemble
-        from repro.core.microprograms import build_remote_program
-
-        listing = disassemble(build_remote_program())
-        assert "re_read" in listing
-        assert "SEND    req_to_home" in listing
-        assert "RECEIVE table@" in listing
-        assert "JUMP" in listing  # branch-table trampolines
-
-    def test_every_programmed_word_listed(self):
-        from repro.core.microcode import disassemble
-        from repro.core.microprograms import build_home_program
-
-        program = build_home_program()
-        listing = disassemble(program)
-        assert len(listing.splitlines()) == program.words_used
-
-    def test_end_marked(self):
-        from repro.core.microcode import disassemble
-        from repro.core.microprograms import build_remote_program
-
-        assert "-> END" in disassemble(build_remote_program())

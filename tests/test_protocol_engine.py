@@ -211,7 +211,7 @@ class TestRetriedBankResponses:
         eng = p8x2.nodes[0].remote_engine
         started = self.record_starts(eng)
         entry = eng.tsrf.allocate(0x1000, lreceive_accepting(eng, "BANK_DATA"),
-                                  p8x2.sim.now)
+                                  p8x2.sim.now, {})
         assert entry.waiting is None            # still mid-burst
         eng.resume_entry(entry, "BANK_DATA", version=3)
         assert started == []                    # parked, not lost
@@ -229,7 +229,7 @@ class TestRetriedBankResponses:
         pc = lreceive_accepting(eng, "HOME_DIRTY")
         eng.resume_local(0x1000, "HOME_DIRTY", version=5, owner=1)
         assert started == []                    # no waiter parked yet
-        entry = eng.tsrf.allocate(0x1000, pc, p8x2.sim.now)
+        entry = eng.tsrf.allocate(0x1000, pc, p8x2.sim.now, {})
         entry.waiting = "local"
         p8x2.sim.run()
         assert started == [(entry, LOCAL_MSG["HOME_DIRTY"], eng.INSTR_PS)]
@@ -280,7 +280,7 @@ class TestReplyRouting:
         assert (time_ps, fn, args) == (home.INSTR_PS, chip.deliver_packet,
                                        (pkt,))
         # the home engine's thread parks before the retry lands
-        entry = home.tsrf.allocate(0x1000, pc, p8x2.sim.now)
+        entry = home.tsrf.allocate(0x1000, pc, p8x2.sim.now, {})
         entry.waiting = "external"
         p8x2.sim.run()
         assert started == [(entry, int(ptype), home.INSTR_PS)]

@@ -161,7 +161,7 @@ class TestInjectedMutations:
         system, _ = small_migratory(nodes=1, iterations=40)
         system.run_to_completion()
         engine = system.nodes[0].home_engine
-        engine.tsrf.allocate(0x7C0, 0, system.sim.now)  # leak one entry
+        engine.tsrf.allocate(0x7C0, 0, system.sim.now, {})  # leak one entry
         with pytest.raises(CoherenceViolation) as exc:
             audit_tsrf(system, quiesced=True)
         assert "TSRF leak at quiesce" in str(exc.value)

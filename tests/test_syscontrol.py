@@ -5,7 +5,6 @@ import pytest
 from repro.core import PiranhaSystem, preset
 from repro.core.syscontrol import (
     REG_CPU_ENABLE,
-    REG_ERROR_LOG,
     REG_INTERRUPT_PENDING,
     REG_NODE_ID,
 )
@@ -72,12 +71,3 @@ class TestInterrupts:
         sc1 = system.nodes[1].syscontrol
         assert sc1.c_interrupts.value == 1
         assert sc1.read_register(REG_INTERRUPT_PENDING) & (1 << 3)
-
-
-class TestErrorLog:
-    def test_log_error(self, system):
-        sc = system.nodes[0].syscontrol
-        sc.log_error({"kind": "test", "detail": 42})
-        assert sc.read_register(REG_ERROR_LOG) == 1
-        assert sc.error_log[0]["kind"] == "test"
-        assert "time_ps" in sc.error_log[0]

@@ -12,7 +12,7 @@ class TestAllocation:
 
     def test_allocate_and_free(self):
         tsrf = Tsrf()
-        entry = tsrf.allocate(0x1000, pc=5, now_ps=100, req_node=3)
+        entry = tsrf.allocate(0x1000, pc=5, now_ps=100, vars={"req_node": 3})
         assert entry.valid
         assert entry.addr == 0x1000
         assert entry.pc == 5
@@ -25,14 +25,14 @@ class TestAllocation:
     def test_full_raises(self):
         tsrf = Tsrf()
         for i in range(16):
-            tsrf.allocate(i * 64, pc=0, now_ps=0)
+            tsrf.allocate(i * 64, pc=0, now_ps=0, vars={})
         with pytest.raises(TsrfFullError):
-            tsrf.allocate(0x9999, pc=0, now_ps=0)
+            tsrf.allocate(0x9999, pc=0, now_ps=0, vars={})
         assert tsrf.alloc_failures == 1
 
     def test_high_water(self):
         tsrf = Tsrf()
-        entries = [tsrf.allocate(i, 0, 0) for i in range(5)]
+        entries = [tsrf.allocate(i, 0, 0, {}) for i in range(5)]
         for e in entries:
             tsrf.free(e)
         assert tsrf.high_water == 5
@@ -40,7 +40,7 @@ class TestAllocation:
     def test_reuse_after_free(self):
         tsrf = Tsrf()
         for _ in range(100):
-            e = tsrf.allocate(0x40, 0, 0)
+            e = tsrf.allocate(0x40, 0, 0, {})
             tsrf.free(e)
         assert tsrf.occupancy() == 0
 
@@ -48,7 +48,7 @@ class TestAllocation:
 class TestMatching:
     def test_match_by_address_and_mode(self):
         tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
+        e = tsrf.allocate(0x1000, 0, 0, {})
         e.waiting = "external"
         assert tsrf.match(0x1000, "external") is e
         assert tsrf.match(0x1000, "local") is None
@@ -56,13 +56,13 @@ class TestMatching:
 
     def test_find_any(self):
         tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
+        e = tsrf.allocate(0x1000, 0, 0, {})
         assert tsrf.find(0x1000) is e
         assert tsrf.find(0x2000) is None
 
     def test_invalid_entries_never_match(self):
         tsrf = Tsrf()
-        e = tsrf.allocate(0x1000, 0, 0)
+        e = tsrf.allocate(0x1000, 0, 0, {})
         e.waiting = "external"
         tsrf.free(e)
         assert tsrf.match(0x1000, "external") is None
@@ -72,8 +72,8 @@ class TestTimeouts:
     def test_timed_out_entries(self):
         """RAS hook: the engine can monitor for failures via time-outs."""
         tsrf = Tsrf()
-        old = tsrf.allocate(0x1000, 0, now_ps=0)
-        fresh = tsrf.allocate(0x2000, 0, now_ps=900_000)
+        old = tsrf.allocate(0x1000, 0, now_ps=0, vars={})
+        fresh = tsrf.allocate(0x2000, 0, now_ps=900_000, vars={})
         expired = tsrf.timed_out(now_ps=1_000_000, timeout_ps=500_000)
         assert expired == [old]
 
@@ -89,12 +89,12 @@ class TestCounters:
     def test_allocate_until_full(self):
         tsrf = Tsrf()
         for i in range(TSRF_ENTRIES):
-            tsrf.allocate(i * 64, pc=0, now_ps=0)
+            tsrf.allocate(i * 64, pc=0, now_ps=0, vars={})
             assert tsrf.occupancy() == scanned(tsrf) == i + 1
             assert tsrf.high_water == i + 1
         assert tsrf.free_count == 0
         with pytest.raises(TsrfFullError):
-            tsrf.allocate(0x9999, pc=0, now_ps=0)
+            tsrf.allocate(0x9999, pc=0, now_ps=0, vars={})
         # the failed allocation changes no counter
         assert tsrf.occupancy() == scanned(tsrf) == TSRF_ENTRIES
         assert tsrf.high_water == TSRF_ENTRIES
@@ -102,8 +102,8 @@ class TestCounters:
 
     def test_double_free_counts_once(self):
         tsrf = Tsrf()
-        keep = tsrf.allocate(0x40, 0, 0)
-        e = tsrf.allocate(0x80, 0, 0)
+        keep = tsrf.allocate(0x40, 0, 0, {})
+        e = tsrf.allocate(0x80, 0, 0, {})
         tsrf.free(e)
         tsrf.free(e)
         assert tsrf.frees == 1
@@ -115,11 +115,11 @@ class TestCounters:
 
     def test_high_water_holds_after_frees(self):
         tsrf = Tsrf()
-        entries = [tsrf.allocate(i, 0, 0) for i in range(6)]
+        entries = [tsrf.allocate(i, 0, 0, {}) for i in range(6)]
         for e in entries[:4]:
             tsrf.free(e)
         assert tsrf.high_water == 6
-        again = [tsrf.allocate(i, 0, 0) for i in range(3)]
+        again = [tsrf.allocate(i, 0, 0, {}) for i in range(3)]
         assert tsrf.occupancy() == scanned(tsrf) == 5
         assert tsrf.high_water == 6
         # freed slots are reused lowest index first
