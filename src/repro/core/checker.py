@@ -37,7 +37,7 @@ Tests and the harness run simulations with the checker attached and call
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .messages import MESI
 from .trace import ProtocolTrace

@@ -20,11 +20,10 @@ functions at the bottom are unit-tested to reproduce Table 1 exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from ..sim.engine import Clock, ns
+from ..sim.engine import Clock
 
 
 @dataclass(frozen=True)

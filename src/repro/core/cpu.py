@@ -34,7 +34,6 @@ from .messages import (
     ON_CHIP_SOURCES,
     WH64,
     AccessKind,
-    MESI,
     MemRequest,
     ReplySource,
     request_for,

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Optional
 
-from ..sim.engine import Component, Simulator, ns
+from ..sim.engine import Component, Simulator
 from .chip import PiranhaChip
-from .config import ChipConfig, L2Params
+from .config import ChipConfig
 from .l1 import L1Cache
 from .messages import AccessKind, MemRequest, ReplySource, request_for
 

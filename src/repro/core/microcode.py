@@ -23,7 +23,7 @@ the fetch of the next instruction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 MICROSTORE_WORDS = 1024

@@ -25,7 +25,7 @@ from ..sim.engine import Component, Simulator, ns
 from .directory import (DIR_EXCLUSIVE, DIR_SHARED, DIR_SHARED_COARSE,
                         DirectoryEntry, add_sharer, make_exclusive)
 from .messages import MODIFIED, SHARED
-from .microcode import END, Environment, Program, Sequencer, StepResult
+from .microcode import Environment, Program, Sequencer, StepResult
 from .microprograms import (
     HOME_ENTRY,
     LOCAL_MSG,

@@ -80,7 +80,8 @@ class FunctionalWarmer:
         the tail of a long span is the classic warming-window
         approximation: the recency state the next detailed window reads
         is rebuilt by the tail, while the skimmed prefix only costs
-        stream generation (~1 µs/item instead of a full cache update).
+        stream generation, a fraction of a full cache update's cost
+        (DESIGN.md §4n).
 
         With ``stop_at_boundary=True`` consumption stops after the
         warm-up sentinel (which is never buffered).  Returns

@@ -8,7 +8,7 @@ from .base import (
     Workload,
     WorkloadThread,
     ZipfSampler,
-    interleave_code_and_data,
+    interleave_order,
 )
 from .dss import DssParams, DssWorkload
 from .micro import (
@@ -31,7 +31,7 @@ __all__ = [
     "Workload",
     "WorkloadThread",
     "ZipfSampler",
-    "interleave_code_and_data",
+    "interleave_order",
     "DssParams",
     "DssWorkload",
     "MicroParams",

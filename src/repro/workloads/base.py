@@ -192,14 +192,16 @@ class ZipfSampler:
         weights = [1.0 / (i + 1) ** alpha for i in range(n)]
         total = sum(weights)
         acc = 0.0
-        self._cdf: List[float] = []
+        #: cumulative rank probabilities; ``bisect_left(cdf, u)`` is a
+        #: rank, or ``n`` when float rounding leaves ``cdf[-1] < u``
+        self.cdf: List[float] = []
         for w in weights:
             acc += w / total
-            self._cdf.append(acc)
+            self.cdf.append(acc)
 
     def sample(self, u: float) -> int:
         """Map a uniform [0,1) variate to a rank (0 is hottest)."""
-        return min(bisect.bisect_left(self._cdf, u), self.n - 1)
+        return min(bisect.bisect_left(self.cdf, u), self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -254,55 +256,90 @@ class CodeWalk:
     its lines sequentially, one IFETCH per line with ``instrs_per_line``
     instructions of execution folded in.  Zipf-weighted block selection
     produces the hot/warm/cold code behaviour of a large database engine.
+
+    The walk draws nothing from a thread's random stream: its rank
+    permutation comes from a fixed substream, so one walk serves every
+    thread of a workload.  ``runs[rank]`` is the run of zipf rank *rank*
+    as a ready-made tuple of IFETCH items, and :meth:`run` maps a thread's
+    uniform variate to one.
     """
 
-    def __init__(self, region: Region, rng, alpha: float = 0.75,
+    def __init__(self, region: Region, alpha: float = 0.75,
                  run_lines: int = 6, instrs_per_line: int = 16) -> None:
         self.region = region
-        self.rng = rng
         self.run_lines = run_lines
         self.instrs_per_line = instrs_per_line
         self.num_starts = max(1, region.lines // run_lines)
-        self.sampler = ZipfSampler(self.num_starts, alpha)
+        self.cdf = ZipfSampler(self.num_starts, alpha).cdf
         # Hash ranks around the region so hot blocks are scattered (as
         # linked object code is), not clustered at the base.
-        self._perm = list(range(self.num_starts))
-        shuffle_rng = substream(0xC0DE, region.name, "perm")
-        shuffle_rng.shuffle(self._perm)
+        perm = list(range(self.num_starts))
+        substream(0xC0DE, region.name, "perm").shuffle(perm)
+        self.runs: List[Tuple[WorkItem, ...]] = [
+            tuple((instrs_per_line, IFETCH,
+                   region.line_addr((start + i) % region.lines), True)
+                  for i in range(run_lines))
+            for start in (block * run_lines for block in perm)]
+        # bisect past the last CDF entry (float rounding) picks the last
+        # rank, as ZipfSampler.sample clamps it
+        self.runs.append(self.runs[-1])
 
-    def run(self) -> List[Tuple[int, AccessKind, int, bool]]:
-        """One basic-block run: a list of IFETCH work items."""
-        rank = self.sampler.sample(self.rng.random())
-        start = self._perm[rank] * self.run_lines
-        items = []
-        for i in range(self.run_lines):
-            line = (start + i) % self.region.lines
-            items.append((self.instrs_per_line, IFETCH,
-                          self.region.line_addr(line), True))
-        return items
+    def run(self, u: float) -> Tuple[WorkItem, ...]:
+        """The basic-block run a uniform [0,1) variate *u* picks."""
+        return self.runs[bisect.bisect_left(self.cdf, u)]
 
 
-def interleave_code_and_data(
-    code_items: List[WorkItem],
-    data_items: List[WorkItem],
-    rng,
-    data_per_code_line: float = 1.0,
-) -> Iterator[WorkItem]:
-    """Weave data references between instruction-fetch lines so the
-    reference mix approximates a real instruction stream (roughly one data
-    reference per few instructions)."""
+def interleave_order(num_code: int, num_data: int,
+                     data_per_code_line: float = 1.0) -> List[int]:
+    """Where each item goes when data references are woven between
+    instruction-fetch lines, so the reference mix approximates a real
+    instruction stream (roughly one data reference per few instructions).
+
+    Indexes the concatenation ``code_items + data_items``: after each code
+    item, the data items its accumulated share ``data_per_code_line``
+    (a float ``carry``) has earned, then whatever data is left."""
+    order: List[int] = []
     di = 0
     carry = 0.0
-    for item in code_items:
-        yield item
+    for ci in range(num_code):
+        order.append(ci)
         carry += data_per_code_line
-        while carry >= 1.0 and di < len(data_items):
-            yield data_items[di]
+        while carry >= 1.0 and di < num_data:
+            order.append(num_code + di)
             di += 1
             carry -= 1.0
-    while di < len(data_items):
-        yield data_items[di]
-        di += 1
+    order.extend(range(num_code + di, num_code + num_data))
+    return order
+
+
+# -- random draws without the stdlib's per-draw frames ------------------------
+#
+# ``random.Random.randrange`` and ``.shuffle`` reach the Mersenne Twister
+# through ``_randbelow_with_getrandbits``.  The two helpers below are that
+# algorithm written out on top of ``getrandbits``: the same calls on the
+# same generator, so the same values, without two to three Python frames
+# per draw.  tests/property/test_draw_props.py holds them to the stdlib.
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` for ``getrandbits = rng.getrandbits``."""
+    if n <= 0:
+        raise ValueError("empty range for randbelow()")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def shuffle(getrandbits, x: list) -> None:
+    """``rng.shuffle(x)`` for ``getrandbits = rng.getrandbits``."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 class NodeShards:
@@ -335,15 +372,16 @@ class NodeShards:
     def sample_line(self, rng, node: int) -> int:
         """A uniformly random line index homed at *node* (falls back to the
         whole region when the node owns no chunk of it)."""
+        getrandbits = rng.getrandbits
         chunks = self._chunks_by_node[node]
         if not chunks:
-            return rng.randrange(self.region.lines)
-        chunk = chunks[rng.randrange(len(chunks))]
+            return randbelow(getrandbits, self.region.lines)
+        chunk = chunks[randbelow(getrandbits, len(chunks))]
         lo = chunk * self.chunk_lines
         hi = min(lo + self.chunk_lines, self.region.lines)
         if lo >= self.region.lines:
-            return rng.randrange(self.region.lines)
-        return rng.randrange(lo, hi)
+            return randbelow(getrandbits, self.region.lines)
+        return lo + randbelow(getrandbits, hi - lo)
 
     def local_line(self, node: int, index: int) -> int:
         """Deterministic mapping of a local cursor to node-homed lines

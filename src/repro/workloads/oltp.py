@@ -25,20 +25,27 @@ on its hierarchy; `OltpParams` documents every knob.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.messages import LOAD, STORE, WH64, AccessKind
+from ..core.messages import LOAD, STORE, WH64
 from ..sim.rng import substream
 from .base import (
+    LINE,
     AddressSpaceBuilder,
     CodeWalk,
     NodeShards,
     Region,
+    WorkItem,
     Workload,
     WorkloadThread,
     ZipfSampler,
-    interleave_code_and_data,
+    interleave_order,
+    randbelow,
+    shuffle,
 )
 
 
@@ -117,6 +124,11 @@ class OltpWorkload(Workload):
         self.cpus_per_node = cpus_per_node
         self.num_nodes = num_nodes
         p = self.params
+        if p.account_lines % p.account_lines_per_row:
+            # a partial last row would put its lines past the table
+            raise ValueError(
+                f"account_lines ({p.account_lines}) is not a multiple of "
+                f"account_lines_per_row ({p.account_lines_per_row})")
         space = AddressSpaceBuilder()
         #: hot rows live on their own pages in NUMA systems so their homes
         #: interleave round-robin across the nodes
@@ -140,28 +152,27 @@ class OltpWorkload(Workload):
         )
         space.validate()
         self.space = space
-        self._branch_rows = [
-            self._local_rows(self.branch, p.branches, self.row_stride, n)
-            for n in range(num_nodes)
-        ]
-        self._teller_rows = [
-            self._local_rows(self.teller, p.tellers, self.teller_stride, n)
-            for n in range(num_nodes)
-        ]
-        num_blocks = p.account_lines // p.account_block_lines
-        self._account_block_sampler = ZipfSampler(num_blocks,
-                                                  p.account_block_zipf)
-        # scatter zipf ranks over the physical blocks
-        from ..sim.rng import substream as _ss
-        perm_rng = _ss(p.seed, "account-block-perm")
-        self._account_block_perm = list(range(num_blocks))
-        perm_rng.shuffle(self._account_block_perm)
         if num_nodes > 1:
             self.meta_shards = NodeShards(self.metadata, num_nodes)
             self.account_shards = NodeShards(self.account, num_nodes)
             self.index_shards = NodeShards(self.index, num_nodes)
             self.log_shards = NodeShards(self.log, num_nodes)
             self.history_shards = NodeShards(self.history, num_nodes)
+        #: the stream's fixed tables, built on first use (:meth:`_tables`)
+        self._fixed: Optional[_FixedTables] = None
+
+    def _tables(self) -> "_FixedTables":
+        tables = self._fixed
+        if tables is None:
+            tables = self._fixed = _FixedTables(self)
+        return tables
+
+    def __getstate__(self) -> dict:
+        # a checkpoint carries the recipe, not the tables: a restored
+        # workload rebuilds them on its first transaction
+        state = self.__dict__.copy()
+        state["_fixed"] = None
+        return state
 
     # -- transaction recipe --------------------------------------------------
 
@@ -174,100 +185,84 @@ class OltpWorkload(Workload):
                  if (base_chunk + (r * stride * 64) // 8192) % self.num_nodes == node]
         return local or list(range(rows))
 
-    def _data_ops(self, rng, meta_sampler: ZipfSampler, proc_base: dict,
-                  txn_index: int, node: int) -> List[Tuple[int, AccessKind, int, bool]]:
-        """The data references of one TPC-B transaction, in order."""
+    def _data_ops(self, t: "_FixedTables", rng, slot: int, txn: int,
+                  node: int) -> List[WorkItem]:
+        """The data references of one TPC-B transaction, in order, for
+        server process *slot*.  Every draw is made in the order, and by
+        the algorithm, of ``rng.random``/``randrange``/``shuffle``."""
         p = self.params
         multi = self.num_nodes > 1
         loc = p.numa_locality
-        ops: List[Tuple[int, AccessKind, int, bool]] = []
         indep = p.independent_fraction
-
-        def dep() -> bool:
-            return rng.random() >= indep
-
-        def local(prob: float = loc) -> bool:
-            return multi and rng.random() < prob
-
-        def private_ref() -> None:
-            line = proc_base["private"] + rng.randrange(p.private_lines)
-            kind = STORE if rng.random() < 0.4 else LOAD
-            ops.append((0, kind, self.private.line_addr(line), True))
-
-        def metadata_ref() -> None:
-            if local():
-                line = self.meta_shards.sample_line(rng, node)
-            else:
-                line = meta_sampler.sample(rng.random())
-            write = rng.random() < p.metadata_write_fraction
-            kind = STORE if write else LOAD
-            ops.append((0, kind, self.metadata.line_addr(line), dep()))
+        random = rng.random
+        getrandbits = rng.getrandbits
+        ops: List[WorkItem] = []
+        append = ops.append
+        block_lines = p.account_block_lines
 
         # 0. index walk: B-tree leaf lookups (root/branch levels hit in
-        #    the metadata region; leaves are effectively uniform)
+        #    the metadata region; leaves cluster in 4 KB index blocks with
+        #    mild skew)
         for _ in range(p.index_accesses_per_txn):
-            if local():
+            if multi and random() < loc:
                 leaf = self.index_shards.sample_line(rng, node)
             else:
-                # leaves cluster in 4 KB index blocks with mild skew
-                block = self._account_block_sampler.sample(rng.random())
-                block %= p.index_lines // p.account_block_lines
-                leaf = (block * p.account_block_lines
-                        + rng.randrange(p.account_block_lines))
-            ops.append((0, LOAD, self.index.line_addr(leaf), dep()))
+                leaf = (t.index_block_line[bisect_left(t.block_cdf, random())]
+                        + randbelow(getrandbits, block_lines))
+            append((0, LOAD, self.index.base + leaf * LINE, random() >= indep))
         # 1. account row: read-modify-write inside a zipf-hot 4 KB block
-        def account_line() -> int:
-            rank = self._account_block_sampler.sample(rng.random())
-            block = self._account_block_perm[rank]
-            return (block * p.account_block_lines
-                    + rng.randrange(p.account_block_lines))
-
-        if local():
+        if multi and random() < loc:
             aline = self.account_shards.sample_line(rng, node)
         else:
-            aline = account_line()
-        account_row = aline // p.account_lines_per_row
-        for i in range(p.account_lines_per_row):
-            line = account_row * p.account_lines_per_row + i
-            ops.append((0, LOAD, self.account.line_addr(line), dep()))
-        ops.append((0, STORE,
-                    self.account.line_addr(account_row * p.account_lines_per_row),
-                    True))
+            aline = (t.account_block_line[bisect_left(t.block_cdf, random())]
+                     + randbelow(getrandbits, block_lines))
+        lpr = p.account_lines_per_row
+        row_addr = self.account.base + aline // lpr * lpr * LINE
+        for i in range(lpr):
+            append((0, LOAD, row_addr + i * LINE, random() >= indep))
+        append((0, STORE, row_addr, True))
         # 2. branch row: hot, contended read-modify-write (the submitting
         #    client usually belongs to a node-local branch)
-        branch_rows = self._branch_rows[node] if local() else range(p.branches)
-        branch_row = branch_rows[rng.randrange(len(branch_rows))]
-        bline = branch_row * self.row_stride
-        ops.append((0, LOAD, self.branch.line_addr(bline), True))
-        ops.append((0, STORE, self.branch.line_addr(bline), True))
+        rows = (t.branch_local[node] if multi and random() < loc
+                else t.branch_all)
+        ops += rows[randbelow(getrandbits, len(rows))]
         # 3. teller row
-        teller_rows = self._teller_rows[node] if local() else range(p.tellers)
-        teller_row = teller_rows[rng.randrange(len(teller_rows))]
-        tline = teller_row * self.teller_stride
-        ops.append((0, LOAD, self.teller.line_addr(tline), True))
-        ops.append((0, STORE, self.teller.line_addr(tline), True))
+        rows = (t.teller_local[node] if multi and random() < loc
+                else t.teller_all)
+        ops += rows[randbelow(getrandbits, len(rows))]
         # 4. history append (per-process stripes out of node-local chunks;
         #    whole-line writes -> wh64)
-        hcursor = proc_base["history"] + txn_index * p.history_lines_per_txn
+        hcursor = slot * p.history_stripe_lines + txn * p.history_lines_per_txn
         for i in range(p.history_lines_per_txn):
             if multi:
                 hline = self.history_shards.local_line(node, hcursor + i)
             else:
                 hline = (hcursor + i) % self.history.lines
-            ops.append((0, WH64, self.history.line_addr(hline), True))
+            append((0, WH64, self.history.base + hline * LINE, True))
         # 5. redo-log append (node-local log stripe)
-        lcursor = proc_base["log_cursor"] + txn_index
+        lcursor = slot * 7 + txn
         if multi:
             log_line = self.log_shards.local_line(node, lcursor)
         else:
             log_line = lcursor % self.log.lines
-        ops.append((0, STORE, self.log.line_addr(log_line), True))
+        append((0, STORE, self.log.base + log_line * LINE, True))
         # 6. metadata + private filler, shuffled through the transaction
+        meta_addr, meta_cdf = t.meta_addr, t.meta_cdf
+        write_fraction = p.metadata_write_fraction
         for _ in range(p.metadata_accesses_per_txn):
-            metadata_ref()
+            if multi and random() < loc:
+                addr = self.metadata.line_addr(
+                    self.meta_shards.sample_line(rng, node))
+            else:
+                addr = meta_addr[bisect_left(meta_cdf, random())]
+            kind = STORE if random() < write_fraction else LOAD
+            append((0, kind, addr, random() >= indep))
+        private_base = self.private.base + slot * p.private_lines * LINE
+        private_lines = p.private_lines
         for _ in range(p.private_accesses_per_txn):
-            private_ref()
-        rng.shuffle(ops)
+            addr = private_base + randbelow(getrandbits, private_lines) * LINE
+            append((0, STORE if random() < 0.4 else LOAD, addr, True))
+        shuffle(getrandbits, ops)
         return ops
 
     # -- thread construction ---------------------------------------------------
@@ -275,54 +270,112 @@ class OltpWorkload(Workload):
     def thread_for(self, node: int, cpu: int) -> Optional[WorkloadThread]:
         if node >= self.num_nodes or cpu >= self.cpus_per_node:
             return None
+        return WorkloadThread(
+            chain.from_iterable(self._transactions(node, cpu)),
+            ilp=self.ilp, name=f"oltp-n{node}c{cpu}")
+
+    def _transactions(self, node: int,
+                      cpu: int) -> Iterator[Sequence[WorkItem]]:
+        """CPU (*node*, *cpu*)'s stream, one sequence of items per
+        transaction (the warm-up sentinel comes on its own)."""
+        from ..core.cpu import WARMUP_DONE
+
         p = self.params
-        global_cpu = node * self.cpus_per_node + cpu
+        t = self._tables()
         rng = substream(p.seed, "oltp", node, cpu)
-        code_walk = CodeWalk(self.code, rng, alpha=p.code_zipf,
+        random = rng.random
+        code_run = t.code.run
+        global_cpu = node * self.cpus_per_node + cpu
+        block_cursors = {}
+        for txn in range(p.transactions + p.warmup_transactions):
+            if txn == p.warmup_transactions:
+                yield ((0, None, WARMUP_DONE, True),)
+            slot = global_cpu * p.processes_per_cpu + txn % p.processes_per_cpu
+            items: List[WorkItem] = []
+            for _ in range(p.code_runs_per_txn):
+                items += code_run(random())
+            num_code = len(items)
+            items += self._data_ops(t, rng, slot, txn, node)
+            yield t.interleave(num_code, len(items) - num_code)(items)
+            if p.block_io_lines_per_txn:
+                # DB-writer style sequential block scan (streaming);
+                # the cursor persists across transactions
+                total_slots = (self.cpus_per_node * self.num_nodes
+                               * p.processes_per_cpu)
+                stripe = p.account_lines // total_slots
+                # skew the stripe starts so concurrent scanners sit on
+                # different RDRAM devices (stripe lengths are a multiple
+                # of the device period; without the skew every scanner
+                # would thrash the same device's open page)
+                start = (slot * stripe + slot * 64) % p.account_lines
+                cursor = block_cursors.setdefault(slot, start)
+                yield [(2, LOAD,
+                        self.account.base
+                        + (cursor + i) % p.account_lines * LINE, False)
+                       for i in range(p.block_io_lines_per_txn)]
+                block_cursors[slot] = (
+                    cursor + p.block_io_lines_per_txn) % p.account_lines
+
+
+class _FixedTables:
+    """The parts of an OLTP workload's stream that draw nothing from a
+    thread's random substream, built once per workload and shared by all
+    its threads: the code walk, the zipf CDFs, address tables (a zipf
+    table has one extra entry, repeating the last, for a bisect past the
+    end of its CDF) and the interleave orders."""
+
+    def __init__(self, wl: OltpWorkload) -> None:
+        p = wl.params
+        self.code = CodeWalk(wl.code, alpha=p.code_zipf,
                              run_lines=p.code_run_lines)
-        meta_sampler = ZipfSampler(p.metadata_lines, p.metadata_zipf)
+        self.meta_cdf = ZipfSampler(p.metadata_lines, p.metadata_zipf).cdf
+        self.meta_addr = [wl.metadata.base + line * LINE
+                          for line in range(p.metadata_lines)]
+        self.meta_addr.append(self.meta_addr[-1])
+        # account and index blocks share one zipf; account ranks are
+        # scattered over the physical blocks
+        num_blocks = p.account_lines // p.account_block_lines
+        self.block_cdf = ZipfSampler(num_blocks, p.account_block_zipf).cdf
+        perm = list(range(num_blocks))
+        shuffle(substream(p.seed, "account-block-perm").getrandbits, perm)
+        perm.append(perm[-1])
+        self.account_block_line = [block * p.account_block_lines
+                                   for block in perm]
+        index_blocks = p.index_lines // p.account_block_lines
+        self.index_block_line = [rank % index_blocks * p.account_block_lines
+                                 for rank in range(num_blocks)]
+        self.index_block_line.append(self.index_block_line[-1])
+        # hot rows: each row's (load, store) item pair
+        self.branch_all = self._row_items(wl.branch, range(p.branches),
+                                          wl.row_stride)
+        self.teller_all = self._row_items(wl.teller, range(p.tellers),
+                                          wl.teller_stride)
+        self.branch_local = [
+            self._row_items(wl.branch, wl._local_rows(
+                wl.branch, p.branches, wl.row_stride, n), wl.row_stride)
+            for n in range(wl.num_nodes)]
+        self.teller_local = [
+            self._row_items(wl.teller, wl._local_rows(
+                wl.teller, p.tellers, wl.teller_stride, n), wl.teller_stride)
+            for n in range(wl.num_nodes)]
+        self.data_per_code_line = p.data_per_code_line
+        self._orders: Dict[Tuple[int, int], Callable] = {}
 
-        def gen() -> Iterator:
-            from ..core.cpu import WARMUP_DONE
+    @staticmethod
+    def _row_items(region: Region, rows, stride: int) -> List[tuple]:
+        pairs = []
+        for row in rows:
+            addr = region.line_addr(row * stride)
+            pairs.append(((0, LOAD, addr, True), (0, STORE, addr, True)))
+        return pairs
 
-            total = p.transactions + p.warmup_transactions
-            block_cursors = {}
-            for txn in range(total):
-                if txn == p.warmup_transactions:
-                    yield (0, None, WARMUP_DONE, True)
-                proc = txn % p.processes_per_cpu
-                slot = global_cpu * p.processes_per_cpu + proc
-                proc_base = {
-                    "private": slot * p.private_lines,
-                    "history": slot * p.history_stripe_lines,
-                    "log_cursor": slot * 7,
-                }
-                code_items: List = []
-                for _ in range(p.code_runs_per_txn):
-                    code_items.extend(code_walk.run())
-                data_items = self._data_ops(rng, meta_sampler, proc_base, txn, node)
-                yield from interleave_code_and_data(
-                    code_items, data_items, rng,
-                    data_per_code_line=p.data_per_code_line,
-                )
-                if p.block_io_lines_per_txn:
-                    # DB-writer style sequential block scan (streaming);
-                    # the cursor persists across transactions
-                    total_slots = (self.cpus_per_node * self.num_nodes
-                                   * p.processes_per_cpu)
-                    stripe = p.account_lines // total_slots
-                    # skew the stripe starts so concurrent scanners sit on
-                    # different RDRAM devices (stripe lengths are a multiple
-                    # of the device period; without the skew every scanner
-                    # would thrash the same device's open page)
-                    start = (slot * stripe + slot * 64) % p.account_lines
-                    cursor = block_cursors.setdefault(slot, start)
-                    for i in range(p.block_io_lines_per_txn):
-                        line = (cursor + i) % p.account_lines
-                        yield (2, LOAD,
-                               self.account.line_addr(line), False)
-                    block_cursors[slot] = (
-                        cursor + p.block_io_lines_per_txn) % p.account_lines
-
-        return WorkloadThread(gen(), ilp=self.ilp,
-                              name=f"oltp-n{node}c{cpu}")
+    def interleave(self, num_code: int, num_data: int) -> Callable:
+        """A getter taking ``code_items + data_items`` to the woven
+        transaction (a tuple: every transaction has data items, so the
+        getter always has two or more indices)."""
+        key = (num_code, num_data)
+        getter = self._orders.get(key)
+        if getter is None:
+            getter = self._orders[key] = itemgetter(*interleave_order(
+                num_code, num_data, self.data_per_code_line))
+        return getter

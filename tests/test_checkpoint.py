@@ -223,73 +223,34 @@ class TestCheckpointFormat:
         manifest["python"] = "3.99"
         validate_manifest(manifest)
 
-    def test_schema_1_refused(self, tmp_path):
-        """Schema-1 payloads reference a closure reducer that no longer
-        exists: the file is refused before its payload is unpickled."""
-        payload = b"crepro.checkpoint.pickling\n_make_function\n."
-        manifest = self._manifest(payload)
-        manifest["schema"] = 1
-        path = str(tmp_path / "schema1.ckpt")
-        write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 1"):
-            load_checkpoint(path, force=True)
+    #: schema -> (payload, why the file is refused): each retired schema
+    #: is refused before its payload is unpickled, even with ``force``,
+    #: which skips only the fingerprint check
+    RETIRED_SCHEMAS = {
+        # references a closure reducer that no longer exists
+        1: b"crepro.checkpoint.pickling\n_make_function\n.",
+        # pickles the cache-path records with the pre-slots layout
+        2: b"N.",
+        # pickles the simulator with its host-profiler attribute (and, if
+        # taken while profiling, the old profiler object)
+        3: b"N.",
+        # queues events as ``EventHandle`` objects, which no longer exist
+        4: b"N.",
+        # pickles packets and directory entries as dataclasses and holds
+        # IQ disposition wrappers that no longer exist
+        5: b"N.",
+        # holds a system controller with an error log and its register
+        6: b"N.",
+    }
 
-    def test_schema_2_refused(self, tmp_path):
-        """Schema-2 payloads pickle the cache-path records with the
-        pre-slots layout: refused even with ``force``, which skips only
-        the fingerprint check."""
-        payload = b"N."
+    @pytest.mark.parametrize("schema", sorted(RETIRED_SCHEMAS))
+    def test_schema_refused(self, tmp_path, schema):
+        payload = self.RETIRED_SCHEMAS[schema]
         manifest = self._manifest(payload)
-        manifest["schema"] = 2
-        path = str(tmp_path / "schema2.ckpt")
+        manifest["schema"] = schema
+        path = str(tmp_path / f"schema{schema}.ckpt")
         write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 2"):
-            load_checkpoint(path, force=True)
-
-    def test_schema_3_refused(self, tmp_path):
-        """Schema-3 snapshots pickle the simulator with its host-profiler
-        attribute (and, if taken while profiling, the old profiler
-        object): refused even with ``force``."""
-        payload = b"N."
-        manifest = self._manifest(payload)
-        manifest["schema"] = 3
-        path = str(tmp_path / "schema3.ckpt")
-        write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 3"):
-            load_checkpoint(path, force=True)
-
-    def test_schema_4_refused(self, tmp_path):
-        """Schema-4 snapshots queue events as ``EventHandle`` objects,
-        which no longer exist: refused even with ``force``."""
-        payload = b"N."
-        manifest = self._manifest(payload)
-        manifest["schema"] = 4
-        path = str(tmp_path / "schema4.ckpt")
-        write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 4"):
-            load_checkpoint(path, force=True)
-
-    def test_schema_5_refused(self, tmp_path):
-        """Schema-5 snapshots pickle packets and directory entries as
-        dataclasses and hold IQ disposition wrappers that no longer
-        exist: refused even with ``force``."""
-        payload = b"N."
-        manifest = self._manifest(payload)
-        manifest["schema"] = 5
-        path = str(tmp_path / "schema5.ckpt")
-        write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 5"):
-            load_checkpoint(path, force=True)
-
-    def test_schema_6_refused(self, tmp_path):
-        """Schema-6 snapshots hold a system controller with an error log
-        and its register, both gone: refused even with ``force``."""
-        payload = b"N."
-        manifest = self._manifest(payload)
-        manifest["schema"] = 6
-        path = str(tmp_path / "schema6.ckpt")
-        write_checkpoint(path, manifest, payload)
-        with pytest.raises(CheckpointError, match="schema 6"):
+        with pytest.raises(CheckpointError, match=f"schema {schema}"):
             load_checkpoint(path, force=True)
 
     def test_fingerprint_enforced_unless_forced(self):

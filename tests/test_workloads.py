@@ -67,8 +67,8 @@ class TestCodeWalk:
     def test_runs_are_sequential_lines(self):
         b = AddressSpaceBuilder()
         region = b.region("code", 600)
-        walk = CodeWalk(region, substream(3, "cw"), run_lines=6)
-        items = walk.run()
+        walk = CodeWalk(region, run_lines=6)
+        items = walk.run(substream(3, "cw").random())
         assert len(items) == 6
         addrs = [a for _, _, a, _ in items]
         assert all(b - a == 64 for a, b in zip(addrs, addrs[1:]))
@@ -77,10 +77,19 @@ class TestCodeWalk:
     def test_addresses_within_region(self):
         b = AddressSpaceBuilder()
         region = b.region("code", 60)
-        walk = CodeWalk(region, substream(3, "cw"))
+        walk = CodeWalk(region)
+        rng = substream(3, "cw")
         for _ in range(50):
-            for _, _, addr, _ in walk.run():
+            for _, _, addr, _ in walk.run(rng.random()):
                 assert region.base <= addr < region.end
+
+    def test_variate_past_the_cdf_picks_the_last_rank(self):
+        """Float rounding can leave the CDF's last entry below a variate;
+        the walk then picks the coldest run, as ZipfSampler.sample does."""
+        region = AddressSpaceBuilder().region("code", 600)
+        walk = CodeWalk(region, run_lines=6)
+        last = ZipfSampler(walk.num_starts, 0.75).sample(2.0)
+        assert walk.run(2.0) == walk.runs[last]
 
 
 class TestNodeShards:
@@ -156,6 +165,11 @@ class TestOltpWorkload:
 
     def test_low_ilp(self):
         assert OltpWorkload().ilp < 1.6
+
+    def test_partial_account_row_refused(self):
+        with pytest.raises(ValueError, match="account_lines_per_row"):
+            OltpWorkload(OltpParams(account_lines=1001,
+                                    account_lines_per_row=2))
 
 
 class TestDssWorkload:
