@@ -14,7 +14,7 @@ Runs one workload on one configuration and prints the standard report::
     python -m repro watch live.jsonl --follow
     python -m repro sweep --config P8 --workload oltp \
         --field l2.size_bytes --values 512K,1M,2M --jobs 4
-    python -m repro sweep ... --warmup --resume
+    python -m repro sweep ... --warmup
     python -m repro checkpoint save --config P8 --workload oltp \
         --out warm.ckpt
     python -m repro checkpoint info warm.ckpt
@@ -346,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         records = sweep_field(
             args.config, factory, args.field, values, num_nodes=args.nodes,
             units_attr=UNITS_ATTR[args.workload], jobs=args.jobs,
-            warmup=args.warmup, resume=args.resume)
+            warmup=args.warmup)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -793,11 +793,6 @@ def main(argv=None) -> int:
                          help="warm each point once, snapshot at the "
                               "measurement boundary, and measure from the "
                               "shared warm checkpoint")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="continue an interrupted sweep: completed "
-                              "points answer from the result cache, "
-                              "interrupted ones restore their warm "
-                              "snapshot (implies --warmup)")
     sweep_p.set_defaults(fn=cmd_sweep)
 
     fuzz_p = sub.add_parser(

@@ -10,7 +10,7 @@ Layers (bottom up):
   ``.ckpt`` file: magic + JSON manifest + zlib payload, deterministic
   byte-for-byte.
 * :mod:`~repro.checkpoint.store` — the warm-checkpoint store the
-  harness's ``warmup=True`` path and resumable sweeps key into.
+  harness's ``warmup=True`` path keys into.
 
 This module is the facade the CLI verbs (``repro checkpoint
 save|restore|info``) and tests use.

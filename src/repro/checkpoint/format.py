@@ -69,7 +69,10 @@ MAGIC = b"RPCKPT01"
 #: the IQ's disposition wrapper class is gone.
 #: Schema 7: the system controller keeps no error log, so a schema-6
 #: controller's layout no longer restores.
-SCHEMA = 7
+#: Schema 8: the topology keeps its own node and neighbour maps in place
+#: of a networkx graph, and CPUs and L1 parameters carry no TLB state, so
+#: a schema-7 topology or core no longer restores.
+SCHEMA = 8
 
 _LEN = struct.Struct(">I")
 

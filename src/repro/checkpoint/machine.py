@@ -87,7 +87,7 @@ class WarmCapture:
     *sink*, when given, is called as ``sink(payload, sim_now)`` right at
     the boundary — the warm store uses it to persist the snapshot
     *before* the measurement phase runs, so a run killed mid-measurement
-    still leaves its warm state behind for ``--resume``.
+    still leaves its warm state behind for the re-run.
     """
 
     def __init__(self, system, halt: bool = False, sink=None) -> None:
@@ -137,25 +137,12 @@ class WindowHandoff:
         self.reuse_generators = reuse_generators
         self.captures = 0
         self.bytes_total = 0
-        self.last_payload: Optional[bytes] = None
-
-    def capture(self, system) -> bytes:
-        """Snapshot *system* at a phase boundary (no restore).
-
-        The payload is kept as ``last_payload`` — a run killed inside
-        the following window leaves a resumable boundary snapshot
-        behind, and callers who trust the (gate-tested) restore
-        equivalence can keep running the live machine.
-        """
-        payload = snapshot_bytes(system)
-        self.captures += 1
-        self.bytes_total += len(payload)
-        self.last_payload = payload
-        return payload
 
     def handoff(self, system):
         """Snapshot *system* and return the machine restored from it."""
-        payload = self.capture(system)
+        payload = snapshot_bytes(system)
+        self.captures += 1
+        self.bytes_total += len(payload)
         restored = restore_system(payload)
         if self.reuse_generators:
             old = {(node.node_id, cpu.cpu_id): cpu.thread

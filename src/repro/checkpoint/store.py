@@ -5,8 +5,8 @@ OLTP footprint dominates wall-clock for short measurement runs, yet the
 warm state is a pure function of (library, config, workload, node count,
 observability settings).  So the first run of a (config, workload) point
 snapshots the machine at the warm-up boundary and files it here; every
-later run — other sweep points sharing the warm-up, a resumed sweep, a
-re-run after a crash — restores the snapshot and skips straight to
+later run — other sweep points sharing the warm-up, a re-run
+of a killed sweep — restores the snapshot and skips straight to
 measurement.
 
 The store lives under ``cache_dir()/checkpoints/`` next to the result

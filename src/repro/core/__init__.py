@@ -56,7 +56,6 @@ from .microcode import Assembler, Instr, Op, Program, Sequencer
 from .protocol_engine import ProtocolEngine
 from .rdram import MemoryController, RdramChannel
 from .syscontrol import SystemControl
-from .tlb import Tlb
 from .trace import ProtocolTrace, TraceEvent
 from .system import PiranhaSystem, default_topology
 from .tsrf import TSRF_ENTRIES, Tsrf, TsrfEntry, TsrfFullError
@@ -126,7 +125,6 @@ __all__ = [
     "Program",
     "Sequencer",
     "ProtocolEngine",
-    "Tlb",
     "MemoryController",
     "RdramChannel",
     "SystemControl",

@@ -34,7 +34,6 @@ class CoreParams:
     clock_mhz: float = 500.0
     issue_width: int = 1
     window_size: int = 0            # instruction window (OOO only)
-    pipeline_stages: int = 8        # fetch, reg-read, ALU1..5, write-back
     #: fraction of a miss's latency the OOO window can hide (derived from
     #: window occupancy; in-order cores hide nothing)
     overlap_ns: float = 0.0
@@ -53,13 +52,6 @@ class L1Params:
     size_bytes: int = 64 * 1024
     assoc: int = 2
     line_bytes: int = 64
-    tlb_entries: int = 256
-    tlb_assoc: int = 4
-    #: PALcode TLB-refill cost in ns.  0 (the default) disables explicit
-    #: TLB simulation: the calibrated workload CPIs already fold TLB
-    #: effects in, as the paper's SimOS runs did.  Set positive for
-    #: explicit TLB sensitivity studies.
-    tlb_refill_ns: float = 0.0
 
     @property
     def sets(self) -> int:
@@ -186,7 +178,6 @@ class MemoryParams:
     #: "as many as 2K (512-byte) pages open" (Section 2.4)
     banks_per_device: int = 8
     page_keep_open_ns: float = 1000.0  # ~1 us keep-open policy
-    capacity_gb_per_chip: float = 2.0  # 64 Mbit generation
 
 
 @dataclass(frozen=True)

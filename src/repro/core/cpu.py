@@ -90,16 +90,6 @@ class CpuCore(Component):
         #: The hot path pays a single ``is None`` test when unset.
         self.obs_hook = None
         self._obs_pending: Optional[Tuple[AccessKind, int]] = None
-        #: optional explicit TLBs (see core.tlb); enabled by a positive
-        #: L1Params.tlb_refill_ns
-        self.tlb_refill_ps = int(config.l1.tlb_refill_ns * 1000)
-        if self.tlb_refill_ps:
-            from .tlb import Tlb
-
-            self.itlb = Tlb(config.l1.tlb_entries, config.l1.tlb_assoc)
-            self.dtlb = Tlb(config.l1.tlb_entries, config.l1.tlb_assoc)
-        else:
-            self.itlb = self.dtlb = None
 
     # -- public ------------------------------------------------------------
 
@@ -196,7 +186,6 @@ class InOrderCpu(CpuCore):
     def _run(self) -> None:
         cycle = self.clock.period_ps
         obs_hook = self.obs_hook
-        tlb_refill_ps = self.tlb_refill_ps
         accum = 0
         batch = 0
         thread = self.thread
@@ -226,10 +215,6 @@ class InOrderCpu(CpuCore):
                 return
             self.refs += 1
             is_instr = kind == IFETCH
-            if tlb_refill_ps:
-                tlb = self.itlb if is_instr else self.dtlb
-                if not tlb.lookup(addr):
-                    accum += tlb_refill_ps  # PAL refill executes code
             result = (self._l1i if is_instr else self._l1d).lookup(addr, kind)
             if result.hit:
                 if obs_hook is not None and not is_instr:
@@ -283,7 +268,6 @@ class OooCpu(CpuCore):
         cycle = self.clock.period_ps
         ipc = self._ipc()
         obs_hook = self.obs_hook
-        tlb_refill_ps = self.tlb_refill_ps
         accum = 0
         batch = 0
         thread = self.thread
@@ -318,10 +302,6 @@ class OooCpu(CpuCore):
                 return
             self.refs += 1
             is_instr = kind == IFETCH
-            if tlb_refill_ps:
-                tlb = self.itlb if is_instr else self.dtlb
-                if not tlb.lookup(addr):
-                    accum += tlb_refill_ps
             result = (self._l1i if is_instr else self._l1d).lookup(addr, kind)
             if result.hit:
                 if obs_hook is not None and not is_instr:

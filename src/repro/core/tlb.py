@@ -1,67 +1,8 @@
 """Instruction/data TLBs (Section 2.1).
 
-Each L1 module includes a 256-entry, 4-way set-associative TLB.  Alpha
-refills TLBs in PALcode (software), so a miss costs tens of cycles of
-extra execution.
-
-The performance experiments leave the refill cost at zero — the paper's
-workload CPIs (which our calibration targets) already include TLB
-effects, so charging them again would double-count.  Set
-``L1Params.tlb_refill_ns`` to a positive value to study TLB sensitivity
-explicitly; the CPU models then consult the TLBs on every reference and
-charge the refill as busy time (PAL executes instructions).
+Each L1 module includes a 256-entry, 4-way set-associative TLB, refilled
+in PALcode.  The model keeps no TLB state: the calibrated workload CPIs
+already fold TLB effects in, as the paper's SimOS runs did, so charging
+refills again would double-count.  The module stays so that the
+host-profiling layer tables can keep naming it.
 """
-
-from __future__ import annotations
-
-from collections import OrderedDict
-from typing import List
-
-#: Alpha base page size.
-PAGE_BYTES = 8192
-PAGE_SHIFT = 13
-
-
-class Tlb:
-    """A set-associative TLB over 8 KB pages."""
-
-    def __init__(self, entries: int = 256, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
-        self.entries = entries
-        self.assoc = assoc
-        self.num_sets = entries // assoc
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("TLB set count must be a power of two")
-        self._set_mask = self.num_sets - 1
-        self.sets: List[OrderedDict] = [OrderedDict()
-                                        for _ in range(self.num_sets)]
-        self.lookups = 0
-        self.misses = 0
-
-    def lookup(self, addr: int) -> bool:
-        """True on a TLB hit; a miss installs the translation (the refill
-        cost is charged by the caller)."""
-        self.lookups += 1
-        vpn = addr >> PAGE_SHIFT
-        tset = self.sets[vpn & self._set_mask]
-        if vpn in tset:
-            tset.move_to_end(vpn)
-            return True
-        self.misses += 1
-        if len(tset) >= self.assoc:
-            tset.popitem(last=False)
-        tset[vpn] = True
-        return False
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.lookups if self.lookups else 0.0
-
-    def flush(self) -> None:
-        """Full TLB shootdown (context switch / invalidate-all)."""
-        for tset in self.sets:
-            tset.clear()
-
-    def resident_pages(self) -> int:
-        return sum(len(s) for s in self.sets)

@@ -34,11 +34,6 @@ from ..checkpoint.machine import WindowHandoff
 from ..core.cpu import WARMUP_DONE
 from .warm import FunctionalWarmer
 
-try:  # numpy is optional everywhere in this package
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 CpuKey = Tuple[int, int]  # (node_id, cpu_id)
 
 #: per-CPU warming window for the inter-window fast-forward periods: the
@@ -404,14 +399,9 @@ class SampledRun:
         n = len(vals)
         if n == 0:
             return {"n": 0, "mean": 0.0, "ci95": 0.0, "rel_err": 0.0}
-        if _np is not None:
-            arr = _np.asarray(vals, dtype=float)
-            mean = float(arr.mean())
-            sd = float(arr.std(ddof=1)) if n > 1 else 0.0
-        else:
-            mean = sum(vals) / n
-            sd = (math.fsum((v - mean) ** 2 for v in vals)
-                  / (n - 1)) ** 0.5 if n > 1 else 0.0
+        mean = sum(vals) / n
+        sd = (math.fsum((v - mean) ** 2 for v in vals)
+              / (n - 1)) ** 0.5 if n > 1 else 0.0
         ci = 1.96 * sd / math.sqrt(n) if n > 1 else 0.0
         return {"n": n, "mean": mean, "ci95": ci,
                 "rel_err": ci / abs(mean) if mean else 0.0}

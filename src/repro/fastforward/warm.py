@@ -3,10 +3,10 @@
 Fast-forward phases advance the machine *without the event queue*: work
 items are pulled straight off each CPU's workload thread in batches and
 their cache effects applied synchronously — L1 lookups (with their LRU /
-silent-upgrade side effects), TLB touches, and for L1 misses the L2
-bank's :meth:`~repro.core.l2.L2Bank.warm_request`, which changes the
-same objects through the same fill routine as the detailed service path
-(duplicate tags, victim-cache flow, DRAM page state, checker hooks).  No
+silent-upgrade side effects) and, for L1 misses, the L2 bank's
+:meth:`~repro.core.l2.L2Bank.warm_request`, which changes the same objects
+through the same fill routine as the detailed service path (duplicate
+tags, victim-cache flow, DRAM page state, checker hooks).  No
 simulated time passes and no timing is charged; the point is that a
 detailed measurement window opened right after a fast-forward phase sees
 the L1s, L2, duplicate tags, directory and DRAM row buffers in the state
@@ -125,7 +125,7 @@ class FunctionalWarmer:
         Each item's cache effects are applied inline, with no time and no
         event: a fence is an instant no-op (no eager-grant acks can be
         outstanding between events) that only keeps its counter moving,
-        a reference looks up its TLB and L1, and an L1 miss is served by
+        a reference looks up its L1, and an L1 miss is served by
         its bank's :meth:`~repro.core.l2.L2Bank.warm_request`.
         """
         work = []
@@ -140,7 +140,6 @@ class FunctionalWarmer:
             still = []
             for entry in work:
                 cpu, banks, bank_mask, l1s, icache, dcache, it = entry
-                tlbs = cpu.tlb_refill_ps
                 n = 0
                 for _instrs, kind, addr, _dep in islice(it, batch):
                     n += 1
@@ -152,8 +151,6 @@ class FunctionalWarmer:
                         continue
                     refs += 1
                     cache_id = icache if kind == IFETCH else dcache
-                    if tlbs:
-                        (cpu.itlb if kind == IFETCH else cpu.dtlb).lookup(addr)
                     result = l1s[cache_id].lookup(addr, kind)
                     if result.hit:
                         l1_hits += 1

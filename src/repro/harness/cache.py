@@ -205,8 +205,8 @@ class DiskCache:
     """A directory of JSON-serialised :class:`RunResult` records.
 
     The cache root is shared with the warm-checkpoint store
-    (``checkpoints/``) and resumable-sweep manifests (``sweeps/``); this
-    class only ever touches its own ``<2 hex>/<64 hex>.json`` entries."""
+    (``checkpoints/``); this class only ever touches its own
+    ``<2 hex>/<64 hex>.json`` entries."""
 
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path

@@ -95,36 +95,23 @@ def _picklable(job: Job) -> bool:
 
 
 def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
-             on_result: Optional[Callable[[int, Job, RunResult], None]] = None,
              ) -> List[RunResult]:
     """Execute every job, in order, using up to *jobs* worker processes.
 
     Results are returned in input order.  Cached points (memo or disk)
     are answered immediately and never dispatched; fresh results are
     written back to both caches by the parent.
-
-    *on_result* is invoked in the parent as ``on_result(index, job,
-    result)`` for every completed point (cached answers included), after
-    the result has been persisted to the caches — resumable sweeps hang
-    their progress manifest on this, so a point marked done in the
-    manifest is guaranteed to be answerable from the cache on re-run.
-    Completion order is not input order for parallel points.
     """
     jobs_list = list(jobs_list)
     n_workers = resolve_jobs(jobs)
     results: List[Optional[RunResult]] = [None] * len(jobs_list)
-
-    def done(i: int, result: RunResult) -> None:
-        results[i] = result
-        if on_result is not None:
-            on_result(i, jobs_list[i], result)
 
     misses: List[int] = []
     for i, job in enumerate(jobs_list):
         cached = cached_result(job.config, job.factory, job.num_nodes,
                                job.spec)
         if cached is not None:
-            done(i, cached)
+            results[i] = cached
         else:
             misses.append(i)
 
@@ -145,11 +132,11 @@ def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
                 job = jobs_list[i]
                 store_result(result, job.config, job.factory, job.num_nodes,
                              job.spec)
-                done(i, result)
+                results[i] = result
 
     for i in serial_idx:
         job = jobs_list[i]
-        done(i, run_spec(job.config, job.factory, job.num_nodes, job.spec,
-                         job.warmup, job.telemetry))
+        results[i] = run_spec(job.config, job.factory, job.num_nodes,
+                              job.spec, job.warmup, job.telemetry)
 
     return results  # type: ignore[return-value]

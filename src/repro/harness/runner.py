@@ -354,7 +354,7 @@ def simulate(
     its warm-up boundary and only the measurement phase is simulated; on
     a miss the cold run additionally snapshots itself at the boundary so
     every later run of this (config, workload) point — other sweep
-    points, ``--resume``, parallel workers — skips the warm-up.  The
+    points, a re-run of a killed sweep, parallel workers — skips the warm-up.  The
     measurement payload is byte-identical either way (tested), so the
     flag is deliberately *not* part of any result-cache key.
 

@@ -19,15 +19,9 @@ paths all produce identical records.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-import tempfile
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import ChipConfig, preset
-from .cache import (cache_dir, cache_enabled, config_digest,
-                    library_fingerprint, workload_token)
 from .parallel import Job, run_jobs
 from .runner import RunResult, RunSpec, run_configured
 
@@ -118,68 +112,12 @@ def sweep_configs(base: ChipConfig, dotted: str,
     return out
 
 
-def sweep_key(base_config: ChipConfig, workload_factory: Callable,
-              dotted: str, values: Sequence, num_nodes: int,
-              units_attr: str, check_coherence: bool) -> Optional[str]:
-    """Stable identity of one sweep (for its progress manifest), or None
-    when the workload factory is opaque (nothing resumable to key on)."""
-    token = workload_token(workload_factory)
-    if token is None:
-        return None
-    payload = json.dumps(
-        {
-            "lib": library_fingerprint(),
-            "base": config_digest(base_config),
-            "field": dotted,
-            "values": [str(v) for v in values],
-            "workload": token,
-            "nodes": num_nodes,
-            "units_attr": units_attr,
-            "check": bool(check_coherence),
-            "scale": os.environ.get("REPRO_SCALE", "1.0"),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def manifest_path(key: str) -> str:
-    return os.path.join(cache_dir(), "sweeps", key + ".json")
-
-
-def load_manifest(key: Optional[str]) -> Optional[Dict]:
-    """The progress manifest for a sweep key, or None."""
-    if key is None:
-        return None
-    try:
-        with open(manifest_path(key), "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def _write_manifest(key: str, manifest: Dict) -> None:
-    path = manifest_path(key)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 def sweep_field(base, workload_factory: Callable, dotted: str,
                 values: Sequence, num_nodes: int = 1,
                 units_attr: str = "transactions",
                 jobs: Optional[int] = None,
                 check_coherence: bool = False,
-                warmup: bool = False,
-                resume: bool = False) -> List[Dict]:
+                warmup: bool = False) -> List[Dict]:
     """Sweep one config field over *values*; returns one record per point
     (with the swept value under ``"value"``).
 
@@ -192,53 +130,18 @@ def sweep_field(base, workload_factory: Callable, dotted: str,
     ``warmup`` routes every point through the warm-checkpoint store —
     note the points of a *field* sweep have distinct configs and so
     distinct warm snapshots; the amortisation is across re-runs of the
-    same sweep, i.e. exactly the ``resume`` scenario.  ``resume``
-    (implies ``warmup``) additionally maintains a progress manifest under
-    ``cache_dir()/sweeps/``: a killed sweep re-invoked with
-    ``resume=True`` answers completed points from the result cache,
-    restores interrupted points from their warm snapshots, and finishes
-    only the remaining work.
+    same sweep: a killed sweep re-invoked answers completed points from
+    the result cache, restores interrupted points from their warm
+    snapshots, and finishes only the remaining work.
     """
-    if resume:
-        warmup = True
     base_config = preset(base) if isinstance(base, str) else base
     configs = sweep_configs(base_config, dotted, values)
-
-    key = None
-    manifest = None
-    on_result = None
-    if resume and cache_enabled():
-        key = sweep_key(base_config, workload_factory, dotted, values,
-                        num_nodes, units_attr, check_coherence)
-        if key is not None:
-            manifest = load_manifest(key) or {
-                "field": dotted,
-                "values": [str(v) for v in values],
-                "total": len(values),
-                "done": [],
-            }
-            # a manifest from a partial run with different values (the
-            # key folds values in, so this means a hash collision or
-            # hand-editing): start clean rather than trust it
-            if manifest.get("total") != len(values):
-                manifest = {"field": dotted,
-                            "values": [str(v) for v in values],
-                            "total": len(values), "done": []}
-
-            def on_result(i: int, _job: Job, _result: RunResult,
-                          _key: str = key) -> None:
-                done = set(manifest["done"])
-                done.add(i)
-                manifest["done"] = sorted(done)
-                _write_manifest(_key, manifest)
-
     spec = RunSpec(units_attr=units_attr, check_coherence=check_coherence)
     results = run_jobs(
         [Job(config=c, factory=workload_factory, num_nodes=num_nodes,
              spec=spec, warmup=warmup)
          for c in configs],
         jobs=jobs,
-        on_result=on_result,
     )
     out = []
     for value, result in zip(values, results):

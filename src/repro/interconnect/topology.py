@@ -9,9 +9,7 @@ computes the routing tables the routers consult.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Channel counts per node kind (Sections 2.6.1 and 2, Figure 2).
 MAX_CHANNELS = {"proc": 4, "io": 2}
@@ -25,15 +23,18 @@ class TopologyError(ValueError):
 class Topology:
     """An interconnect graph plus routing tables.
 
-    Nodes are integer ids with a ``kind`` attribute (``"proc"`` or
-    ``"io"``).  Routing tables give, for each (node, destination) pair, the
-    list of next-hop neighbours on *minimal* paths — the adaptive router
-    picks among them and may deliberately misroute (hot potato) when all
-    are busy.
+    Nodes are integer ids with a ``kind`` (``"proc"`` or ``"io"``).
+    Routing tables give, for each (node, destination) pair, the list of
+    next-hop neighbours on *minimal* paths — the adaptive router picks
+    among them and may deliberately misroute (hot potato) when all are
+    busy.
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        #: node -> kind, in insertion order
+        self._kind: Dict[int, str] = {}
+        #: node -> neighbours
+        self._adj: Dict[int, Set[int]] = {}
         self._next_hops: Optional[Dict[int, Dict[int, Tuple[int, ...]]]] = None
         self._dist: Optional[Dict[int, Dict[int, int]]] = None
 
@@ -42,9 +43,10 @@ class Topology:
     def add_node(self, node: int, kind: str = "proc") -> None:
         if kind not in MAX_CHANNELS:
             raise TopologyError(f"unknown node kind {kind!r}")
-        if self.graph.number_of_nodes() >= MAX_NODES and node not in self.graph:
+        if len(self._kind) >= MAX_NODES and node not in self._kind:
             raise TopologyError(f"Piranha systems scale to at most {MAX_NODES} nodes")
-        self.graph.add_node(node, kind=kind)
+        self._kind[node] = kind
+        self._adj.setdefault(node, set())
         self._invalidate()
 
     def add_link(self, a: int, b: int) -> None:
@@ -52,23 +54,25 @@ class Topology:
         if a == b:
             raise TopologyError("self links are not allowed")
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self._kind:
                 raise TopologyError(f"node {node} does not exist")
         for node in (a, b):
             limit = MAX_CHANNELS[self.kind(node)]
-            if self.graph.degree(node) >= limit and not self.graph.has_edge(a, b):
+            if self.degree(node) >= limit and not self.has_link(a, b):
                 raise TopologyError(
                     f"node {node} ({self.kind(node)}) already uses all "
                     f"{limit} channels"
                 )
-        self.graph.add_edge(a, b)
+        self._adj[a].add(b)
+        self._adj[b].add(a)
         self._invalidate()
 
     def remove_link(self, a: int, b: int) -> None:
         """Dynamic reconfiguration / hot-swap: drop a channel pair."""
-        if not self.graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise TopologyError(f"no link between {a} and {b}")
-        self.graph.remove_edge(a, b)
+        self._adj[a].discard(b)
+        self._adj[b].discard(a)
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -78,43 +82,67 @@ class Topology:
     # -- queries ---------------------------------------------------------
 
     def kind(self, node: int) -> str:
-        return self.graph.nodes[node]["kind"]
+        return self._kind[node]
 
     @property
     def nodes(self) -> List[int]:
-        return sorted(self.graph.nodes)
+        return sorted(self._kind)
 
     def neighbors(self, node: int) -> List[int]:
-        return sorted(self.graph.neighbors(node))
+        return sorted(self._adj[node])
+
+    def degree(self, node: int) -> int:
+        """Channels *node* uses."""
+        return len(self._adj[node])
+
+    def has_link(self, a: int, b: int) -> bool:
+        return b in self._adj.get(a, ())
+
+    def _distances_from(self, source: int) -> Dict[int, int]:
+        """Hop counts from *source* to every node it reaches (BFS)."""
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            reached = []
+            for node in frontier:
+                hops = dist[node] + 1
+                for nbr in self._adj[node]:
+                    if nbr not in dist:
+                        dist[nbr] = hops
+                        reached.append(nbr)
+            frontier = reached
+        return dist
 
     def is_connected(self) -> bool:
-        return self.graph.number_of_nodes() > 0 and nx.is_connected(self.graph)
+        if not self._kind:
+            return False
+        return len(self._distances_from(next(iter(self._kind)))) == len(self._kind)
 
     def validate(self) -> None:
         """Check degree limits and connectivity; raises TopologyError."""
         if not self.is_connected():
             raise TopologyError("interconnect graph is not connected")
-        for node in self.graph.nodes:
+        for node in self._kind:
             limit = MAX_CHANNELS[self.kind(node)]
-            if self.graph.degree(node) > limit:
+            if self.degree(node) > limit:
                 raise TopologyError(
-                    f"node {node} uses {self.graph.degree(node)} channels, "
+                    f"node {node} uses {self.degree(node)} channels, "
                     f"limit is {limit}"
                 )
 
     # -- routing ---------------------------------------------------------
 
     def _build_tables(self) -> None:
-        dist = dict(nx.all_pairs_shortest_path_length(self.graph))
+        dist = {node: self._distances_from(node) for node in self._kind}
         next_hops: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        for node in self.graph.nodes:
+        for node in self._kind:
             table: Dict[int, Tuple[int, ...]] = {}
-            for dest in self.graph.nodes:
+            for dest in self._kind:
                 if dest == node:
                     continue
                 hops = tuple(
                     nbr
-                    for nbr in sorted(self.graph.neighbors(node))
+                    for nbr in self.neighbors(node)
                     if dist[nbr].get(dest, float("inf")) == dist[node][dest] - 1
                 )
                 table[dest] = hops
@@ -215,9 +243,9 @@ def attach_io_nodes(topo: Topology, count: int) -> List[int]:
         proc_nodes = [n for n in topo.nodes if topo.kind(n) == "proc"]
         slots = sorted(
             proc_nodes,
-            key=lambda n: (topo.graph.degree(n), n),
+            key=lambda n: (topo.degree(n), n),
         )
-        hosts = [n for n in slots if topo.graph.degree(n) < MAX_CHANNELS["proc"]][:2]
+        hosts = [n for n in slots if topo.degree(n) < MAX_CHANNELS["proc"]][:2]
         if not hosts:
             raise TopologyError("no processing node has a free channel")
         topo.add_node(node_id, "io")

@@ -20,9 +20,9 @@ def random_topology(seed: int, n: int) -> Topology:
     # random extra links where channel budget allows
     for _ in range(n):
         a, b = rng.randrange(n), rng.randrange(n)
-        if a == b or topo.graph.has_edge(a, b):
+        if a == b or topo.has_link(a, b):
             continue
-        if topo.graph.degree(a) >= 4 or topo.graph.degree(b) >= 4:
+        if topo.degree(a) >= 4 or topo.degree(b) >= 4:
             continue
         topo.add_link(a, b)
     topo.validate()

@@ -8,8 +8,8 @@ Covers the PR's acceptance criteria:
   both the serial and the ``jobs=N`` process-pool paths,
 * the ``.ckpt`` file format round-trips, detects corruption, and
   refuses snapshots from a different schema / library,
-* resumable sweeps maintain their progress manifest and a re-run
-  produces identical records,
+* a sweep re-run through the warm store, whole or after an
+  interruption, produces identical records,
 * periodic checkpointing re-registers ``schedule_every`` tickers
   cleanly after restore (no duplicate tickers, no dropped intervals),
 * fuzz violation bisection restores the last pre-violation snapshot and
@@ -18,7 +18,6 @@ Covers the PR's acceptance criteria:
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -49,8 +48,7 @@ from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
 from repro.harness.runner import (DISK_CACHE, RunSpec, assemble_result,
                                   build_system, run_system, simulate)
-from repro.harness.sweep import (load_manifest, manifest_path,
-                                 record_from_result, sweep_field)
+from repro.harness.sweep import record_from_result, sweep_field
 from repro.sim.engine import _PeriodicTick
 from repro.workloads import DssParams, OltpParams
 
@@ -117,28 +115,22 @@ class TestRestoreFidelity:
 
     def test_warm_snapshot_persisted_at_boundary(self):
         """The warm snapshot must be on disk before measurement finishes
-        (a run killed mid-measurement still leaves it for --resume)."""
+        (a run killed mid-measurement still leaves it for the re-run)."""
         factory = OltpFactory(TINY_OLTP)
         assert WARM_STORE.info()["entries"] == 0
         run_point("P1", factory, warmup=True)
         assert WARM_STORE.info()["entries"] == 1
 
     def test_result_cache_clear_keeps_warm_state(self):
-        """Warm snapshots and sweep manifests share the cache root but are
-        neither counted nor cleared as results."""
+        """Warm snapshots share the cache root but are neither counted
+        nor cleared as results."""
         factory = OltpFactory(TINY_OLTP)
         result = run_point("P1", factory, warmup=True)
         DISK_CACHE.put("e" * 64, result)
-        sweep = manifest_path("f" * 64)
-        os.makedirs(os.path.dirname(sweep))
-        with open(sweep, "w", encoding="utf-8") as fh:
-            json.dump({"field": "l2.size_bytes", "values": ["1M"],
-                       "total": 1, "done": [0]}, fh)
         assert DISK_CACHE.info()["entries"] == 1
         assert DISK_CACHE.clear() == 1
         assert DISK_CACHE.info()["entries"] == 0
         assert WARM_STORE.info()["entries"] == 1
-        assert os.path.exists(sweep)
 
     def test_warm_store_put_is_exclusive(self):
         manifest = build_manifest(b"payload", fingerprint="f",
@@ -241,6 +233,8 @@ class TestCheckpointFormat:
         5: b"N.",
         # holds a system controller with an error log and its register
         6: b"N.",
+        # pickles the topology as a networkx graph and CPUs with TLBs
+        7: b"N.",
     }
 
     @pytest.mark.parametrize("schema", sorted(RETIRED_SCHEMAS))
@@ -306,7 +300,7 @@ class TestCheckpointFiles:
 
 
 # ---------------------------------------------------------------------------
-# resumable sweeps
+# sweeps re-run through the warm store
 
 
 class TestResumableSweep:
@@ -316,29 +310,21 @@ class TestResumableSweep:
         return sweep_field("P1", OltpFactory(TINY_OLTP), "l2.size_bytes",
                            self.VALUES, units_attr="transactions", **kw)
 
-    def test_manifest_tracks_progress_and_rerun_identical(self):
-        first = self._sweep(resume=True)
-        from repro.harness.sweep import sweep_key
-
-        key = sweep_key(preset("P1"), OltpFactory(TINY_OLTP),
-                        "l2.size_bytes", self.VALUES, 1, "transactions",
-                        False)
-        manifest = load_manifest(key)
-        assert manifest is not None
-        assert manifest["done"] == list(range(len(self.VALUES)))
-        again = self._sweep(resume=True)
+    def test_rerun_identical(self):
+        first = self._sweep(warmup=True)
+        again = self._sweep(warmup=True)
         assert again == first
 
     def test_resume_after_partial_completion(self):
-        """A sweep interrupted after point 0 finishes the rest on
-        resume and the records match an uninterrupted sweep."""
+        """A sweep interrupted after point 0 finishes the rest on a
+        re-run and the records match an uninterrupted sweep."""
         baseline = self._sweep()
         # interrupted run: only point 0 completed (simulated by running
         # a one-value sweep — same derived config, same cache keys)
         clear_cache()
         DISK_CACHE.clear()
         self._sweep_prefix()
-        resumed = self._sweep(resume=True)
+        resumed = self._sweep(warmup=True)
         assert resumed == baseline
 
     def _sweep_prefix(self):
@@ -349,7 +335,7 @@ class TestResumableSweep:
         plain = self._sweep()
         clear_cache()
         DISK_CACHE.clear()
-        resumed = self._sweep(resume=True)
+        resumed = self._sweep(warmup=True)
         assert resumed == plain
 
 

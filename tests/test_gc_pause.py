@@ -8,8 +8,8 @@ pile up for the whole run.  The second class checks that on every
 workload and on the sampled, multi-node and observed paths: with the
 collector off, a run leaves nothing for ``gc.collect()`` to free while
 its system is still referenced.  Each point runs once first and that run
-is not checked: imports and one-time caches (networkx compiles its
-``argmap`` wrappers on first call) may make cycles once per process.
+is not checked: imports and one-time caches may make cycles once per
+process.
 """
 
 import gc

@@ -1,14 +1,19 @@
-"""Every import in the package is used.
+"""Every import in the package is used and comes from the standard library.
 
 An AST scan of each module under ``src/repro`` (package ``__init__``
 files re-export by design and are skipped): a name an import binds must
 be read somewhere in the module, in code, in an annotation (string
 annotations included) or in ``__all__``.  An import kept on purpose for
 its side effect says so with ``# noqa: F401`` on its line.
+
+A second scan covers every module, ``__init__`` files included: each
+absolute import names a standard-library module or ``repro`` itself, so
+the package runs on a bare Python install.
 """
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -16,10 +21,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "repro")
 
 
-def modules():
+def modules(with_init: bool = False):
     for root, _dirs, files in os.walk(SRC):
         for name in sorted(files):
-            if name.endswith(".py") and name != "__init__.py":
+            if name.endswith(".py") and (with_init or name != "__init__.py"):
                 yield os.path.relpath(os.path.join(root, name), SRC)
 
 
@@ -84,3 +89,41 @@ def test_scan_sees_unused_and_used_names():
         "def f(x: 'Optional[int]') -> List[int]:\n"
         "    return [sys.maxsize]\n")
     assert unused_imports(source) == [(2, "os")]
+
+
+def foreign_imports(source: str):
+    """``(line, module)`` for every absolute import of a top-level module
+    that is neither in the standard library nor ``repro``."""
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name.split(".")[0] not in allowed)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(modules(with_init=True)))
+def test_imports_only_the_standard_library(module):
+    with open(os.path.join(SRC, module)) as fh:
+        foreign = foreign_imports(fh.read())
+    assert not foreign, f"{module}: imports outside the standard library " + \
+        ", ".join(f"{name} (line {line})" for line, name in foreign)
+
+
+def test_stdlib_scan_sees_foreign_imports():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from networkx.algorithms import bfs\n"
+        "from . import sibling\n"
+        "from repro.sim import Simulator\n"
+        "def f():\n"
+        "    import scipy\n")
+    assert foreign_imports(source) == [
+        (2, "numpy"), (3, "networkx.algorithms"), (7, "scipy")]
