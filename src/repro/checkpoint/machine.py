@@ -36,7 +36,7 @@ from ..core import messages
 
 __all__ = [
     "snapshot_bytes", "restore_system",
-    "WarmCapture", "PeriodicCheckpointer", "WindowHandoff",
+    "WarmCapture", "PeriodicCheckpointer",
 ]
 
 
@@ -111,57 +111,6 @@ class WarmCapture:
         return self.payload is not None
 
 
-class WindowHandoff:
-    """Snapshot/restore hand-off at sampled-simulation phase boundaries.
-
-    The fast-forward orchestrator calls :meth:`handoff` between phases —
-    the event queue drained and every CPU parked, so the capture-timing
-    contract holds trivially.  The machine is serialised through the
-    standard snapshot path and immediately rebuilt from its own payload:
-    every detailed measurement window then runs on a machine that
-    provably round-tripped the checkpoint subsystem, which is what the
-    bit-identity gate checks.
-
-    ``reuse_generators=True`` short-circuits the one expensive part of
-    an in-process restore: a restored workload thread normally rebuilds
-    its generator by replaying ``emitted`` items from the seed, which is
-    O(stream position) per window.  Since the pre-snapshot threads are
-    still live in this process and their generators sit at exactly the
-    emitted counts the snapshot recorded, the live generators can be
-    moved onto the restored threads — the streams are identical either
-    way (replay is deterministic), replay is just the slow fully
-    self-contained path.
-    """
-
-    def __init__(self, reuse_generators: bool = True) -> None:
-        self.reuse_generators = reuse_generators
-        self.captures = 0
-        self.bytes_total = 0
-
-    def handoff(self, system):
-        """Snapshot *system* and return the machine restored from it."""
-        payload = snapshot_bytes(system)
-        self.captures += 1
-        self.bytes_total += len(payload)
-        restored = restore_system(payload)
-        if self.reuse_generators:
-            old = {(node.node_id, cpu.cpu_id): cpu.thread
-                   for node in system.nodes for cpu in node.cpus
-                   if cpu.thread is not None}
-            for node in restored.nodes:
-                for cpu in node.cpus:
-                    thread = cpu.thread
-                    prev = old.get((node.node_id, cpu.cpu_id))
-                    if (thread is not None and prev is not None
-                            and getattr(thread, "_gen", None) is None
-                            and getattr(prev, "_gen", None) is not None
-                            and not getattr(thread, "_exhausted", False)
-                            and prev.emitted == thread.emitted):
-                        thread._gen = prev._gen
-                        prev._gen = None
-        return restored
-
-
 class PeriodicCheckpointer:
     """Keep the last *keep* snapshots on a fixed simulated-time period.
 
@@ -213,7 +162,7 @@ class PeriodicCheckpointer:
                               else deque(maxlen=self.keep))
         self.snapshots.append((now, payload))
         self.captures += 1
-        cb = getattr(self, "on_capture", None)
+        cb = self.on_capture
         if cb is not None:
             cb(now, len(payload))
         return self.system.has_running_cpus()

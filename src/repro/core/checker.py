@@ -182,21 +182,6 @@ class CoherenceChecker:
                     f"coexists with {sorted(others)}", line,
                 )
 
-    # -- checkpoint/restore ------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Per-line audit records, counters, and the attached trace."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
-
     def telemetry(self) -> Dict[str, float]:
         """Deterministic checker counters (for ``RunResult.extras``)."""
         out = {

@@ -189,22 +189,6 @@ class DirectoryStore:
         else:
             self._bits[line] = encode(entry, self.num_nodes)
 
-    # -- checkpoint/restore ------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Encoded directory bits plus access counters (the 44-bit codec
-        means the serialised form is exactly the hardware-resident state)."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
-
     def items(self):
         """Iterate ``(line, DirectoryEntry)`` over every non-UNCACHED line
         (decoded through the 44-bit codec; used by the protocol

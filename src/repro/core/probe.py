@@ -246,27 +246,9 @@ class ProbeCollector:
                 "stamps": [[label, t] for label, t in probe.stamps],
                 "notes": dict(probe.notes),
             })
-        # getattr: collectors restored from pre-hook checkpoints lack the
-        # attribute entirely
-        cb = getattr(self, "on_finish", None)
+        cb = self.on_finish
         if cb is not None:
             cb(probe, source, cls)
-
-    # -- checkpoint/restore ----------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Aggregates, sampling cursor and kept samples; in-flight probes
-        live on their MemRequests and ride the event queue instead."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
 
     # -- lifecycle -------------------------------------------------------
 

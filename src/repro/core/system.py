@@ -294,22 +294,6 @@ class PiranhaSystem:
         for node in self.nodes:
             node.trace = trace
 
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Whole-system state (the checkpoint layer pickles this; the
-        pickle memo preserves shared-object identity across the graph)."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
-
     # -- observability -----------------------------------------------------------
 
     def enable_probes(self, rate: int, max_samples: int = 64) -> None:

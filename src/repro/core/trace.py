@@ -81,23 +81,6 @@ class ProtocolTrace:
         else:
             self.counts[kind] = 1
 
-    # -- checkpoint/restore ------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Ring contents, sequence counter, per-kind counts and the clock
-        binding (a bound method, so a restored trace keeps stamping
-        simulated time)."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
-
     # -- introspection ----------------------------------------------------
 
     def __len__(self) -> int:

@@ -129,20 +129,3 @@ class Tsrf:
             e for e in self.entries
             if e.valid and now_ps - e.timer > timeout_ps
         ]
-
-    # -- checkpoint/restore ------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        """All 16 entries (including in-flight protocol-thread ``vars``,
-        which may hold closures — the checkpoint pickler handles those)
-        plus occupancy counters."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.load_state(state)

@@ -13,12 +13,12 @@ A :class:`SampledRun` alternates two regimes over one built system:
   runs to drain; per-CPU deltas of busy/stall time and the system miss
   breakdown are recorded as one measurement.
 
-Between phases the machine is optionally round-tripped through the
-checkpoint subsystem (:class:`~repro.checkpoint.machine.WindowHandoff`),
-so every measurement window provably runs on a snapshot-restored
-machine — that is the hand-off the bit-identity gate validates with
-``warming="detailed"``, where fast-forward is replaced by running the
-skipped spans through the detailed model too.
+Every phase runs on the live machine, which sits between events at
+each phase boundary (queue drained, CPUs parked), so a snapshot can be
+taken there.  The bit-identity gate in ``tests/test_fastforward.py``
+uses that: with ``warming="detailed"`` (the skipped spans run through
+the detailed model too) it rebuilds the machine from a snapshot before
+every measurement window and must reproduce the live run exactly.
 
 End-to-end metrics are ratio estimates over the windows; per-class 95%
 confidence intervals (1.96·s/√n across windows) ride along in
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..checkpoint.machine import WindowHandoff
 from ..core.cpu import WARMUP_DONE
 from .warm import FunctionalWarmer
 
@@ -113,17 +112,6 @@ class SampledRun:
         ``"detailed"`` runs warm-up and the inter-window spans through
         the full model too — same phase structure, no approximation —
         which is what the bit-identity gate compares against.
-    handoff:
-        ``"none"`` (default) runs every window on the live machine;
-        ``"restore"`` snapshots the machine at every window boundary
-        through the checkpoint subsystem and rebuilds it from the
-        snapshot before the window runs (what the bit-identity gate
-        test does).
-    reuse_generators:
-        with ``handoff="restore"``, move the live workload generators
-        onto the restored threads instead of replaying them from seed
-        (identical streams either way; replay is the slow, fully
-        self-contained path the gate test exercises).
     skip_warm:
         the system was already warmed (e.g. restored from the warm
         checkpoint store at its boundary): skip straight to sampling.
@@ -138,9 +126,7 @@ class SampledRun:
     """
 
     def __init__(self, system, window: int, period: int,
-                 warming: str = "functional", handoff: str = "none",
-                 reuse_generators: bool = True,
-                 skip_warm: bool = False,
+                 warming: str = "functional", skip_warm: bool = False,
                  on_warm=None,
                  telemetry=None) -> None:
         if window <= 0:
@@ -149,8 +135,6 @@ class SampledRun:
             raise ValueError("period must be >= 0")
         if warming not in ("functional", "detailed"):
             raise ValueError(f"unknown warming mode {warming!r}")
-        if handoff not in ("restore", "none"):
-            raise ValueError(f"unknown handoff mode {handoff!r}")
         self.system = system
         self.window = int(window)
         self.period = int(period)
@@ -158,9 +142,6 @@ class SampledRun:
         self.skip_warm = bool(skip_warm)
         self.on_warm = on_warm
         self.telemetry = telemetry
-        self.handoff: Optional[WindowHandoff] = (
-            None if handoff == "none"
-            else WindowHandoff(reuse_generators=reuse_generators))
         self.warmer = FunctionalWarmer()
         self.windows: List[Dict[str, object]] = []
         self.measured_items = 0
@@ -378,8 +359,6 @@ class SampledRun:
             if self.on_warm is not None:
                 self.on_warm(self.system)
         while self._live():
-            if self.handoff is not None:
-                self.system = self.handoff.handoff(self.system)
             self._run_detailed(self.window, until_warm=False, record=True)
             if not self._live() or not self.period:
                 break
@@ -439,8 +418,6 @@ class SampledRun:
             "windows": len(self.windows),
             "measured_items": self.measured_items,
             "ff_items": self.ff_items,
-            "handoffs": self.handoff.captures if self.handoff else 0,
-            "handoff_bytes": self.handoff.bytes_total if self.handoff else 0,
             "warm": self.warmer.summary(),
             "error": self.error_bounds(),
         }

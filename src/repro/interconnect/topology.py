@@ -68,11 +68,19 @@ class Topology:
         self._invalidate()
 
     def remove_link(self, a: int, b: int) -> None:
-        """Dynamic reconfiguration / hot-swap: drop a channel pair."""
+        """Dynamic reconfiguration / hot-swap: drop a channel pair.
+
+        A removal that would cut *a* off from *b* (the link is a bridge)
+        is refused and leaves the topology unchanged."""
         if not self.has_link(a, b):
             raise TopologyError(f"no link between {a} and {b}")
         self._adj[a].discard(b)
         self._adj[b].discard(a)
+        if b not in self._distances_from(a):
+            self._adj[a].add(b)
+            self._adj[b].add(a)
+            raise TopologyError(
+                f"removing link {a}-{b} would disconnect the interconnect")
         self._invalidate()
 
     def _invalidate(self) -> None:

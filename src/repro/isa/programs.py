@@ -5,45 +5,6 @@ from __future__ import annotations
 from .assembler import assemble
 
 
-def vector_sum(base: int, count: int) -> list:
-    """Sum ``count`` quadwords starting at ``base`` into r1; halt."""
-    return assemble(f"""
-        lda   r2, {base}(r31)       ; pointer
-        lda   r3, {count}(r31)      ; counter
-        bis   r31, r31, r1          ; sum = 0
-    loop:
-        ldq   r4, 0(r2)
-        addq  r1, r4, r1
-        lda   r2, 8(r2)
-        subq  r3, #1, r3
-        bne   r3, loop
-        halt
-    """)
-
-
-def memcpy_wh64(src: int, dst: int, lines: int) -> list:
-    """Copy ``lines`` cache lines using the wh64 write hint on the
-    destination (the classic copy-routine use of exclusive-without-data)."""
-    return assemble(f"""
-        lda   r1, {src}(r31)
-        lda   r2, {dst}(r31)
-        lda   r3, {lines}(r31)
-    line:
-        wh64  0(r2)                 ; take the whole line without fetching it
-        lda   r4, 8(r31)            ; 8 quadwords per line
-    qw:
-        ldq   r5, 0(r1)
-        stq   r5, 0(r2)
-        lda   r1, 8(r1)
-        lda   r2, 8(r2)
-        subq  r4, #1, r4
-        bne   r4, qw
-        subq  r3, #1, r3
-        bne   r3, line
-        halt
-    """)
-
-
 def spinlock_increment(lock: int, counter: int, times: int) -> list:
     """Acquire a ldq_l/stq_c spinlock, bump a shared counter, release;
     repeat ``times`` times."""
@@ -64,31 +25,5 @@ def spinlock_increment(lock: int, counter: int, times: int) -> list:
         stq   r31, 0(r10)           ; release
         subq  r12, #1, r12
         bne   r12, again
-        halt
-    """)
-
-
-def producer(buffer: int, flagaddr: int, value: int) -> list:
-    """Write a value then raise the flag (message-passing producer)."""
-    return assemble(f"""
-        lda   r1, {buffer}(r31)
-        lda   r2, {value}(r31)
-        stq   r2, 0(r1)
-        lda   r3, {flagaddr}(r31)
-        lda   r4, 1(r31)
-        stq   r4, 0(r3)
-        halt
-    """)
-
-
-def consumer(buffer: int, flagaddr: int) -> list:
-    """Spin on the flag, then read the value into r5."""
-    return assemble(f"""
-        lda   r3, {flagaddr}(r31)
-    wait:
-        ldq   r4, 0(r3)
-        beq   r4, wait
-        lda   r1, {buffer}(r31)
-        ldq   r5, 0(r1)
         halt
     """)

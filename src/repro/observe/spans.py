@@ -126,20 +126,6 @@ class SpanCollector:
         self.seen = 0
         self.txns = []
 
-    # -- checkpoint/restore ----------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
-
     # -- export ----------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:

@@ -25,7 +25,7 @@ Record kinds, all carrying ``{"kind": ..., "wall": <unix seconds>}``:
 
 Streams are host-side observers: they are never part of the
 deterministic result payload, never pickled into checkpoints (the
-sampler's ``state_dict`` strips its ``on_record`` hook), and their
+sampler's ``__getstate__`` strips its ``on_record`` hook), and their
 settings fold into the result-cache key only as an enable marker — a
 cache hit answers without re-streaming, which the CLI reports.
 

@@ -205,24 +205,6 @@ class Simulator:
             )
         self.now = time_ps
 
-    # -- checkpoint/restore ----------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Complete serialisable state: clock, event queue (entries carry
-        their callbacks), sequence counter and fired-event count.  The
-        queue rides the snapshot verbatim, so FIFO-within-timestamp
-        ordering is preserved exactly across a restore."""
-        return dict(self.__dict__)
-
-    def load_state(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> dict:
-        return self.state_dict()
-
-    def __setstate__(self, state: dict) -> None:
-        self.load_state(state)
-
     @property
     def pending(self) -> int:
         """Number of events currently queued."""
@@ -272,6 +254,12 @@ class Component:
     instance attribute, not a wrapper method): every simulated event is
     scheduled through it, and the extra delegating frame showed up as
     measurable overhead in profiles.
+
+    A component's checkpoint state is its instance dictionary: every
+    module keeps its complete mutable state in instance attributes
+    (DESIGN.md "Determinism") and none uses ``__slots__``, so stock
+    pickle's default serialises it and no component defines pickling
+    hooks.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -286,27 +274,6 @@ class Component:
     def now(self) -> int:
         """Current simulated time in picoseconds."""
         return self.sim.now
-
-    # -- checkpoint/restore ----------------------------------------------
-    #
-    # Every simulated module keeps its complete mutable state in instance
-    # attributes (DESIGN.md "Determinism"), so the default component
-    # snapshot is simply the instance dictionary.  Subclasses with state
-    # outside __dict__ override the pair; the checkpoint layer routes
-    # pickling through these hooks so a component's notion of "its state"
-    # stays in one place.
-
-    def state_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    def load_state(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> dict:
-        return self.state_dict()
-
-    def __setstate__(self, state: dict) -> None:
-        self.load_state(state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -34,20 +34,3 @@ def derive_seed(root_seed: int, *tags: Tag) -> int:
     material = repr((root_seed,) + tags).encode("utf-8")
     digest = hashlib.sha256(material).digest()
     return int.from_bytes(digest[:8], "big") & (2**63 - 1)
-
-
-def state_dict(rng: random.Random) -> tuple:
-    """Capture a substream's full Mersenne-Twister state for checkpointing.
-
-    ``random.Random`` already pickles (its C-level ``__getstate__`` returns
-    the 625-word internal state), but exposing the state as an explicit
-    ``state_dict``/``load_state`` pair keeps RNG checkpointing symmetric
-    with every other stateful component and lets tests assert round-trip
-    identity without going through pickle.
-    """
-    return rng.getstate()
-
-
-def load_state(rng: random.Random, state: tuple) -> None:
-    """Restore a substream captured by :func:`state_dict`."""
-    rng.setstate(state)

@@ -38,6 +38,12 @@ DeriveFn = Callable[[Dict[str, float], int], Dict[str, float]]
 class IntervalSampler:
     """Periodic delta sampler over a flat counter dictionary."""
 
+    #: optional ``cb(record)`` invoked after each interval record is
+    #: appended — the live-telemetry stream hangs here.  Host-side
+    #: observer, set per instance and stripped from checkpoints (see
+    #: :meth:`__getstate__`).
+    on_record: Optional[Callable[[Dict[str, object]], None]] = None
+
     def __init__(
         self,
         sim,
@@ -56,10 +62,6 @@ class IntervalSampler:
         self._derive = derive
         self._running = running
         self.intervals: List[Dict[str, object]] = []
-        #: optional ``cb(record)`` invoked after each interval record is
-        #: appended — the live-telemetry stream hangs here.  Host-side
-        #: observer: stripped from checkpoints (see :meth:`state_dict`).
-        self.on_record: Optional[Callable[[Dict[str, object]], None]] = None
         self._prev: Optional[Dict[str, float]] = None
         self._prev_time = 0
         self._reset_pending = False
@@ -163,38 +165,24 @@ class IntervalSampler:
         self._prev = cur
         self._prev_time = now_ps
         self._reset_pending = False
-        cb = getattr(self, "on_record", None)
+        cb = self.on_record
         if cb is not None:
             cb(record)
 
     # -- checkpoint/restore ------------------------------------------------
 
-    def state_dict(self) -> Dict[str, object]:
-        """Interval history, counter baseline and lifecycle flags, plus
-        the collector callables (bound methods / closures over the system
-        graph — the checkpoint pickler serialises them so a restored
-        sampler keeps collecting from the restored components).  The
-        pending ``schedule_every`` tick is *not* here: it rides the
-        simulator's pickled event queue, so a restored sampler resumes
-        sampling without being re-armed (and without double-arming).
-
-        ``on_record`` is excluded: it points at host-side sinks (an open
-        telemetry file handle) that can neither pickle nor meaningfully
-        transfer across processes; a restored sampler re-attaches its
-        stream through the harness."""
+    def __getstate__(self) -> Dict[str, object]:
+        """Everything except ``on_record``.  The collector callables are
+        bound methods of the system graph, so a restored sampler keeps
+        collecting from the restored components, and its pending
+        ``schedule_every`` tick rides the simulator's pickled event queue
+        (no re-arming).  ``on_record`` points at host-side sinks (an open
+        telemetry file handle) that can neither pickle nor transfer
+        across processes: a restored sampler reads the class default
+        None until the harness re-attaches its stream."""
         state = dict(self.__dict__)
         state.pop("on_record", None)
         return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.on_record = None
-        self.__dict__.update(state)
-
-    def __getstate__(self) -> Dict[str, object]:
-        return self.state_dict()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.load_state(state)
 
     # -- export ----------------------------------------------------------
 

@@ -61,14 +61,14 @@ class WorkloadThread:
         self.ilp = ilp
         self.name = name
         self.emitted = 0
-        self._exhausted = False
+        self.exhausted = False
         #: (workload, node, cpu) rebuild recipe; None until the thread is
         #: attached through PiranhaSystem.attach_workload
-        self._source = None
+        self.source = None
 
     def bind_source(self, workload, node: int, cpu: int) -> None:
         """Record the rebuild recipe for checkpoint/restore."""
-        self._source = (workload, node, cpu)
+        self.source = (workload, node, cpu)
 
     def __iter__(self) -> "WorkloadThread":
         return self
@@ -80,7 +80,7 @@ class WorkloadThread:
         try:
             item = next(gen)
         except StopIteration:
-            self._exhausted = True
+            self.exhausted = True
             raise
         self.emitted += 1
         return item
@@ -97,7 +97,7 @@ class WorkloadThread:
         """
         gen = self._gen
         if gen is None:
-            if self._exhausted:
+            if self.exhausted:
                 return [], False
             gen = self._rebuild()
         if until is None:
@@ -112,19 +112,19 @@ class WorkloadThread:
                 append(item)
         self.emitted += len(items)
         if len(items) < limit:
-            self._exhausted = True
+            self.exhausted = True
         return items, False
 
     def _rebuild(self) -> Iterator[WorkItem]:
         """Regenerate and fast-forward the stream after a restore."""
-        if self._exhausted:
+        if self.exhausted:
             raise StopIteration
-        if self._source is None:
+        if self.source is None:
             raise RuntimeError(
                 f"workload thread {self.name!r} was restored without a "
                 f"rebuild source; attach threads via "
                 f"PiranhaSystem.attach_workload")
-        workload, node, cpu = self._source
+        workload, node, cpu = self.source
         fresh = workload.thread_for(node, cpu)
         if fresh is None:
             raise RuntimeError(
@@ -138,35 +138,21 @@ class WorkloadThread:
 
     # -- checkpoint/restore ----------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Serialisable state: everything except the live generator."""
-        return {
-            "ilp": self.ilp,
-            "name": self.name,
-            "emitted": self.emitted,
-            "exhausted": self._exhausted,
-            "source": self._source,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.ilp = state["ilp"]
-        self.name = state["name"]
-        self.emitted = state["emitted"]
-        self._exhausted = state["exhausted"]
-        self._source = state["source"]
-        self._gen = None  # rebuilt lazily on the next __next__
-
     def __getstate__(self) -> dict:
-        if (self._source is None and not self._exhausted
+        """Everything except the live generator."""
+        if (self.source is None and not self.exhausted
                 and self._gen is not None):
             raise TypeError(
                 f"workload thread {self.name!r} is not checkpointable: it "
                 f"was attached without a rebuild source (use "
                 f"PiranhaSystem.attach_workload)")
-        return self.state_dict()
+        state = dict(self.__dict__)
+        del state["_gen"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
-        self.load_state(state)
+        self.__dict__.update(state)
+        self._gen = None  # rebuilt lazily on the next __next__
 
 
 class Workload:

@@ -5,16 +5,78 @@ import pytest
 from repro.core import CoherenceChecker, PiranhaSystem, preset
 from repro.isa import (
     SharedMemory,
-    consumer,
+    assemble,
     make_isa_workload,
-    memcpy_wh64,
-    producer,
     spinlock_increment,
-    vector_sum,
 )
 
 LOCK, COUNTER = 0x4000, 0x4080
 BUF, FLAG = 0x5000, 0x5080
+
+
+def vector_sum(base: int, count: int) -> list:
+    """Sum ``count`` quadwords starting at ``base`` into r1; halt."""
+    return assemble(f"""
+        lda   r2, {base}(r31)       ; pointer
+        lda   r3, {count}(r31)      ; counter
+        bis   r31, r31, r1          ; sum = 0
+    loop:
+        ldq   r4, 0(r2)
+        addq  r1, r4, r1
+        lda   r2, 8(r2)
+        subq  r3, #1, r3
+        bne   r3, loop
+        halt
+    """)
+
+
+def memcpy_wh64(src: int, dst: int, lines: int) -> list:
+    """Copy ``lines`` cache lines using the wh64 write hint on the
+    destination (the classic copy-routine use of exclusive-without-data)."""
+    return assemble(f"""
+        lda   r1, {src}(r31)
+        lda   r2, {dst}(r31)
+        lda   r3, {lines}(r31)
+    line:
+        wh64  0(r2)                 ; take the whole line without fetching it
+        lda   r4, 8(r31)            ; 8 quadwords per line
+    qw:
+        ldq   r5, 0(r1)
+        stq   r5, 0(r2)
+        lda   r1, 8(r1)
+        lda   r2, 8(r2)
+        subq  r4, #1, r4
+        bne   r4, qw
+        subq  r3, #1, r3
+        bne   r3, line
+        halt
+    """)
+
+
+def producer(buffer: int, flagaddr: int, value: int) -> list:
+    """Write a value then raise the flag (message-passing producer)."""
+    return assemble(f"""
+        lda   r1, {buffer}(r31)
+        lda   r2, {value}(r31)
+        stq   r2, 0(r1)
+        lda   r3, {flagaddr}(r31)
+        lda   r4, 1(r31)
+        stq   r4, 0(r3)
+        halt
+    """)
+
+
+def consumer(buffer: int, flagaddr: int) -> list:
+    """Spin on the flag, then read the value into r5."""
+    return assemble(f"""
+        lda   r3, {flagaddr}(r31)
+    wait:
+        ldq   r4, 0(r3)
+        beq   r4, wait
+        lda   r1, {buffer}(r31)
+        ldq   r5, 0(r1)
+        halt
+    """)
 
 
 def run_programs(programs, config="P4", nodes=1, memory=None):
@@ -90,8 +152,6 @@ class TestKernels:
         """The write hint skips fetching destination lines: fewer memory
         stalls than a load/store-only copy."""
         def copy_no_hint(src, dst, lines):
-            from repro.isa import assemble
-
             return assemble(f"""
                 lda   r1, {src}(r31)
                 lda   r2, {dst}(r31)

@@ -13,11 +13,15 @@ Covers the PR's acceptance criteria:
 * periodic checkpointing re-registers ``schedule_every`` tickers
   cleanly after restore (no duplicate tickers, no dropped intervals),
 * fuzz violation bisection restores the last pre-violation snapshot and
-  the violation recurs in the replayed window with the same signature.
+  the violation recurs in the replayed window with the same signature,
+* stock pickle is the only snapshot contract: an AST scan keeps
+  hand-written state hooks out of the package.
 """
 
+import ast
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -51,6 +55,8 @@ from repro.harness.runner import (DISK_CACHE, RunSpec, assemble_result,
 from repro.harness.sweep import record_from_result, sweep_field
 from repro.sim.engine import _PeriodicTick
 from repro.workloads import DssParams, OltpParams
+
+from .test_imports import SRC, modules
 
 TINY_OLTP = OltpParams(transactions=6, warmup_transactions=8)
 TINY_DSS = DssParams(rows=48)
@@ -561,3 +567,58 @@ class TestSnapshotBasics:
         system.sim.run()
         assert snapshot_bytes(restore_system(capture.payload)) == \
             snapshot_bytes(restore_system(capture.payload))
+
+
+# ---------------------------------------------------------------------------
+# stock pickle is the only snapshot contract
+
+#: the classes whose snapshot differs from their instance dictionary, and
+#: why: a live generator cannot pickle, fixed tables are rebuilt on first
+#: use, and host-side hooks never ride a snapshot; only the thread's
+#: restore needs more than the default (its generator starts as None)
+ALLOWED_HOOKS = {
+    "state_dict": set(),
+    "load_state": set(),
+    "__getstate__": {"WorkloadThread", "OltpWorkload", "IntervalSampler",
+                     "PeriodicCheckpointer"},
+    "__setstate__": {"WorkloadThread"},
+}
+
+
+def misplaced_hooks(source: str):
+    """``(class, method)`` for every snapshot hook a class defines
+    outside :data:`ALLOWED_HOOKS`."""
+    return [(node.name, item.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and item.name in ALLOWED_HOOKS
+            and node.name not in ALLOWED_HOOKS[item.name]]
+
+
+class TestStockPickleContract:
+    def test_no_identity_hooks_in_package(self):
+        found = {}
+        for rel in modules(with_init=True):
+            with open(os.path.join(SRC, rel), encoding="utf-8") as fh:
+                bad = misplaced_hooks(fh.read())
+            if bad:
+                found[rel] = bad
+        assert not found, (
+            f"snapshot hooks outside the allowlist: {found}; a component's "
+            f"state is its __dict__, which stock pickle already saves")
+
+    def test_scanner_sees_hooks(self):
+        source = (
+            "class Engine:\n"
+            "    def state_dict(self): return dict(self.__dict__)\n"
+            "    def __getstate__(self): return self.state_dict()\n"
+            "class WorkloadThread:\n"
+            "    def __getstate__(self): return {}\n"
+            "    def __setstate__(self, state): pass\n"
+            "class IntervalSampler:\n"
+            "    def __setstate__(self, state): pass\n")
+        assert misplaced_hooks(source) == [
+            ("Engine", "state_dict"), ("Engine", "__getstate__"),
+            ("IntervalSampler", "__setstate__")]

@@ -4,9 +4,9 @@ The load-bearing property is the **bit-identity gate**: a detailed
 measurement window restored from a checkpoint must be indistinguishable
 from the same window run on the live machine.  With
 ``warming="detailed"`` a :class:`SampledRun` performs *no* approximation
-— every span runs through the full event-driven model — so the
-``handoff="restore"`` run (every window on a snapshot-rebuilt machine,
-generators replayed from seed) and the ``handoff="none"`` run (one live
+— every span runs through the full event-driven model — so a
+:class:`RestoringRun` (every window on a snapshot-rebuilt machine,
+generators replayed from seed) and a plain :class:`SampledRun` (one live
 machine throughout) must agree bit-for-bit on the measurement payload,
 every per-window record, and final simulated time.  That pins the
 checkpoint subsystem as a faithful hand-off mechanism, which is what
@@ -25,6 +25,7 @@ import os
 
 import pytest
 
+from repro.checkpoint import restore_system, snapshot_bytes
 from repro.core.config import preset
 from repro.core.messages import AccessKind
 from repro.fastforward import FunctionalWarmer, PhaseStream, SampledRun
@@ -42,15 +43,27 @@ WINDOW = 300
 PERIOD = 1200
 
 
-def _sampled(warming: str, handoff: str, reuse_generators: bool = True,
-             check: bool = False, nodes: int = 1, **kw):
+class RestoringRun(SampledRun):
+    """A sampled run that rebuilds the machine from a snapshot of itself
+    before every measurement window.  The restored workload threads have
+    no live generators, so each one replays its stream from seed."""
+
+    restores = 0
+
+    def _run_detailed(self, budget, until_warm, record):
+        if record:
+            self.system = restore_system(snapshot_bytes(self.system))
+            self.restores += 1
+        super()._run_detailed(budget, until_warm, record)
+
+
+def _sampled(warming: str, check: bool = False, nodes: int = 1,
+             run_cls=SampledRun):
     config = preset("P8" if nodes == 1 else "P2")
     factory = OltpFactory(OLTP_SMALL)
     system, _wl = build_system(config, factory, nodes,
                                RunSpec(check_coherence=check))
-    run = SampledRun(system, window=WINDOW, period=PERIOD,
-                     warming=warming, handoff=handoff,
-                     reuse_generators=reuse_generators, **kw)
+    run = run_cls(system, window=WINDOW, period=PERIOD, warming=warming)
     run.run()
     result = run.to_result(config, nodes)
     return run, result
@@ -62,22 +75,13 @@ def _sampled(warming: str, handoff: str, reuse_generators: bool = True,
 
 class TestBitIdentityGate:
     def test_restore_equals_live_detailed_warming(self):
-        live_run, live = _sampled("detailed", handoff="none")
-        rest_run, rest = _sampled("detailed", handoff="restore",
-                                  reuse_generators=False)
+        live_run, live = _sampled("detailed")
+        rest_run, rest = _sampled("detailed", run_cls=RestoringRun)
         assert payload_digest(live) == payload_digest(rest)
         assert live_run.windows == rest_run.windows
         assert live_run.system.sim.now == rest_run.system.sim.now
         # the restore path really did round-trip the machine
-        assert rest_run.handoff.captures == len(rest_run.windows)
-
-    def test_generator_reuse_matches_replay(self):
-        replay_run, replay = _sampled("detailed", handoff="restore",
-                                      reuse_generators=False)
-        reuse_run, reuse = _sampled("detailed", handoff="restore",
-                                    reuse_generators=True)
-        assert payload_digest(replay) == payload_digest(reuse)
-        assert replay_run.windows == reuse_run.windows
+        assert rest_run.restores == len(rest_run.windows) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +90,13 @@ class TestBitIdentityGate:
 
 class TestSampledRun:
     def test_deterministic(self):
-        run1, res1 = _sampled("functional", handoff="none")
-        run2, res2 = _sampled("functional", handoff="none")
+        run1, res1 = _sampled("functional")
+        run2, res2 = _sampled("functional")
         assert payload_digest(res1) == payload_digest(res2)
         assert run1.windows == run2.windows
 
     def test_windows_and_confidence_document(self):
-        run, result = _sampled("functional", handoff="none")
+        run, result = _sampled("functional")
         assert len(run.windows) >= 2
         sampling = result.extras["sampling"]
         assert sampling["mode"] == "sampled"
@@ -112,19 +116,19 @@ class TestSampledRun:
     def test_functional_close_to_detailed_smallscale(self):
         # shape check, deliberately loose: the functional and detailed
         # regimes must tell the same qualitative story even at toy scale
-        _, func = _sampled("functional", handoff="none")
-        _, det = _sampled("detailed", handoff="none")
+        _, func = _sampled("functional")
+        _, det = _sampled("detailed")
         assert abs(func.busy_frac - det.busy_frac) < 0.15
         assert abs(func.mem_frac - det.mem_frac) < 0.15
 
     def test_sampled_run_with_sanitizer(self):
         # warm-path state mutations must satisfy the full protocol audit
-        run, result = _sampled("functional", handoff="none", check=True)
+        run, result = _sampled("functional", check=True)
         assert result.extras.get("audit_violations", 0) == 0
         assert run.warmer.warmed > 0
 
     def test_multinode_smoke(self):
-        run, result = _sampled("functional", handoff="none", nodes=2)
+        run, result = _sampled("functional", nodes=2)
         assert len(run.windows) >= 1
         assert result.nodes == 2
         # multi-node declines are expected (engine-bound lines), and the
@@ -144,8 +148,6 @@ class TestSampledRun:
             SampledRun(system, window=WINDOW, period=-1)
         with pytest.raises(ValueError):
             SampledRun(system, window=WINDOW, period=PERIOD, warming="x")
-        with pytest.raises(ValueError):
-            SampledRun(system, window=WINDOW, period=PERIOD, handoff="x")
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,7 @@ class TestFunctionalWarmer:
         warmer.apply_interleaved([(cpu_f, buf)])
 
         sys_d, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
-        run = SampledRun(sys_d, window=WINDOW, period=0, warming="detailed",
-                         handoff="none")
+        run = SampledRun(sys_d, window=WINDOW, period=0, warming="detailed")
         run._run_detailed(None, until_warm=True, record=False)
         assert lines_of(sys_f) == lines_of(run.system)
 

@@ -11,10 +11,10 @@ from repro.isa import (
     assemble,
     decode,
     encode,
-    memcpy_wh64,
     spinlock_increment,
-    vector_sum,
 )
+
+from .integration.test_isa_programs import memcpy_wh64, vector_sum
 
 
 class TestEncoding:

@@ -4,7 +4,6 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.sim import derive_seed, substream
-from repro.sim.rng import load_state, state_dict
 
 
 class TestSubstream:
@@ -35,24 +34,6 @@ def _draw_ten(rng):
 
 
 class TestStateRoundTrip:
-    def test_state_dict_load_state_identical_draws(self):
-        """A substream restored mid-stream continues with the exact
-        draws the uninterrupted stream produces (checkpoint fidelity)."""
-        rng = substream(42, "oltp", 3)
-        _ = [rng.random() for _ in range(100)]  # advance mid-stream
-        saved = state_dict(rng)
-        expected = [rng.random() for _ in range(50)]
-        fresh = substream(0, "other")  # unrelated stream, overwritten
-        load_state(fresh, saved)
-        assert [fresh.random() for _ in range(50)] == expected
-
-    def test_state_dict_does_not_perturb_stream(self):
-        a = substream(7, "x")
-        b = substream(7, "x")
-        state_dict(a)
-        assert [a.random() for _ in range(5)] == \
-            [b.random() for _ in range(5)]
-
     def test_pickle_round_trip_identical_draws(self):
         rng = substream(42, "net", 1)
         _ = [rng.random() for _ in range(33)]
@@ -66,11 +47,11 @@ class TestStateRoundTrip:
         warm path pickles live workloads across this boundary)."""
         rng = substream(42, "workload", 5)
         _ = [rng.random() for _ in range(17)]
-        local = state_dict(rng)
+        local = rng.getstate()
         with ProcessPoolExecutor(max_workers=1) as pool:
             remote = pool.submit(_draw_ten, rng).result()
         restored = substream(0, 0)
-        load_state(restored, local)
+        restored.setstate(local)
         assert remote == [restored.random() for _ in range(10)]
 
 

@@ -89,6 +89,17 @@ class TestRouting:
         topo.remove_link(0, 1)
         assert topo.distance(0, 1) == 5  # must go the long way now
 
+    def test_disconnecting_removal_refused_and_undone(self):
+        topo = line(3)
+        before = {(a, b): (topo.distance(a, b), topo.minimal_next_hops(a, b))
+                  for a in topo.nodes for b in topo.nodes if a != b}
+        with pytest.raises(TopologyError, match="disconnect"):
+            topo.remove_link(0, 1)
+        assert topo.has_link(0, 1) and topo.neighbors(1) == [0, 2]
+        assert topo.is_connected()
+        assert {(a, b): (topo.distance(a, b), topo.minimal_next_hops(a, b))
+                for a in topo.nodes for b in topo.nodes if a != b} == before
+
     def test_remove_missing_link(self):
         topo = ring(4)
         with pytest.raises(TopologyError):

@@ -252,7 +252,7 @@ class TestBulkPull:
         assert thread.emitted == 100
         rest, hit = thread.take(len(reference))
         assert first + rest == reference
-        assert thread.emitted == len(reference) and thread._exhausted
+        assert thread.emitted == len(reference) and thread.exhausted
         assert thread.take(10) == ([], False)
         with pytest.raises(StopIteration):
             next(thread)
