@@ -14,8 +14,8 @@ import dataclasses
 import pytest
 
 from repro.core import preset
-from repro.harness import OltpFactory, format_table, run_jobs, scale_factor
-from repro.harness.parallel import Job
+from repro.harness import (Job, OltpFactory, format_table, run_jobs,
+                           scale_factor)
 from repro.workloads import OltpParams
 
 

@@ -14,8 +14,8 @@ import dataclasses
 
 from repro import OltpParams, OltpWorkload, preset
 from repro.core import PiranhaSystem
-from repro.harness import format_table
-from repro.harness.sweep import replace_field, run_config, sweep_field
+from repro.harness import format_table, record_from_result, run_configured
+from repro.harness.sweep import replace_field
 
 PARAMS = OltpParams(transactions=30, warmup_transactions=60)
 
@@ -33,7 +33,7 @@ def cores_vs_cache() -> None:
     for cpus, kb in variants:
         config = preset("P8").with_cpus(cpus, f"P{cpus}")
         config = replace_field(config, "l2.size_bytes", kb * 1024)
-        record = run_config(config, oltp_factory)
+        record = record_from_result(run_configured(config, oltp_factory))
         if base is None:
             base = record["throughput"]
         rows.append([cpus, kb, f"{record['throughput'] / base:.2f}",
@@ -51,7 +51,7 @@ def inclusion() -> None:
         config = dataclasses.replace(
             preset("P8"),
             l2=dataclasses.replace(preset("P8").l2, inclusive=inclusive))
-        record = run_config(config, oltp_factory)
+        record = record_from_result(run_configured(config, oltp_factory))
         rows.append(["inclusive" if inclusive else "non-inclusive",
                      f"{record['time_per_unit_ns']:.0f}",
                      f"{record['miss_mem_frac']:.2f}"])

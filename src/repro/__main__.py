@@ -39,7 +39,7 @@ import sys
 
 from .area import floorplan_summary
 from .core import PRESETS, preset, table1
-from .harness.experiments import FACTORIES, UNITS_ATTR, scaled_factory
+from .harness.experiments import FACTORIES, scaled_factory
 from .harness.report import breakdown_bar, format_table
 from .harness.runner import RunSpec, build_system, run_system
 from .isa.kernels import KERNEL_NAMES
@@ -63,7 +63,6 @@ def _cli_spec(args: argparse.Namespace) -> RunSpec:
     if getattr(args, "telemetry", None) and not sample_us:
         sample_us = 50.0
     return RunSpec(
-        units_attr=UNITS_ATTR[args.workload],
         check_coherence=getattr(args, "check", False),
         trace_capacity=getattr(args, "trace", 0) or 0,
         probe_rate=probe_rate,
@@ -241,10 +240,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             stream.close()
     _print_audit(result)
     if spec.mode == "sampled":
-        _print_sampled(result, spec.units_attr)
+        _print_sampled(result, system.workload.units_attr)
     else:
         print(f"\nsimulated time : {system.finish_ps() / 1e6:.1f} us")
-        _print_measurement(result, spec.units_attr)
+        _print_measurement(result, system.workload.units_attr)
     _write_outputs(args, result)
     if profiler is not None:
         print()
@@ -345,8 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         records = sweep_field(
             args.config, factory, args.field, values, num_nodes=args.nodes,
-            units_attr=UNITS_ATTR[args.workload], jobs=args.jobs,
-            warmup=args.warmup)
+            jobs=args.jobs, warmup=args.warmup)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -497,23 +495,10 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # a warm-store snapshot's manifest names a factory token, not a
-    # table entry: fall back to the restored workload's own name
-    workload = manifest.get("workload")
-    if workload not in UNITS_ATTR:
-        workload = system.workload.name
-    units_attr = UNITS_ATTR.get(workload) or next(
-        (attr for attr in UNITS_ATTR.values()
-         if hasattr(system.workload.params, attr)), None)
-    if units_attr is None:
-        print(f"error: {args.path}: workload {workload!r} has no measured "
-              f"units", file=sys.stderr)
-        return 1
     # measure under the observer settings the snapshot was taken with, so
     # --metrics is byte-identical to an uninterrupted ``repro run
     # --metrics`` at the same settings
-    spec = RunSpec(units_attr=units_attr,
-                   probe_rate=manifest.get("probe_rate", 0) or 0,
+    spec = RunSpec(probe_rate=manifest.get("probe_rate", 0) or 0,
                    sample_interval_ps=int(
                        (manifest.get("sample_interval_us", 0) or 0) * 1e6)
                    ).resolve()
@@ -521,14 +506,14 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         print("error: --metrics needs a snapshot saved with --probe-rate or "
               "--sample-interval", file=sys.stderr)
         return 2
-    print(f"restored {workload} on {manifest.get('nodes')} node(s) @ "
-          f"{manifest['sim_now'] / 1e6:.1f} us; resuming ...")
+    print(f"restored {system.workload.name} on {manifest.get('nodes')} "
+          f"node(s) @ {manifest['sim_now'] / 1e6:.1f} us; resuming ...")
     result = run_system(system, spec)
     _print_audit(result)
     finish = system.finish_ps()
     print(f"\nsimulated time : {finish / 1e6:.1f} us (measurement window "
           f"{(finish - manifest['sim_now']) / 1e6:.1f} us)")
-    _print_measurement(result, spec.units_attr)
+    _print_measurement(result, system.workload.units_attr)
     _write_outputs(args, result)
     return 0
 

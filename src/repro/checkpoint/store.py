@@ -44,13 +44,13 @@ def warm_key(config, factory, num_nodes: int, spec,
     resolved :class:`~repro.harness.runner.RunSpec` *spec*, or None if
     the workload has no stable identity.
 
-    Only the spec fields that shape the warm object graph fold in: units
-    attribute, sanitizer, trace ring, probe rate and sampler (a
-    sampler's pending tick lives in the event queue).  Spans, window
-    and period stay out: the span observer is re-armed (or disarmed)
-    per run on restore, and the sampled window/period only shape the
-    measurement *after* the warm boundary — so one warm snapshot serves
-    every such variant of the point.
+    Only the spec fields that shape the warm object graph fold in:
+    sanitizer, trace ring, probe rate and sampler (a sampler's pending
+    tick lives in the event queue).  Spans, window and period stay out:
+    the span observer is re-armed (or disarmed) per run on restore, and
+    the sampled window/period only shape the measurement *after* the
+    warm boundary — so one warm snapshot serves every such variant of
+    the point.
 
     ``variant`` namespaces snapshots whose warm state is *not* the
     detailed warm-up image: sampled runs park their CPUs at the boundary
@@ -68,7 +68,6 @@ def warm_key(config, factory, num_nodes: int, spec,
             "config": config_digest(config),
             "workload": token,
             "nodes": num_nodes,
-            "units_attr": spec.units_attr,
             "check": bool(spec.check_coherence),
             "trace": int(spec.trace_capacity),
             "probe": int(spec.probe_rate),

@@ -427,9 +427,10 @@ class SampledRun:
     def to_result(self, config, num_nodes: int, spec=None,
                   wall: float = 0.0):
         """Build a :class:`~repro.harness.runner.RunResult` whose totals
-        are the sampled (extrapolated) estimates, measured under the
-        resolved :class:`~repro.harness.runner.RunSpec` *spec* (default:
-        plain transactions, no observers)."""
+        are the sampled (extrapolated) estimates, in the workload's own
+        units, measured under the resolved
+        :class:`~repro.harness.runner.RunSpec` *spec* (default: no
+        observers)."""
         from ..harness.runner import RunResult, RunSpec
 
         spec = spec or RunSpec()
@@ -448,7 +449,7 @@ class SampledRun:
             for k, v in w["miss"].items():
                 miss[k] = miss.get(k, 0) + v
         served = sum(miss.values()) or 1
-        units = getattr(workload.params, spec.units_attr)
+        units = getattr(workload.params, workload.units_attr)
         per_cpu_ps = max(self._est_ps.values()) if self._est_ps else 0.0
         time_per_unit_ns = per_cpu_ps / units / 1000.0 if units else 0.0
         total_cpus = config.cpus * num_nodes

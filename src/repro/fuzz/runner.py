@@ -55,6 +55,7 @@ class FuzzWorkload(Workload):
     """One FuzzProgram as a harness workload (one thread per used CPU)."""
 
     name = "fuzz"
+    units_attr = "ops"
     ilp = 1.0
 
     def __init__(self, program: FuzzProgram,
@@ -312,7 +313,7 @@ def run_fuzz_program(program: FuzzProgram, check: bool = True,
     try:
         result = simulate(
             config, lambda _cfg, _n: workload, num_nodes=program.nodes,
-            units_attr="ops", check_coherence=check,
+            check_coherence=check,
             trace_capacity=trace_capacity if check else 0,
         )
     except (MemoryModelViolation, CoherenceViolation, RuntimeError) as exc:

@@ -7,10 +7,12 @@ paper-vs-measured rows.
 
 Workload factories are frozen dataclasses rather than closures so that
 (a) they pickle across the process-pool boundary
-(:mod:`repro.harness.parallel`) and (b) their reprs serve as stable disk
-cache tokens (:func:`repro.harness.cache.workload_token`).  Figures that
-simulate several independent points dispatch them through
-:func:`run_points`, which honours ``REPRO_JOBS``.
+(:func:`repro.harness.runner.run_jobs`) and (b) their reprs serve as
+stable disk cache tokens (:func:`repro.harness.cache.workload_token`).
+Each workload names its own unit of work (``units_attr``: OLTP per
+transaction, DSS per row, web per query).  Figures that simulate several
+independent points dispatch them through :func:`run_points`, which
+honours ``REPRO_JOBS``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from ..workloads.micro import MicroParams, MigratoryWrites
 from ..workloads.oltp import OltpParams, OltpWorkload
 from ..workloads.tpcc import TpccWorkload, tpcc_params
 from ..workloads.web import WebParams, WebWorkload
-from .parallel import Job, run_jobs
-from .runner import RunResult, RunSpec, scale_factor
+from .runner import Job, RunResult, run_jobs, scale_factor
 
 
 def _oltp_scaled(scale: float) -> OltpParams:
@@ -128,16 +129,6 @@ FACTORIES = {
     "isa": IsaKernelFactory,
 }
 
-#: units attribute measured per workload
-UNITS_ATTR = {
-    "oltp": "transactions",
-    "dss": "rows",
-    "tpcc": "transactions",
-    "web": "queries",
-    "migratory": "iterations",
-    "isa": "iterations",
-}
-
 
 def scaled_factory(name: str, scale: float):
     """The :data:`FACTORIES` entry *name* with its params fixed by the
@@ -153,8 +144,7 @@ def run_points(points: Sequence[Tuple[str, str, int]],
     across worker processes, serially when unset."""
     return run_jobs([
         Job(config=preset(config_name), factory=FACTORIES[workload](),
-            num_nodes=num_nodes,
-            spec=RunSpec(units_attr=UNITS_ATTR[workload]))
+            num_nodes=num_nodes)
         for workload, config_name, num_nodes in points
     ], jobs=jobs)
 

@@ -1,10 +1,12 @@
 """Experiment runner: build a system, attach a workload, measure.
 
-All figure/table regeneration (``repro.harness.experiments``) goes through
-:func:`run_workload` / :func:`run_configured`, which return a
-:class:`RunResult` with the normalised execution-time breakdown (Figure
-5's CPU-busy / L2-hit / L2-miss decomposition), the L1-miss service
-decomposition (Figure 6b), and a throughput figure of merit.
+:func:`simulate` runs one point uncached; :func:`run_jobs` is the one
+cached path, and :func:`run_configured` runs a single point through it.
+Every figure and table (``repro.harness.experiments``) goes through them
+and gets a :class:`RunResult` with the normalised execution-time
+breakdown (Figure 5's CPU-busy / L2-hit / L2-miss decomposition), the
+L1-miss service decomposition (Figure 6b), and a throughput figure of
+merit, per unit of work the workload names (its ``units_attr``).
 
 Simulations are deterministic, so results are cached at two levels:
 
@@ -15,11 +17,18 @@ Simulations are deterministic, so results are cached at two levels:
   entirely when the code, config and workload are unchanged.
 
 Both levels share one key: the digest of the resolved :class:`RunSpec`
-at the point (:meth:`RunSpec.key`).  Set ``REPRO_NO_CACHE=1`` to disable both; :func:`memo_cache_info`
-exposes the memo's contents and hit/miss counters, and every returned
-``RunResult`` carries the current counters in ``extras`` (telemetry
-only — the measurement payload of a RunResult is deterministic, extras
-and ``sim_wall_s`` are not).
+at the point (:meth:`RunSpec.key`).  Set ``REPRO_NO_CACHE=1`` to
+disable both; :func:`memo_cache_info` and ``DISK_CACHE.info()`` expose
+their contents and hit/miss counters.
+
+Each point is an independent, deterministic, single-threaded program —
+the ideal unit for process-level parallelism.  :func:`run_jobs` fans the
+points the caches miss out over a ``ProcessPoolExecutor`` when asked:
+pass ``jobs=N``, or set ``REPRO_JOBS=N`` (``REPRO_JOBS=0`` means one
+worker per CPU core).  Workers run the same :func:`simulate`, so a
+parallel run produces bit-for-bit the same measurement payload as a
+serial one (DESIGN.md, "Determinism").  Jobs whose workload factory
+cannot be pickled (closures, lambdas) run serially in this process.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.checker import CoherenceChecker
-from ..core.config import ChipConfig, preset
+from ..core.config import ChipConfig
 from ..core.system import PiranhaSystem
 from .cache import (
     DISK_CACHE,
@@ -57,15 +68,15 @@ class RunResult:
     Every field except ``sim_wall_s`` and ``extras`` is a deterministic
     function of (config, workload, nodes, library code): serial, parallel
     and cached executions of the same point agree bit-for-bit on the
-    measurement payload.  ``sim_wall_s`` is host wall-clock;``extras``
-    carries harness telemetry (cache counters).
+    measurement payload.  ``sim_wall_s`` is host wall-clock; ``extras``
+    carries the run's structured documents.
     """
 
     config: str
     cpus: int
     nodes: int
     workload: str
-    units: int                   # transactions / rows measured per CPU
+    units: int                   # the workload's units_attr, per CPU
     time_per_unit_ns: float      # per-CPU steady-state time per unit
     throughput: float            # units per second, whole system
     busy_frac: float
@@ -75,9 +86,9 @@ class RunResult:
     miss_fwd_frac: float         # ... by another on-chip L1
     miss_mem_frac: float         # ... by local/remote memory
     sim_wall_s: float = 0.0
-    #: harness telemetry and structured payloads (sanitizer counters,
-    #: the "metrics" document from the observability layer); values are
-    #: floats or JSON-shaped nested dicts — everything pickles/serialises
+    #: structured payloads (sanitizer counters, the "metrics" document
+    #: from the observability layer); values are floats or JSON-shaped
+    #: nested dicts — everything pickles/serialises
     extras: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -155,7 +166,6 @@ WARMINGS = ("functional", "detailed")
 class RunSpec:
     """Every option that shapes what one simulation point measures.
 
-    ``units_attr`` names the workload parameter counted as units;
     ``check_coherence`` attaches the protocol sanitizer and
     ``trace_capacity`` a protocol trace ring of that many events;
     ``probe_rate=N`` tags 1 in N L1 misses with a latency probe and
@@ -166,11 +176,11 @@ class RunSpec:
     ``trace_spans=N`` keeps a causal span trace of up to N transactions
     in ``extras["trace"]``.
 
-    Execution strategy (``warmup``) and host targets (``telemetry``) are
-    not measurement identity and stay outside the spec.
+    The unit of work is the workload's own (``units_attr``), and
+    execution strategy (``warmup``) and host targets (a telemetry
+    stream) are not measurement identity: all stay outside the spec.
     """
 
-    units_attr: str = "transactions"
     check_coherence: bool = False
     trace_capacity: int = 0
     probe_rate: int = 0
@@ -280,7 +290,7 @@ def assemble_result(
     if system.checker is not None:
         sanitizer = system.verify()
 
-    units = getattr(workload.params, spec.units_attr)
+    units = getattr(workload.params, workload.units_attr)
     per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
     time_per_unit_ns = per_cpu_ps / units / 1000.0
     total_cpus = config.cpus * num_nodes
@@ -330,7 +340,6 @@ def simulate(
     num_nodes: int = 1,
     *,
     warmup: bool = False,
-    telemetry=None,
     **fields,
 ) -> RunResult:
     """Run one simulation point, uncached.
@@ -373,58 +382,10 @@ def simulate(
     only the measurement windows, which is where the large sampled
     speedups live.
 
-    ``telemetry`` (a path, fd, file-like object, or
-    :class:`~repro.observe.telemetry.TelemetryStream`) streams live
-    heartbeat/interval/window/run-end records as the simulation runs.
+    A live telemetry stream attaches through :func:`run_system`.
     """
-    return simulate_spec(config, workload_factory, num_nodes,
-                         RunSpec(**fields).resolve(), warmup, telemetry)
-
-
-def simulate_spec(config: ChipConfig, workload_factory: Callable,
-                  num_nodes: int, spec: RunSpec, warmup: bool = False,
-                  telemetry=None) -> RunResult:
-    """:func:`simulate` for an already-resolved *spec*."""
     wall0 = time.time()
-    stream = _open_telemetry(telemetry)
-    try:
-        return _simulate_inner(config, workload_factory, num_nodes, spec,
-                               warmup, stream, wall0)
-    finally:
-        if stream is not None and stream is not telemetry:
-            stream.close()
-
-
-def _open_telemetry(telemetry):
-    """Normalise a telemetry target into a TelemetryStream (or None).
-    Callers close streams they opened; a caller-supplied stream is left
-    open for its owner to close."""
-    if telemetry is None:
-        return None
-    from ..observe.telemetry import TelemetryStream
-
-    if isinstance(telemetry, TelemetryStream):
-        return telemetry
-    return TelemetryStream(telemetry)
-
-
-def _warm_put(key: str, config: ChipConfig, workload_factory: Callable,
-              system: PiranhaSystem, payload: bytes, sim_now: int) -> None:
-    """File one warm-boundary snapshot in the warm-checkpoint store."""
-    from ..checkpoint import WARM_STORE, build_manifest
-
-    WARM_STORE.put(key, build_manifest(
-        payload,
-        fingerprint=library_fingerprint(),
-        config_digest=config_digest(config),
-        workload=workload_token(workload_factory),
-        nodes=system.num_nodes,
-        sim_now=sim_now,
-    ), payload)
-
-
-def _simulate_inner(config, workload_factory, num_nodes, spec, warmup,
-                    stream, wall0) -> RunResult:
+    spec = RunSpec(**fields).resolve()
     system = None
     skip_warm, key = False, None
     if warmup:
@@ -461,8 +422,25 @@ def _simulate_inner(config, workload_factory, num_nodes, spec, warmup,
                 put(snapshot_bytes(sys_), sys_.sim.now)
         else:
             WarmCapture(system, sink=put)
-    return run_system(system, spec, stream, wall0, skip_warm=skip_warm,
+    return run_system(system, spec, None, wall0, skip_warm=skip_warm,
                       on_warm=on_warm)
+
+
+
+
+def _warm_put(key: str, config: ChipConfig, workload_factory: Callable,
+              system: PiranhaSystem, payload: bytes, sim_now: int) -> None:
+    """File one warm-boundary snapshot in the warm-checkpoint store."""
+    from ..checkpoint import WARM_STORE, build_manifest
+
+    WARM_STORE.put(key, build_manifest(
+        payload,
+        fingerprint=library_fingerprint(),
+        config_digest=config_digest(config),
+        workload=workload_token(workload_factory),
+        nodes=system.num_nodes,
+        sim_now=sim_now,
+    ), payload)
 
 
 def run_system(system: PiranhaSystem, spec: RunSpec, stream=None,
@@ -515,7 +493,11 @@ def run_system(system: PiranhaSystem, spec: RunSpec, stream=None,
             system.run_to_completion()
             result = assemble_result(system, workload, config, num_nodes,
                                      spec, time.time() - wall0)
-        _emit_run_end(stream, result)
+        if stream is not None:
+            stream.emit("run_end", config=result.config,
+                        workload=result.workload, items=result.units,
+                        throughput=result.throughput,
+                        sim_wall_s=result.sim_wall_s)
         return result
     finally:
         if gc_enabled:
@@ -565,69 +547,111 @@ def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
             protocol_events)
 
 
-def _emit_run_end(stream, result: RunResult, cached: bool = False) -> None:
-    if stream is None:
-        return
-    stream.emit("run_end", config=result.config, workload=result.workload,
-                items=result.units, throughput=result.throughput,
-                sim_wall_s=result.sim_wall_s, cached=cached)
+@dataclass(frozen=True)
+class Job:
+    """One simulation point: a config, a workload factory, a node count
+    and the :class:`RunSpec` to measure it under (resolved on
+    construction, so a bad mode fails before any cache lookup)."""
+
+    config: ChipConfig
+    factory: Callable[[ChipConfig, int], object]
+    num_nodes: int = 1
+    spec: RunSpec = RunSpec()
+    #: route through the warm-checkpoint store (restore-or-snapshot at the
+    #: warm-up boundary); execution strategy only — never part of a cache
+    #: key, results are byte-identical either way
+    warmup: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spec", self.spec.resolve())
 
 
-def _attach_telemetry(result: RunResult) -> RunResult:
-    result.extras["cache_memo_hits"] = float(_MEMO.hits)
-    result.extras["cache_memo_misses"] = float(_MEMO.misses)
-    result.extras["cache_disk_hits"] = float(DISK_CACHE.hits)
-    return result
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker count: explicit argument, else ``REPRO_JOBS``, else 1.
+
+    0 (or a negative value) means "use every CPU core".
+    """
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+        except ValueError:
+            jobs = 1
+    if jobs <= 0:
+        jobs = os.cpu_count() or 1
+    return jobs
 
 
-def cached_result(config: ChipConfig, workload_factory: Callable,
-                  num_nodes: int, spec: RunSpec) -> Optional[RunResult]:
-    """Memo/disk lookup for one point; None on a miss, with caching off,
-    or for an opaque workload factory."""
-    if not cache_enabled():
-        return None
-    key = spec.key(config, workload_factory, num_nodes)
-    if key is None:
-        return None
-    result = _MEMO.get(key)
-    if result is None:
-        result = DISK_CACHE.get(key)
-        if result is None:
-            return None
-        _MEMO.put(key, result)
-    return _attach_telemetry(result)
+def _execute(job: Job) -> RunResult:
+    """Simulate one job, uncached.  Worker processes run this too: cache
+    reads and writes stay in the parent so workers never race on the
+    cache directory — with one exception: warm checkpoints are written
+    worker-side (atomic tmp+rename, and distinct points never share a
+    key), because shipping multi-megabyte snapshots back through the
+    result pickle would cost more than the race it avoids."""
+    return simulate(job.config, job.factory, job.num_nodes,
+                    warmup=job.warmup, **asdict(job.spec))
 
 
-def store_result(result: RunResult, config: ChipConfig,
-                 workload_factory: Callable, num_nodes: int,
-                 spec: RunSpec) -> None:
-    """Record a freshly simulated point in the memo and disk caches."""
-    if not cache_enabled():
-        return
-    key = spec.key(config, workload_factory, num_nodes)
-    if key is None:
-        return
-    _MEMO.put(key, result)
-    DISK_CACHE.put(key, result)
+def _picklable(job: Job) -> bool:
+    try:
+        pickle.dumps(job)
+        return True
+    except Exception:
+        return False
 
 
-def run_spec(config: ChipConfig, workload_factory: Callable, num_nodes: int,
-             spec: RunSpec, warmup: bool = False, telemetry=None) -> RunResult:
-    """:func:`run_configured` for an already-resolved *spec*."""
-    cached = cached_result(config, workload_factory, num_nodes, spec)
-    if cached is not None:
-        if telemetry is not None:
-            stream = _open_telemetry(telemetry)
-            try:
-                _emit_run_end(stream, cached, cached=True)
-            finally:
-                if stream is not telemetry:
-                    stream.close()
-        return cached
-    result = simulate_spec(config, workload_factory, num_nodes, spec, warmup,
-                           telemetry)
-    store_result(result, config, workload_factory, num_nodes, spec)
-    return _attach_telemetry(result)
+def run_jobs(jobs_list: Sequence[Job], jobs: Optional[int] = None,
+             ) -> List[RunResult]:
+    """Execute every job, in order, using up to *jobs* worker processes.
+
+    The one cached path.  Results are returned in input order.  Points
+    the memo or the disk cache hold are answered without simulating;
+    the rest simulate — across a process pool when more than one worker
+    is allowed and more than one picklable point is left, serially
+    otherwise — and are written to both caches by this process.  With
+    caching off, or for an opaque workload factory, nothing is looked
+    up or stored.
+    """
+    jobs_list = list(jobs_list)
+    enabled = cache_enabled()
+    keys = [job.spec.key(job.config, job.factory, job.num_nodes)
+            if enabled else None for job in jobs_list]
+    results: List[Optional[RunResult]] = []
+    for key in keys:
+        result = None
+        if key is not None:
+            result = _MEMO.get(key)
+            if result is None:
+                result = DISK_CACHE.get(key)
+                if result is not None:
+                    _MEMO.put(key, result)
+        results.append(result)
+    misses = [i for i, result in enumerate(results) if result is None]
+
+    def done(i: int, result: RunResult) -> None:
+        # stored as each point finishes, so a killed sweep's re-run
+        # answers the finished points from the cache
+        results[i] = result
+        if keys[i] is not None:
+            _MEMO.put(keys[i], result)
+            DISK_CACHE.put(keys[i], result)
+
+    pooled: List[int] = []
+    n_workers = resolve_jobs(jobs)
+    if n_workers > 1 and len(misses) > 1:
+        pooled = [i for i in misses if _picklable(jobs_list[i])]
+        if len(pooled) <= 1:
+            pooled = []
+    if pooled:
+        with ProcessPoolExecutor(max_workers=min(n_workers,
+                                                 len(pooled))) as pool:
+            for i, result in zip(pooled, pool.map(
+                    _execute, [jobs_list[i] for i in pooled])):
+                done(i, result)
+    for i in misses:
+        if i not in pooled:
+            done(i, _execute(jobs_list[i]))
+    return results  # type: ignore[return-value]
 
 
 def run_configured(
@@ -636,37 +660,15 @@ def run_configured(
     num_nodes: int = 1,
     *,
     warmup: bool = False,
-    telemetry=None,
     **fields,
 ) -> RunResult:
-    """Simulate one explicit configuration, with two-level caching.
+    """Simulate one explicit configuration through :func:`run_jobs`, with
+    two-level caching.
 
     *fields* are :class:`RunSpec` fields; the resolved spec's
-    :meth:`~RunSpec.key` is the one key of both caches.  ``warmup`` and
-    ``telemetry`` stay out of it: ``warmup`` is execution strategy (the
-    warm and cold paths produce byte-identical results) and
-    ``telemetry`` a host-side target that never touches the payload.  A
-    cache hit for a telemetry-enabled point answers without streaming;
-    the terminal ``run_end`` record (marked ``cached``) is still emitted
-    so a watcher sees the run conclude.
+    :meth:`~RunSpec.key` is the one key of both caches.  ``warmup`` stays
+    out of it: it is execution strategy (the warm and cold paths produce
+    byte-identical results).
     """
-    return run_spec(config, workload_factory, num_nodes,
-                    RunSpec(**fields).resolve(), warmup, telemetry)
-
-
-def run_workload(
-    config_name: str,
-    workload_factory: Callable[[ChipConfig, int], object],
-    num_nodes: int = 1,
-    *,
-    warmup: bool = False,
-    telemetry=None,
-    **fields,
-) -> RunResult:
-    """Simulate one preset configuration under one workload.
-
-    ``workload_factory(config, num_nodes)`` builds the workload; its
-    ``params.<units_attr>`` gives the measured units per CPU.
-    """
-    return run_configured(preset(config_name), workload_factory, num_nodes,
-                          warmup=warmup, telemetry=telemetry, **fields)
+    return run_jobs([Job(config, workload_factory, num_nodes,
+                         RunSpec(**fields), warmup)])[0]

@@ -11,7 +11,7 @@ keep-open sweeps, reusable for ad-hoc studies::
 
 Sweep points are independent simulations, so they parallelise across
 processes: pass ``jobs=N`` (or set ``REPRO_JOBS``) to fan out via
-:mod:`repro.harness.parallel`.  Metric assembly is shared with
+:func:`repro.harness.runner.run_jobs`.  Metric assembly is shared with
 :func:`repro.harness.runner.simulate` — the serial, parallel and cached
 paths all produce identical records.
 """
@@ -22,8 +22,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import ChipConfig, preset
-from .parallel import Job, run_jobs
-from .runner import RunResult, RunSpec, run_configured
+from .runner import Job, RunResult, RunSpec, run_jobs
 
 
 def parse_sweep_value(text: str):
@@ -87,20 +86,6 @@ def record_from_result(result: RunResult) -> Dict:
     }
 
 
-def run_config(config: ChipConfig, workload_factory: Callable,
-               num_nodes: int = 1, units_attr: str = "transactions",
-               check_coherence: bool = False) -> Dict:
-    """Simulate one configuration; returns a metrics dict.
-
-    Delegates to :func:`repro.harness.runner.run_configured`, the single
-    shared measurement implementation (metric assembly used to be
-    duplicated here and could drift from the runner's)."""
-    return record_from_result(
-        run_configured(config, workload_factory, num_nodes=num_nodes,
-                       units_attr=units_attr,
-                       check_coherence=check_coherence))
-
-
 def sweep_configs(base: ChipConfig, dotted: str,
                   values: Sequence) -> List[ChipConfig]:
     """Materialise the derived configuration for each swept value."""
@@ -114,7 +99,6 @@ def sweep_configs(base: ChipConfig, dotted: str,
 
 def sweep_field(base, workload_factory: Callable, dotted: str,
                 values: Sequence, num_nodes: int = 1,
-                units_attr: str = "transactions",
                 jobs: Optional[int] = None,
                 check_coherence: bool = False,
                 warmup: bool = False) -> List[Dict]:
@@ -136,7 +120,7 @@ def sweep_field(base, workload_factory: Callable, dotted: str,
     """
     base_config = preset(base) if isinstance(base, str) else base
     configs = sweep_configs(base_config, dotted, values)
-    spec = RunSpec(units_attr=units_attr, check_coherence=check_coherence)
+    spec = RunSpec(check_coherence=check_coherence)
     results = run_jobs(
         [Job(config=c, factory=workload_factory, num_nodes=num_nodes,
              spec=spec, warmup=warmup)

@@ -73,7 +73,8 @@ class IsaKernelParams:
 
     ``iterations`` is the per-CPU unit count (lock acquisitions, barrier
     rounds, messages per pair, lines copied, increments — the kernel's
-    natural unit), and doubles as the harness ``units_attr``.
+    natural unit), the field :class:`KernelWorkload` names as its
+    ``units_attr``.
     """
 
     kernel: str = "spinlock"
@@ -565,6 +566,8 @@ class KernelWorkload:
     ``result.extras["isa"]``, which is JSON-shaped and deterministic, so
     it rides the result cache like any other payload-adjacent document.
     """
+
+    units_attr = "iterations"
 
     def __init__(self, params: IsaKernelParams, cpus_per_node: int = 8,
                  num_nodes: int = 1) -> None:

@@ -200,7 +200,7 @@ def cross_validate(kernel: str, config: str = "P8", nodes: int = 1,
                    probe_rate: int = 64, **run_kw) -> dict:
     """Run one kernel through both models; return its report block."""
     from ..core.config import preset
-    from ..harness.runner import run_workload
+    from ..harness.runner import run_configured
 
     nthreads = preset(config).cpus * nodes
     params = fit_params(kernel, nthreads,
@@ -211,9 +211,8 @@ def cross_validate(kernel: str, config: str = "P8", nodes: int = 1,
     reference = runs[0]
     images_identical = all(run.image == reference.image for run in runs)
 
-    timed = run_workload(config, IsaKernelFactory(params), num_nodes=nodes,
-                         units_attr="iterations", probe_rate=probe_rate,
-                         **run_kw)
+    timed = run_configured(preset(config), IsaKernelFactory(params),
+                           num_nodes=nodes, probe_rate=probe_rate, **run_kw)
     isa = timed.extras["isa"]
     memory_match = (images_identical
                     and isa["mem_digest"] == reference.digest)

@@ -16,9 +16,9 @@ Three tools on top of the probe/sampler substrate:
   checkpoint events) as JSONL to a file or fd, consumed live by
   ``repro watch``.
 
-Spans and telemetry thread through :mod:`repro.harness.runner` /
-:mod:`repro.harness.parallel`, and spans fold into the result cache key
-(see DESIGN.md section 4i).
+Spans and telemetry thread through :mod:`repro.harness.runner`; spans
+fold into the result cache key (see DESIGN.md section 4i), a telemetry
+stream never does.
 """
 
 from .hostprof import HostProfiler

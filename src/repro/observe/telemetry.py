@@ -25,9 +25,10 @@ Record kinds, all carrying ``{"kind": ..., "wall": <unix seconds>}``:
 
 Streams are host-side observers: they are never part of the
 deterministic result payload, never pickled into checkpoints (the
-sampler's ``__getstate__`` strips its ``on_record`` hook), and their
-settings fold into the result-cache key only as an enable marker — a
-cache hit answers without re-streaming, which the CLI reports.
+sampler's ``__getstate__`` strips its ``on_record`` hook), and nothing
+about them enters the result-cache key.  A stream attaches only through
+:func:`~repro.harness.runner.run_system`, which always simulates, so a
+stream never meets a cached result.
 
 Readers are torn-line safe: the writer flushes whole lines, but a
 reader polling the file can still observe a *partial* final line —
@@ -215,6 +216,5 @@ def render_record(record: Dict[str, object]) -> str:
                 f"bytes={record.get('bytes')}")
     if kind == "run_end":
         return (f"run_end  items={record.get('items')}  "
-                f"sim_wall_s={record.get('sim_wall_s', 0):.2f}"
-                + ("  (cached)" if record.get("cached") else ""))
+                f"sim_wall_s={record.get('sim_wall_s', 0):.2f}")
     return json.dumps(record)

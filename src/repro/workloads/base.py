@@ -156,7 +156,12 @@ class WorkloadThread:
 
 
 class Workload:
-    """Base class: a workload builds one thread per (node, cpu)."""
+    """Base class: a workload builds one thread per (node, cpu).
+
+    Each subclass names its unit of work in the class attribute
+    ``units_attr``: the field of its ``params`` that counts the measured
+    units per CPU, which the harness reports results in.
+    """
 
     name = "workload"
     #: instruction-level parallelism the OOO core can extract (the paper:

@@ -61,6 +61,7 @@ class DssWorkload(Workload):
     """TPC-D Q6-like parallel scan over partitioned table data."""
 
     name = "dss"
+    units_attr = "rows"
     #: loops expose useful ILP to a wide OOO core (paper [35])
     ilp = 1.7
 

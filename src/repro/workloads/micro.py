@@ -28,6 +28,7 @@ class MicroParams:
 
 
 class _MicroBase(Workload):
+    units_attr = "iterations"
     ilp = 1.5
 
     def __init__(self, params: Optional[MicroParams] = None,

@@ -115,6 +115,7 @@ class OltpWorkload(Workload):
     """TPC-B-like OLTP over the shared database address space."""
 
     name = "oltp"
+    units_attr = "transactions"
     #: the paper [35]: multiple-issue OOO gains are small for OLTP
     ilp = 1.35
 

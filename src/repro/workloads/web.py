@@ -48,6 +48,7 @@ class WebWorkload(Workload):
     """AltaVista-like search serving (DSS-shaped, zipf-hot index)."""
 
     name = "web"
+    units_attr = "queries"
     ilp = 1.65  # loop-heavy scoring exposes ILP, like DSS
 
     def __init__(self, params: Optional[WebParams] = None,

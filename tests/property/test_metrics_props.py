@@ -189,15 +189,16 @@ def test_validate_metrics_rejects_stacked_corruptions(corruptions):
 
 
 def test_real_metrics_doc_conforms_and_partitions():
+    from repro.core.config import preset
     from repro.harness.experiments import MigratoryFactory
-    from repro.harness.runner import run_workload
+    from repro.harness.runner import run_configured
     from repro.workloads import MicroParams
 
     # P2, not P1: migratory needs a second CPU to ping-pong against
     # before the measured phase sees any L1 misses to probe
-    result = run_workload(
-        "P2", MigratoryFactory(MicroParams(iterations=200)),
-        units_attr="iterations", probe_rate=8)
+    result = run_configured(
+        preset("P2"), MigratoryFactory(MicroParams(iterations=200)),
+        probe_rate=8)
     doc = result.extras["metrics"]
     assert validate_metrics(doc) == []
     samples = doc["probes"]["samples"]

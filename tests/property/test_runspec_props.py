@@ -28,8 +28,6 @@ FACTORY = MigratoryFactory(MicroParams(iterations=120, warmup=30))
 
 #: valid values of every RunSpec field
 FIELD_VALUES = {
-    "units_attr": st.sampled_from(["transactions", "iterations", "rows",
-                                   "queries", "ops"]),
     "check_coherence": st.booleans(),
     "trace_capacity": st.integers(0, 4096),
     "probe_rate": st.integers(0, 256),
@@ -111,7 +109,6 @@ def test_equivalent_raw_specs_share_a_key(pair):
 #: choices include the defaults, which the twin may leave implicit
 runnable_specs = st.builds(
     RunSpec,
-    units_attr=st.just("iterations"),
     check_coherence=st.booleans(),
     trace_capacity=st.sampled_from((0, 64)),
     probe_rate=st.sampled_from((0, 4, SPAN_PROBE_RATE)),

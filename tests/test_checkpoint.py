@@ -78,12 +78,10 @@ def metrics_bytes(result) -> str:
     return json.dumps(result.extras["metrics"], sort_keys=True)
 
 
-def run_point(config_name, factory, *, warmup, check=False,
-              units_attr="transactions"):
+def run_point(config_name, factory, *, warmup, check=False):
     return simulate(preset(config_name), factory, num_nodes=1,
-                    units_attr=units_attr, check_coherence=check,
-                    probe_rate=16, sample_interval_ps=int(10e6),
-                    warmup=warmup)
+                    check_coherence=check, probe_rate=16,
+                    sample_interval_ps=int(10e6), warmup=warmup)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +90,17 @@ def run_point(config_name, factory, *, warmup, check=False,
 
 class TestRestoreFidelity:
     @pytest.mark.parametrize("config_name", ["P1", "P8"])
-    @pytest.mark.parametrize("factory,units", [
-        (OltpFactory(TINY_OLTP), "transactions"),
-        (DssFactory(TINY_DSS), "rows"),
+    @pytest.mark.parametrize("factory", [
+        OltpFactory(TINY_OLTP),
+        DssFactory(TINY_DSS),
     ], ids=["oltp", "dss"])
-    def test_metrics_doc_byte_identical(self, config_name, factory, units):
+    def test_metrics_doc_byte_identical(self, config_name, factory):
         """Uninterrupted, cold-with-capture and restored measurement runs
         must produce byte-identical metrics documents."""
-        baseline = run_point(config_name, factory, warmup=False,
-                             units_attr=units)
-        warm_cold = run_point(config_name, factory, warmup=True,
-                              units_attr=units)   # populates the store
-        warm_restored = run_point(config_name, factory, warmup=True,
-                                  units_attr=units)  # restores from it
+        baseline = run_point(config_name, factory, warmup=False)
+        # the first warm run populates the store, the second restores
+        warm_cold = run_point(config_name, factory, warmup=True)
+        warm_restored = run_point(config_name, factory, warmup=True)
         assert metrics_bytes(warm_cold) == metrics_bytes(baseline)
         assert metrics_bytes(warm_restored) == metrics_bytes(baseline)
 
@@ -314,7 +310,7 @@ class TestResumableSweep:
 
     def _sweep(self, **kw):
         return sweep_field("P1", OltpFactory(TINY_OLTP), "l2.size_bytes",
-                           self.VALUES, units_attr="transactions", **kw)
+                           self.VALUES, **kw)
 
     def test_rerun_identical(self):
         first = self._sweep(warmup=True)
@@ -335,7 +331,7 @@ class TestResumableSweep:
 
     def _sweep_prefix(self):
         sweep_field("P1", OltpFactory(TINY_OLTP), "l2.size_bytes",
-                    self.VALUES[:1], units_attr="transactions", warmup=True)
+                    self.VALUES[:1], warmup=True)
 
     def test_resume_matches_plain_sweep(self):
         plain = self._sweep()
@@ -450,10 +446,6 @@ class TestFuzzBisection:
 # stock-pickle round trips through every former closure site
 
 
-#: the fuzz workloads' measured units
-OPS = RunSpec(units_attr="ops")
-
-
 def _finish(system, spec):
     """Run *system* to completion: its payload tuple, or the violation
     signature when a protocol mutation gets caught."""
@@ -494,8 +486,8 @@ class TestStockPickleRoundTrip:
         system, workload = build_system(
             preset(prog.config), FuzzFactory(prog.canonical_json()),
             num_nodes=2, spec=RunSpec(check_coherence=True))
-        outcome, restored = flight_recorded(system, OPS, int(0.1e6))
-        assert _finish(restored, OPS) == outcome
+        outcome, restored = flight_recorded(system, RunSpec(), int(0.1e6))
+        assert _finish(restored, RunSpec()) == outcome
         assert restored.workload.cursors == workload.cursors
         assert restored.workload.mutation_ticker.fired == \
             workload.mutation_ticker.fired > 0
@@ -526,10 +518,10 @@ class TestStockPickleRoundTrip:
         system.workload.bind_system(system)
         pci = system.io[0].pci
         pci.dma(0x100000, lines=32, is_write=True)
-        outcome, restored = flight_recorded(system, OPS, int(0.5e6))
+        outcome, restored = flight_recorded(system, RunSpec(), int(0.5e6))
         transfer = restored.io[0].pci.transfers[0]
         assert 0 < transfer.done_lines < transfer.lines
-        assert _finish(restored, OPS) == outcome
+        assert _finish(restored, RunSpec()) == outcome
         assert transfer.done_lines == pci.transfers[0].done_lines == 32
         assert transfer.end_ps == pci.transfers[0].end_ps
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.config import preset
+from repro.fuzz.runner import FuzzFactory
+from repro.fuzz.stimulus import generate, params_for
 from repro.harness.experiments import scaled_factory
 from repro.harness.metrics import validate_metrics, write_metrics
 from repro.harness.runner import clear_cache, simulate
@@ -165,22 +167,41 @@ class TestCliMeasuresThroughHarness:
         assert (restored.with_suffix(".csv").read_text()
                 == base.with_suffix(".csv").read_text())
 
-    def test_restores_warm_store_snapshot(self, tmp_path, monkeypatch,
-                                          capsys):
-        # a warm-store snapshot's manifest names a factory token, not a
-        # CLI workload: restore still resumes it and prints its measurement
+    @staticmethod
+    def _restore_warm_store_snapshot(tmp_path, monkeypatch, capsys,
+                                     factory):
+        """Snapshot *factory*'s point on P2 into the warm store, restore
+        that snapshot through the CLI and return its output."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         clear_cache()
         try:
-            simulate(preset("P2"), scaled_factory("oltp", 0.1), warmup=True)
+            simulate(preset("P2"), factory, warmup=True)
         finally:
             clear_cache()
         (ckpt,) = (tmp_path / "cache").rglob("*.ckpt")
         assert main(["checkpoint", "restore", str(ckpt)]) == 0
-        out = capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def test_restores_warm_store_snapshot(self, tmp_path, monkeypatch,
+                                          capsys):
+        # a warm-store snapshot's manifest names a factory token, not a
+        # CLI workload: restore still resumes it and prints its measurement
+        out = self._restore_warm_store_snapshot(
+            tmp_path, monkeypatch, capsys, scaled_factory("oltp", 0.1))
         assert "restored oltp" in out
         assert "transactions   : 20 per CPU" in out
+
+    def test_restores_fuzz_warm_store_snapshot(self, tmp_path, monkeypatch,
+                                               capsys):
+        # a workload outside the CLI's table is measured in its own unit
+        program = generate(params_for(3, total_ops=240, nodes=1,
+                                      config="P2", cpus_per_node=2))
+        out = self._restore_warm_store_snapshot(
+            tmp_path, monkeypatch, capsys,
+            FuzzFactory(program.canonical_json()))
+        assert "restored fuzz" in out
+        assert "ops            : 120 per CPU" in out
 
     def test_restore_metrics_needs_observed_snapshot(self, tmp_path, capsys):
         ckpt = str(tmp_path / "plain.ckpt")

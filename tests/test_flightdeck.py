@@ -12,8 +12,8 @@ Covers the PR's acceptance criteria:
   sum to one over perfbench's layer table, and it puts the previous
   ``SIGPROF`` handler back and stops its timer however the run ends,
 * telemetry streams carry run_start / interval / window / checkpoint /
-  run_end records, survive the harness (serial, parallel, sampled,
-  cached) and fold into the result-cache key as an enable marker,
+  run_end records through ``run_system`` (detailed and sampled), the one
+  entry point that takes a stream,
 * the interval sampler flushes its partial final interval on early
   termination (S1) and the ``repro watch`` / ``repro profile`` CLI
   verbs work end to end.
@@ -35,7 +35,7 @@ import pytest
 from repro.core import PiranhaSystem, preset
 from repro.harness import Job, MigratoryFactory, clear_cache, run_jobs
 from repro.harness.runner import (RunSpec, build_system, run_configured,
-                                  simulate)
+                                  run_system, simulate)
 from repro.observe import (
     HostProfiler,
     SpanCollector,
@@ -223,7 +223,7 @@ def profiled_migratory(prof=None):
     system, _ = build_system(
         preset("P2"), MigratoryFactory(MicroParams(iterations=5000,
                                                    warmup=30)),
-        1, RunSpec(units_attr="iterations"))
+        1, RunSpec())
     with prof:
         system.run_to_completion()
     return prof
@@ -252,20 +252,17 @@ class TestHostProfiler:
 
     def test_disabled_profiler_is_bit_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")  # both runs simulate
-        base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                        units_attr="iterations")
+        base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO))
         with HostProfiler():
-            profiled = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations")
+            profiled = simulate(preset("P2"), MigratoryFactory(TINY_MICRO))
         assert profiled.payload_tuple() == base.payload_tuple()
         assert "host_profile" not in profiled.extras
 
     def test_span_tracing_never_perturbs_measurement(self):
         base = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                        units_attr="iterations", probe_rate=4)
+                        probe_rate=4)
         traced = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4,
-                          trace_spans=32)
+                          probe_rate=4, trace_spans=32)
         assert traced.payload_tuple() == base.payload_tuple()
         assert validate_trace(traced.extras["trace"]) == []
 
@@ -346,13 +343,21 @@ class TestHostProfiler:
         assert signal.getsignal(signal.SIGPROF) is before
 
 
+def stream_run(path, **fields):
+    """Run the tiny migratory point through ``run_system`` with a live
+    telemetry stream to *path*; return the records written."""
+    spec = RunSpec(**fields).resolve()
+    system, _ = build_system(preset("P2"), MigratoryFactory(TINY_MICRO), 1,
+                             spec)
+    with TelemetryStream(str(path)) as stream:
+        run_system(system, spec, stream)
+    return read_records(str(path))
+
+
 class TestTelemetry:
-    def test_stream_records_through_simulate(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                 units_attr="iterations", sample_interval_ps=10_000_000,
-                 telemetry=str(path))
-        records = read_records(str(path))
+    def test_stream_records_through_run_system(self, tmp_path):
+        records = stream_run(tmp_path / "live.jsonl",
+                             sample_interval_ps=10_000_000)
         kinds = [r["kind"] for r in records]
         assert kinds[0] == "run_start"
         assert kinds[-1] == "run_end"
@@ -443,28 +448,13 @@ class TestTelemetry:
             {"kind": "window", "index": 0, "items": 10, "ci": {"a": 0.1}})
         assert "checkpoint" in render_record(
             {"kind": "checkpoint", "time_ps": 1_000_000, "bytes": 42})
-        assert "(cached)" in render_record(
-            {"kind": "run_end", "items": 5, "sim_wall_s": 0.1,
-             "cached": True})
-
-    def test_cache_hit_emits_cached_run_end(self, tmp_path):
-        first = tmp_path / "a.jsonl"
-        second = tmp_path / "b.jsonl"
-        run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                       units_attr="iterations", telemetry=str(first))
-        run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                       units_attr="iterations", telemetry=str(second))
-        replay = read_records(str(second))
-        assert [r["kind"] for r in replay] == ["run_end"]
-        assert replay[0]["cached"] is True
+        assert "items=5" in render_record(
+            {"kind": "run_end", "items": 5, "sim_wall_s": 0.1})
 
     def test_sampled_mode_emits_window_records(self, tmp_path):
-        path = tmp_path / "sampled.jsonl"
-        simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                 units_attr="iterations", sample_interval_ps=10_000_000,
-                 mode="sampled", window=30, period=60,
-                 telemetry=str(path))
-        records = read_records(str(path))
+        records = stream_run(tmp_path / "sampled.jsonl",
+                             sample_interval_ps=10_000_000, mode="sampled",
+                             window=30, period=60)
         kinds = {r["kind"] for r in records}
         assert "window" in kinds
         windows = [r for r in records if r["kind"] == "window"]
@@ -472,22 +462,20 @@ class TestTelemetry:
 
 
 class TestHarnessIntegration:
-    def _job(self, config=None, telemetry=None, **fields):
+    def _job(self, config=None, **fields):
         return Job(config=config or preset("P2"),
                    factory=MigratoryFactory(TINY_MICRO),
-                   spec=RunSpec(units_attr="iterations", **fields),
-                   telemetry=telemetry)
+                   spec=RunSpec(**fields))
 
     def test_cache_key_folds_flightdeck_settings(self):
-        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations")
+        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO))
         traced = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", trace_spans=16)
+                                trace_spans=16)
         assert "trace" not in plain.extras
         assert "trace" in traced.extras
         # distinct cache entries: a traced repeat keeps its trace
         again = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations", trace_spans=16)
+                               trace_spans=16)
         assert (json.dumps(again.extras["trace"], sort_keys=True)
                 == json.dumps(traced.extras["trace"], sort_keys=True))
         # observability never perturbs the deterministic payload
@@ -495,18 +483,16 @@ class TestHarnessIntegration:
 
     def test_trace_spans_imply_probe_rate(self):
         result = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", trace_spans=16)
+                                trace_spans=16)
         assert result.extras["trace"]["probe_rate"] == 64
         # explicit probe rate wins over the implied default
         explicit = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                  units_attr="iterations", trace_spans=16,
-                                  probe_rate=4)
+                                  trace_spans=16, probe_rate=4)
         assert explicit.extras["trace"]["probe_rate"] == 4
 
     def test_parallel_jobs_carry_trace(self):
         job = self._job(trace_spans=16)
-        serial = simulate(job.config, job.factory,
-                          units_attr=job.spec.units_attr, trace_spans=16)
+        serial = simulate(job.config, job.factory, trace_spans=16)
         clear_cache()
         other = self._job(trace_spans=16,
                           config=dataclasses.replace(preset("P2"),
@@ -517,24 +503,10 @@ class TestHarnessIntegration:
         assert (json.dumps(results[0].extras["trace"], sort_keys=True)
                 == json.dumps(serial.extras["trace"], sort_keys=True))
 
-    def test_parallel_jobs_stream_telemetry_from_workers(self, tmp_path):
-        paths = [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
-        jobs = [
-            self._job(sample_interval_ps=10_000_000,
-                      telemetry=str(paths[0])),
-            self._job(sample_interval_ps=10_000_000,
-                      telemetry=str(paths[1]),
-                      config=dataclasses.replace(preset("P2"), name="P2b")),
-        ]
-        run_jobs(jobs, jobs=2)
-        for path in paths:
-            kinds = [r["kind"] for r in read_records(str(path))]
-            assert kinds[0] == "run_start" and kinds[-1] == "run_end"
-
     def test_sampled_mode_attaches_trace_extras(self):
         result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", mode="sampled",
-                          window=30, period=60, trace_spans=16)
+                          mode="sampled", window=30, period=60,
+                          trace_spans=16)
         assert validate_trace(result.extras["trace"]) == []
 
 

@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import preset
 from repro.harness.experiments import (
     FACTORIES,
-    UNITS_ATTR,
     OltpFactory,
     scaled_factory,
 )
@@ -30,8 +29,7 @@ SMALL_OLTP = OltpFactory(OltpParams(transactions=4, warmup_transactions=4))
 
 #: name -> (preset, factory, nodes, RunSpec fields)
 POINTS = {
-    **{name: ("P2", scaled_factory(name, 0.05), 1,
-              dict(units_attr=UNITS_ATTR[name]))
+    **{name: ("P2", scaled_factory(name, 0.05), 1, {})
        for name in FACTORIES},
     "oltp-sampled": ("P2", SMALL_OLTP, 1,
                      dict(mode="sampled", window=40, period=200)),

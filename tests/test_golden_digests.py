@@ -87,38 +87,33 @@ P8_INCLUSIVE = dataclasses.replace(
 #: sampled mode with every setting spelled out (six windows at OLTP_Q)
 SAMPLED = dict(mode="sampled", window=100, period=500, warming="functional")
 
-#: name -> (config or preset name, factory, units_attr, num_nodes[,
-#: RunSpec fields])
+#: name -> (config or preset name, factory, num_nodes[, RunSpec fields]);
+#: each point is measured in its workload's own unit (``units_attr``)
 CANONICAL = {
-    "P1-oltp": ("P1", OltpFactory(OLTP_Q), "transactions", 1),
-    "P8-oltp": ("P8", OltpFactory(OLTP_Q), "transactions", 1),
-    "P1-dss": ("P1", DssFactory(DSS_Q), "rows", 1),
-    "P8-dss": ("P8", DssFactory(DSS_Q), "rows", 1),
+    "P1-oltp": ("P1", OltpFactory(OLTP_Q), 1),
+    "P8-oltp": ("P8", OltpFactory(OLTP_Q), 1),
+    "P1-dss": ("P1", DssFactory(DSS_Q), 1),
+    "P8-dss": ("P8", DssFactory(DSS_Q), 1),
     # real code through the machine: single-CPU private kernel and a
     # 32-CPU cross-node lock — the ISA path is bit-stability-gated too
-    "P1-isa-memcpy": ("P1", IsaKernelFactory(ISA_MEMCPY),
-                      "iterations", 1),
-    "P8x4-isa-spinlock": ("P8", IsaKernelFactory(ISA_SPINLOCK),
-                          "iterations", 4),
+    "P1-isa-memcpy": ("P1", IsaKernelFactory(ISA_MEMCPY), 1),
+    "P8x4-isa-spinlock": ("P8", IsaKernelFactory(ISA_SPINLOCK), 4),
     # the multi-node protocol path: home/remote engines, TSRF, router
-    "P8x4-oltp": ("P8", OltpFactory(OLTP_X4), "transactions", 4),
-    "P8x4-fuzz-2026": ("P8", FUZZ_X4, "ops", 4),
-    "P8x8-fuzz-2026": ("P8", FUZZ_X8, "ops", 8),
+    "P8x4-oltp": ("P8", OltpFactory(OLTP_X4), 4),
+    "P8x4-fuzz-2026": ("P8", FUZZ_X4, 4),
+    "P8x8-fuzz-2026": ("P8", FUZZ_X8, 8),
     # the single-chip request path's rarer branches
-    "OOO-oltp": ("OOO", OltpFactory(OLTP_Q), "transactions", 1),
-    "P8-inclusive-oltp": (P8_INCLUSIVE, OltpFactory(OLTP_Q),
-                          "transactions", 1),
-    "P8-fuzz-2026": ("P8", FUZZ_P8, "ops", 1),
+    "OOO-oltp": ("OOO", OltpFactory(OLTP_Q), 1),
+    "P8-inclusive-oltp": (P8_INCLUSIVE, OltpFactory(OLTP_Q), 1),
+    "P8-fuzz-2026": ("P8", FUZZ_P8, 1),
     # functional warming: single chip, the inclusive ablation, the
     # checker hooks, and the multi-node declines
-    "P8-oltp-sampled": ("P8", OltpFactory(OLTP_Q), "transactions", 1,
-                        SAMPLED),
-    "P8-inclusive-oltp-sampled": (P8_INCLUSIVE, OltpFactory(OLTP_Q),
-                                  "transactions", 1, SAMPLED),
-    "P8-oltp-sampled-checked": ("P8", OltpFactory(OLTP_Q), "transactions",
-                                1, dict(SAMPLED, check_coherence=True)),
-    "P2x2-oltp-sampled": ("P2", OltpFactory(OLTP_Q), "transactions", 2,
-                          SAMPLED),
+    "P8-oltp-sampled": ("P8", OltpFactory(OLTP_Q), 1, SAMPLED),
+    "P8-inclusive-oltp-sampled": (P8_INCLUSIVE, OltpFactory(OLTP_Q), 1,
+                                  SAMPLED),
+    "P8-oltp-sampled-checked": ("P8", OltpFactory(OLTP_Q), 1,
+                                dict(SAMPLED, check_coherence=True)),
+    "P2x2-oltp-sampled": ("P2", OltpFactory(OLTP_Q), 2, SAMPLED),
 }
 
 
@@ -137,10 +132,10 @@ def payload_digest(result) -> str:
 
 
 def run_point(name: str):
-    config, factory, units, nodes, *fields = CANONICAL[name]
+    config, factory, nodes, *fields = CANONICAL[name]
     if isinstance(config, str):
         config = preset(config)
-    return run_configured(config, factory, num_nodes=nodes, units_attr=units,
+    return run_configured(config, factory, num_nodes=nodes,
                           **(fields[0] if fields else {}))
 
 
@@ -214,10 +209,10 @@ def counters_digest(system) -> str:
 def run_point_system(name: str):
     """Run one canonical point uncached and keep the machine: returns
     ``(result, system)``."""
-    config, factory, units, nodes, *fields = CANONICAL[name]
+    config, factory, nodes, *fields = CANONICAL[name]
     if isinstance(config, str):
         config = preset(config)
-    spec = RunSpec(units_attr=units, **(fields[0] if fields else {}))
+    spec = RunSpec(**(fields[0] if fields else {}))
     system, _workload = build_system(config, factory, nodes, spec)
     return run_system(system, spec.resolve()), system
 
@@ -274,8 +269,7 @@ def test_golden_digest_parallel_jobs(monkeypatch):
     golden = load_golden()
     names = ["P1-oltp", "P1-isa-memcpy"]  # cheap points: workers re-simulate
     jobs = [Job(config=preset(CANONICAL[n][0]), factory=CANONICAL[n][1],
-                num_nodes=CANONICAL[n][3],
-                spec=RunSpec(units_attr=CANONICAL[n][2]))
+                num_nodes=CANONICAL[n][2])
             for n in names]
     results = run_jobs(jobs, jobs=2)
     for name, result in zip(names, results):

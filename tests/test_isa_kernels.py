@@ -12,10 +12,11 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core.config import preset
 from repro.core.messages import AccessKind
-from repro.harness import FACTORIES, UNITS_ATTR
+from repro.harness import FACTORIES
 from repro.harness.cache import workload_token
-from repro.harness.runner import run_workload
+from repro.harness.runner import run_configured
 from repro.isa import assemble
 from repro.isa.cpu import FunctionalCpu, IsaThread, SharedMemory
 from repro.isa.kernels import (
@@ -181,8 +182,8 @@ class TestContendedLock:
 
     def test_no_lost_updates_timed(self):
         params = IsaKernelParams(kernel="spinlock", iterations=3)
-        result = run_workload("P8", IsaKernelFactory(params), num_nodes=1,
-                              units_attr="iterations")
+        result = run_configured(preset("P8"), IsaKernelFactory(params),
+                                num_nodes=1)
         isa = result.extras["isa"]
         assert isa["mem_image"][f"{COUNTER_ADDR:#x}"] == 8 * 3
         assert f"{LOCK_ADDR:#x}" not in isa["mem_image"]
@@ -198,28 +199,29 @@ class TestTimedVsFunctional:
     def test_final_memory_bit_exact(self, kernel):
         params = fit_params(kernel, 8, small(kernel))
         reference = run_functional(kernel, 8, params)
-        result = run_workload("P8", IsaKernelFactory(params), num_nodes=1,
-                              units_attr="iterations")
+        result = run_configured(preset("P8"), IsaKernelFactory(params),
+                                num_nodes=1)
         assert result.extras["isa"]["mem_digest"] == reference.digest
 
     def test_timed_membar_and_wh64_counters_exact(self):
         for kernel in ("barrier", "memcpy"):
             params = fit_params(kernel, 8, small(kernel))
-            result = run_workload("P8", IsaKernelFactory(params),
-                                  num_nodes=1, units_attr="iterations")
+            result = run_configured(preset("P8"), IsaKernelFactory(params),
+                                    num_nodes=1)
             isa = result.extras["isa"]
             assert isa["membars"] == expected_membars(kernel, 8, params)
             assert isa["wh64_issued"] == expected_wh64(kernel, 8, params)
 
     def test_memcpy_is_private_no_forwards(self):
         params = fit_params("memcpy", 8, small("memcpy"))
-        result = run_workload("P8", IsaKernelFactory(params), num_nodes=1,
-                              units_attr="iterations")
+        result = run_configured(preset("P8"), IsaKernelFactory(params),
+                                num_nodes=1)
         assert result.extras["isa"]["counters"]["l2_fwds"] == 0
 
     def test_extras_shape(self):
-        result = run_workload("P8", IsaKernelFactory(SMALL["spinlock"]),
-                              num_nodes=1, units_attr="iterations")
+        result = run_configured(preset("P8"),
+                                IsaKernelFactory(SMALL["spinlock"]),
+                                num_nodes=1)
         isa = result.extras["isa"]
         assert set(isa) >= {"kernel", "nthreads", "mem_digest", "mem_image",
                             "cpus", "counters", "wh64_issued", "membars",
@@ -233,8 +235,8 @@ class TestTimedVsFunctional:
     def test_multi_node_memory_bit_exact(self):
         params = IsaKernelParams(kernel="spinlock", iterations=2)
         reference = run_functional("spinlock", 4, params)
-        result = run_workload("P2", IsaKernelFactory(params), num_nodes=2,
-                              units_attr="iterations")
+        result = run_configured(preset("P2"), IsaKernelFactory(params),
+                                num_nodes=2)
         isa = result.extras["isa"]
         assert isa["nthreads"] == 4
         assert isa["mem_digest"] == reference.digest
@@ -301,7 +303,7 @@ class TestCrossValidation:
 class TestHarnessIntegration:
     def test_registered_in_factories(self):
         assert FACTORIES["isa"] is IsaKernelFactory
-        assert UNITS_ATTR["isa"] == "iterations"
+        assert KernelWorkload.units_attr == "iterations"
 
     def test_workload_token_folds_params(self):
         t1 = workload_token(IsaKernelFactory(SMALL["spinlock"]))
@@ -316,10 +318,8 @@ class TestHarnessIntegration:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         factory = IsaKernelFactory(SMALL["false_sharing"])
-        cold = run_workload("P8", factory, num_nodes=1,
-                            units_attr="iterations")
-        warm = run_workload("P8", factory, num_nodes=1,
-                            units_attr="iterations")
+        cold = run_configured(preset("P8"), factory, num_nodes=1)
+        warm = run_configured(preset("P8"), factory, num_nodes=1)
         assert warm.extras["isa"] == cold.extras["isa"]
         assert warm.time_per_unit_ns == cold.time_per_unit_ns
 

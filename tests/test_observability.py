@@ -378,12 +378,11 @@ class TestMetricsExport:
     def _job(self, config=None, **fields):
         return Job(config=config or preset("P2"),
                    factory=MigratoryFactory(TINY_MICRO),
-                   spec=RunSpec(units_attr="iterations", **fields))
+                   spec=RunSpec(**fields))
 
     def test_simulate_attaches_valid_doc(self):
         result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4,
-                          sample_interval_ps=10_000_000)
+                          probe_rate=4, sample_interval_ps=10_000_000)
         doc = result.extras["metrics"]
         assert validate_metrics(doc) == []
         assert doc["run"]["probe_rate"] == 4
@@ -396,8 +395,7 @@ class TestMetricsExport:
     def test_doc_is_deterministic(self):
         docs = [
             json.dumps(simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", probe_rate=4,
-                                sample_interval_ps=10_000_000
+                                probe_rate=4, sample_interval_ps=10_000_000
                                 ).extras["metrics"], sort_keys=True)
             for _ in range(2)
         ]
@@ -406,7 +404,6 @@ class TestMetricsExport:
     def test_parallel_path_matches_serial(self):
         job = self._job(probe_rate=4, sample_interval_ps=10_000_000)
         serial = simulate(job.config, job.factory,
-                          units_attr=job.spec.units_attr,
                           probe_rate=job.spec.probe_rate,
                           sample_interval_ps=job.spec.sample_interval_ps)
         clear_cache()
@@ -419,23 +416,22 @@ class TestMetricsExport:
                 == json.dumps(serial.extras["metrics"], sort_keys=True))
 
     def test_cache_key_folds_observability_settings(self):
-        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations")
+        plain = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO))
         assert "metrics" not in plain.extras
         probed = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                                units_attr="iterations", probe_rate=4)
+                                probe_rate=4)
         assert "metrics" in probed.extras
         # payloads agree (observability never perturbs the measurement)
         assert probed.payload_tuple() == plain.payload_tuple()
         # a repeat probed call is served from cache, with the doc intact
         again = run_configured(preset("P2"), MigratoryFactory(TINY_MICRO),
-                               units_attr="iterations", probe_rate=4)
+                               probe_rate=4)
         assert (json.dumps(again.extras["metrics"], sort_keys=True)
                 == json.dumps(probed.extras["metrics"], sort_keys=True))
 
     def test_doc_without_sampler_has_null_timeseries(self):
         result = simulate(preset("P2"), MigratoryFactory(TINY_MICRO),
-                          units_attr="iterations", probe_rate=4)
+                          probe_rate=4)
         doc = result.extras["metrics"]
         assert doc["timeseries"] is None
         assert validate_metrics(doc) == []

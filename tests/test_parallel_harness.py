@@ -6,8 +6,10 @@ Covers the PR's acceptance criteria:
   the serial sweep (determinism across the process-pool boundary),
 * the disk cache serves repeat points bit-for-bit and invalidates when
   the configuration changes,
-* the in-process memo is inspectable and disableable via
-  ``REPRO_NO_CACHE=1``, with hit/miss telemetry in ``RunResult.extras``,
+* the in-process memo is inspectable through ``memo_cache_info()`` and
+  disableable via ``REPRO_NO_CACHE=1``, and never changes a result it
+  has handed out,
+* every workload names its own unit of work,
 * ``replace_field`` rejects malformed / unknown field paths.
 """
 
@@ -17,24 +19,47 @@ import os
 import pytest
 
 from repro.core import preset
+from repro.fuzz.runner import FuzzFactory
+from repro.fuzz.stimulus import generate, params_for
 from repro.harness import (
+    FACTORIES,
     DiskCache,
+    DssFactory,
     Job,
     MigratoryFactory,
     OltpFactory,
+    TpccFactory,
+    WebFactory,
     clear_cache,
     memo_cache_info,
     resolve_jobs,
     run_jobs,
-    run_workload,
 )
 from repro.harness.cache import workload_token
 from repro.harness.runner import DISK_CACHE, RunSpec, run_configured, simulate
 from repro.harness.sweep import replace_field, sweep_field
+from repro.isa.kernels import IsaKernelFactory, IsaKernelParams
 from repro.workloads import MicroParams, OltpParams
+from repro.workloads.dss import DssParams
+from repro.workloads.web import WebParams
 
 TINY_OLTP = OltpParams(transactions=6, warmup_transactions=8)
 TINY_MICRO = MicroParams(iterations=120, warmup=30)
+TINY_DSS = DssParams(rows=20, warmup_rows=5)
+
+#: one small factory per FACTORIES entry, plus the fuzz workload; every
+#: program runs on one P2 chip
+TINY_FACTORIES = {
+    "oltp": OltpFactory(TINY_OLTP),
+    "dss": DssFactory(TINY_DSS),
+    "tpcc": TpccFactory(TINY_OLTP),
+    "web": WebFactory(WebParams(queries=10, warmup_queries=5)),
+    "migratory": MigratoryFactory(TINY_MICRO),
+    "isa": IsaKernelFactory(IsaKernelParams(kernel="spinlock", iterations=2)),
+    "fuzz": FuzzFactory(generate(params_for(
+        7, total_ops=200, nodes=1, config="P2",
+        cpus_per_node=2)).canonical_json()),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -55,8 +80,7 @@ def micro_jobs(n=4):
         Job(config=dataclasses.replace(
                 replace_field(base, "l2.size_bytes", v),
                 name=f"P2[l2={v}]"),
-            factory=MigratoryFactory(TINY_MICRO),
-            spec=RunSpec(units_attr="iterations"))
+            factory=MigratoryFactory(TINY_MICRO))
         for v in values
     ]
 
@@ -68,24 +92,24 @@ class TestParallelEquivalence:
         (a migratory and an OLTP L2-size sweep on P2)."""
         sweeps = [
             (MigratoryFactory(TINY_MICRO),
-             [(128 + 64 * i) << 10 for i in range(6)], "iterations"),
+             [(128 + 64 * i) << 10 for i in range(6)]),
             (OltpFactory(OltpParams(transactions=10, warmup_transactions=15)),
-             [(256 + 256 * i) << 10 for i in range(3)], "transactions"),
+             [(256 + 256 * i) << 10 for i in range(3)]),
         ]
-        for factory, values, units_attr in sweeps:
+        for factory, values in sweeps:
             os.environ["REPRO_NO_CACHE"] = "1"  # the serial run simulates
             try:
                 serial = sweep_field("P2", factory, "l2.size_bytes", values,
-                                     units_attr=units_attr, jobs=1)
+                                     jobs=1)
             finally:
                 del os.environ["REPRO_NO_CACHE"]
             parallel = sweep_field("P2", factory, "l2.size_bytes", values,
-                                   units_attr=units_attr, jobs=4)
+                                   jobs=4)
             assert parallel == serial
             clear_cache()  # the repeat must come from the disk cache
             hits = DISK_CACHE.hits
             cached = sweep_field("P2", factory, "l2.size_bytes", values,
-                                 units_attr=units_attr, jobs=4)
+                                 jobs=4)
             assert cached == serial
             assert DISK_CACHE.hits - hits == len(values)
 
@@ -96,8 +120,7 @@ class TestParallelEquivalence:
 
     def test_parallel_payload_matches_direct_simulate(self):
         job = micro_jobs(1)[0]
-        direct = simulate(job.config, job.factory,
-                          units_attr=job.spec.units_attr)
+        direct = simulate(job.config, job.factory)
         # single-point lists run serially; use a 2-point pool so the
         # first result genuinely crossed the process boundary
         pooled, _ = run_jobs(micro_jobs(2), jobs=2)
@@ -128,23 +151,18 @@ class TestParallelEquivalence:
                     j.spec, check_coherence=True, trace_capacity=256))
                 for j in micro_jobs(2)]
         direct = simulate(jobs[0].config, jobs[0].factory,
-                          units_attr=jobs[0].spec.units_attr,
                           check_coherence=True, trace_capacity=256)
         pooled, _ = run_jobs(jobs, jobs=2)
-        sanitizer_keys = [k for k in pooled.extras
-                          if not k.startswith("cache_")]
-        assert "audit_quiesced" in sanitizer_keys
-        assert "checker_fills" in sanitizer_keys
-        assert "trace_events" in sanitizer_keys
-        assert {k: pooled.extras[k] for k in sanitizer_keys} == \
-               {k: direct.extras[k] for k in sanitizer_keys}
+        assert "audit_quiesced" in pooled.extras
+        assert "checker_fills" in pooled.extras
+        assert "trace_events" in pooled.extras
+        assert pooled.extras == direct.extras
 
     def test_sampled_jobs_parallel_match_serial(self, monkeypatch):
         """A sampled-mode sweep point is expressible as a Job, and the
         process pool returns the serial payloads."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        spec = RunSpec(units_attr="iterations", mode="sampled", window=30,
-                       period=60)
+        spec = RunSpec(mode="sampled", window=30, period=60)
         jobs = [dataclasses.replace(j, spec=spec) for j in micro_jobs(2)]
         serial = run_jobs(jobs, jobs=1)
         pooled = run_jobs(jobs, jobs=2)
@@ -165,12 +183,10 @@ class TestParallelEquivalence:
 class TestDiskCache:
     def test_hit_serves_identical_payload(self):
         job = micro_jobs(1)[0]
-        first = run_configured(job.config, job.factory,
-                               units_attr=job.spec.units_attr)
+        first = run_configured(job.config, job.factory)
         clear_cache()  # drop the memo: the next lookup must hit the disk
         hits_before = DISK_CACHE.hits
-        second = run_configured(job.config, job.factory,
-                                units_attr=job.spec.units_attr)
+        second = run_configured(job.config, job.factory)
         assert DISK_CACHE.hits == hits_before + 1
         assert second.payload_tuple() == first.payload_tuple()
 
@@ -179,12 +195,10 @@ class TestDiskCache:
         key_a = jobs[0].spec.key(jobs[0].config, jobs[0].factory, 1)
         key_b = jobs[1].spec.key(jobs[1].config, jobs[1].factory, 1)
         assert key_a != key_b
-        run_configured(jobs[0].config, jobs[0].factory,
-                       units_attr=jobs[0].spec.units_attr)
+        run_configured(jobs[0].config, jobs[0].factory)
         clear_cache()
         hits_before = DISK_CACHE.hits
-        run_configured(jobs[1].config, jobs[1].factory,
-                       units_attr=jobs[1].spec.units_attr)
+        run_configured(jobs[1].config, jobs[1].factory)
         assert DISK_CACHE.hits == hits_before  # different point: no hit
 
     def test_scale_env_part_of_key(self, monkeypatch):
@@ -204,8 +218,7 @@ class TestDiskCache:
         cache = DiskCache(str(tmp_path / "torn"))
         job = micro_jobs(1)[0]
         key = job.spec.key(job.config, job.factory, 1)
-        result = simulate(job.config, job.factory,
-                          units_attr=job.spec.units_attr)
+        result = simulate(job.config, job.factory)
         cache.put(key, result)
         target = cache._file(key)
         with open(target, "w", encoding="utf-8") as f:
@@ -214,7 +227,7 @@ class TestDiskCache:
 
     def test_info_and_clear(self):
         job = micro_jobs(1)[0]
-        run_configured(job.config, job.factory, units_attr=job.spec.units_attr)
+        run_configured(job.config, job.factory)
         info = DISK_CACHE.info()
         assert info["entries"] == 1
         assert info["bytes"] > 0
@@ -226,49 +239,57 @@ class TestMemoCache:
     def test_memo_inspectable_and_counts_hits(self):
         job = micro_jobs(1)[0]
         before = memo_cache_info()
-        run_configured(job.config, job.factory, units_attr=job.spec.units_attr)
-        result = run_configured(job.config, job.factory,
-                                units_attr=job.spec.units_attr)
+        run_configured(job.config, job.factory)
+        result = run_configured(job.config, job.factory)
         info = memo_cache_info()
         assert info["entries"] == before["entries"] + 1
         assert info["hits"] > before["hits"]
         assert len(info["keys"]) == info["entries"]
-        assert result.extras["cache_memo_hits"] == float(info["hits"])
-        assert "cache_memo_misses" in result.extras
-        assert "cache_disk_hits" in result.extras
+        assert info["misses"] == before["misses"] + 1
+        assert result.units == TINY_MICRO.iterations
+
+    def test_memo_result_unchanged_by_later_hits(self):
+        """A result handed out is not written to when the memo answers
+        the same point again."""
+        job = micro_jobs(1)[0]
+        first = run_configured(job.config, job.factory)
+        extras = dict(first.extras)
+        again = run_configured(job.config, job.factory)
+        assert again is first
+        assert first.extras == extras
+
+    def test_finished_points_stored_before_a_later_failure(self):
+        """Each point is cached as it finishes: a run that fails part-way
+        (a killed sweep, say) leaves the finished points behind."""
+        def failing(config, num_nodes):
+            raise RuntimeError("workload failed")
+
+        job = micro_jobs(1)[0]
+        with pytest.raises(RuntimeError, match="workload failed"):
+            run_jobs([job, dataclasses.replace(job, factory=failing)],
+                     jobs=1)
+        assert memo_cache_info()["entries"] == 1
+        assert DISK_CACHE.info()["entries"] == 1
 
     def test_no_cache_env_disables_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         job = micro_jobs(1)[0]
         entries_before = memo_cache_info()["entries"]
-        a = run_configured(job.config, job.factory,
-                           units_attr=job.spec.units_attr)
-        b = run_configured(job.config, job.factory,
-                           units_attr=job.spec.units_attr)
+        a = run_configured(job.config, job.factory)
+        b = run_configured(job.config, job.factory)
         assert memo_cache_info()["entries"] == entries_before
         assert DISK_CACHE.info()["entries"] == 0
         # ... but determinism still holds without the caches
         assert a.payload_tuple() == b.payload_tuple()
-
-    def test_run_workload_legacy_entry_point_memoises(self):
-        result = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                              units_attr="iterations")
-        again = run_workload("P1", MigratoryFactory(TINY_MICRO),
-                             units_attr="iterations")
-        assert again.payload_tuple() == result.payload_tuple()
-        assert result.config == "P1"
-
 
     def test_memo_answers_only_its_own_scale(self, monkeypatch):
         """A default-parameter factory sizes its workload from
         REPRO_SCALE, so a memo entry made at one scale must not answer
         at another."""
         monkeypatch.setenv("REPRO_SCALE", "1.0")
-        full = run_configured(preset("P1"), MigratoryFactory(),
-                              units_attr="iterations")
+        full = run_configured(preset("P1"), MigratoryFactory())
         monkeypatch.setenv("REPRO_SCALE", "0.25")
-        quarter = run_configured(preset("P1"), MigratoryFactory(),
-                                 units_attr="iterations")
+        quarter = run_configured(preset("P1"), MigratoryFactory())
         assert full.units == 1000
         assert quarter.units == 250
 
@@ -284,12 +305,39 @@ class TestMemoCache:
             return factory
 
         entries = memo_cache_info()["entries"]
-        small = run_configured(preset("P1"), closure(200),
-                               units_attr="iterations")
-        large = run_configured(preset("P1"), closure(400),
-                               units_attr="iterations")
+        small = run_configured(preset("P1"), closure(200))
+        large = run_configured(preset("P1"), closure(400))
         assert (small.units, large.units) == (200, 400)
         assert memo_cache_info()["entries"] == entries
+
+
+class TestUnitsFromWorkload:
+    """Each workload names the params field that counts its measured
+    units, so no caller passes a unit and none can pass a wrong one."""
+
+    def test_every_registered_workload_covered(self):
+        assert set(TINY_FACTORIES) == set(FACTORIES) | {"fuzz"}
+        for name, cls in FACTORIES.items():
+            assert isinstance(TINY_FACTORIES[name], cls)
+
+    @pytest.mark.parametrize("name", sorted(TINY_FACTORIES))
+    def test_declared_unit_is_a_params_field(self, name):
+        factory = TINY_FACTORIES[name]
+        workload = factory(preset("P2"), 1)
+        fields = {f.name for f in dataclasses.fields(workload.params)}
+        assert workload.units_attr in fields
+        result = run_configured(preset("P2"), factory)
+        assert result.units == getattr(workload.params, workload.units_attr)
+
+    def test_migratory_point_reports_iterations(self):
+        result = run_configured(preset("P1"), MigratoryFactory(TINY_MICRO))
+        assert result.units == TINY_MICRO.iterations
+
+    def test_dss_sweep_reports_rows(self):
+        records = sweep_field("P1", DssFactory(TINY_DSS), "l2.size_bytes",
+                              [512 << 10, 1 << 20])
+        assert [r["value"] for r in records] == [512 << 10, 1 << 20]
+        assert all(r["time_per_unit_ns"] > 0 for r in records)
 
 
 class TestReplaceFieldErrors:

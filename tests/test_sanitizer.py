@@ -282,21 +282,21 @@ class TestInjectedMutations:
 
 class TestHarnessCliParity:
     def test_identical_telemetry_in_extras(self, monkeypatch, tmp_path):
-        """`run_workload(check_coherence=True)` and `repro run --check`
+        """`run_configured(check_coherence=True)` and `repro run --check`
         must run the identical audit set and report identical sanitizer
         telemetry: both measure through `run_system`, which funnels the
         audit through `PiranhaSystem.verify()`."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         from repro.__main__ import _build_checked_system
         from repro.harness.experiments import MigratoryFactory
-        from repro.harness.runner import run_system, run_workload
+        from repro.harness.runner import run_configured, run_system
 
         # harness path, params explicit (scale 0.25 -> iterations =
         # max(200, 1000*0.25) = 250, MigratoryFactory.scaled's rule,
         # which the CLI's --scale goes through)
-        result = run_workload(
-            "P2", MigratoryFactory(params=MicroParams(iterations=250)),
-            num_nodes=2, units_attr="iterations", check_coherence=True)
+        result = run_configured(
+            preset("P2"), MigratoryFactory(params=MicroParams(iterations=250)),
+            num_nodes=2, check_coherence=True)
 
         # CLI path: exactly what cmd_run does for --check
         args = argparse.Namespace(config="P2", nodes=2, workload="migratory",

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import AccessKind, PiranhaSystem, preset
-from repro.harness.sweep import replace_field, run_config, sweep_field
+from repro.harness import record_from_result, run_configured
+from repro.harness.sweep import replace_field, sweep_field
 from repro.workloads import DssWorkload, OltpParams, OltpWorkload
 from repro.workloads.web import WebParams, WebWorkload
 
@@ -77,6 +78,7 @@ class TestSweep:
         assert all("throughput" in r for r in records)
 
     def test_run_config_metrics(self):
-        record = run_config(preset("P1"), self._factory)
+        record = record_from_result(run_configured(preset("P1"),
+                                                   self._factory))
         assert record["busy_frac"] + record["l2_frac"] + record["mem_frac"] \
             == pytest.approx(1.0)
