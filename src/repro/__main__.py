@@ -6,10 +6,12 @@ Runs one workload on one configuration and prints the standard report::
     python -m repro run --config P4 --nodes 4 --workload oltp --check
     python -m repro run --workload oltp --metrics out.json \
         --probe-rate 64 --sample-interval 50
-    python -m repro report --workload oltp --json
+    python -m repro run --workload oltp --report
     python -m repro run --workload oltp --scale 0.25 --trace-spans \
         --trace-out trace.json          # open trace.json in Perfetto
-    python -m repro profile --workload oltp --scale 0.25
+    python -m repro run --workload oltp --scale 0.25 --profile
+    python -m repro run --config P2 --nodes 2 --workload migratory \
+        --check --trace 4096 --node 0 --last 8
     python -m repro run --workload oltp --telemetry live.jsonl &
     python -m repro watch live.jsonl --follow
     python -m repro sweep --config P8 --workload oltp \
@@ -38,6 +40,7 @@ import json
 import sys
 
 from .area import floorplan_summary
+from .checkpoint import PeriodicCheckpointer, replay_final_window
 from .core import PRESETS, preset, table1
 from .harness.experiments import FACTORIES, scaled_factory
 from .harness.report import breakdown_bar, format_table
@@ -49,16 +52,14 @@ from .observe.hostprof import HostProfiler
 def _cli_spec(args: argparse.Namespace) -> RunSpec:
     """The one argparse -> :class:`RunSpec` translation, resolved.
 
-    It owns the CLI-only implications: ``--metrics`` (and ``report
-    --json``) alone imply the default observability settings, probe rate
-    64 and a 50 us sample interval, and ``--telemetry`` implies the
-    50 us interval (a heartbeat stream with nothing to beat is useless).
+    It owns the CLI-only implications: ``--metrics`` alone implies the
+    default observability settings, probe rate 64 and a 50 us sample
+    interval, and ``--telemetry`` implies the 50 us interval (a
+    heartbeat stream with nothing to beat is useless).
     """
     probe_rate = getattr(args, "probe_rate", 0) or 0
     sample_us = getattr(args, "sample_interval", 0) or 0
-    wants_doc = getattr(args, "metrics", None) or (
-        getattr(args, "command", None) == "report" and args.json)
-    if wants_doc and not (probe_rate or sample_us):
+    if getattr(args, "metrics", None) and not (probe_rate or sample_us):
         probe_rate, sample_us = 64, 50.0
     if getattr(args, "telemetry", None) and not sample_us:
         sample_us = 50.0
@@ -162,32 +163,23 @@ def _write_outputs(args: argparse.Namespace, result) -> None:
               f"(open at https://ui.perfetto.dev)")
 
 
-def _bisect_run_violation(checkpointer, args: argparse.Namespace) -> None:
-    """After a sanitizer violation under ``--checkpoint-every``: restore
-    the most recent pre-violation snapshot, arm the protocol trace at
-    full capacity, and replay only the final window — the interesting
-    history is guaranteed to fit the ring."""
-    if checkpointer is None or checkpointer.latest() is None:
+def _print_replay(info) -> None:
+    """What the flight recorder's replay of the final window found."""
+    if not info:
         print("(no snapshot buffered; rerun with --checkpoint-every to "
               "bisect, or --trace for a whole-run trace)")
         return
-    from .checkpoint import restore_system
-
-    now_ps, payload = checkpointer.latest()
-    print(f"\nbisecting: restoring snapshot @ {now_ps / 1e6:.1f} us and "
-          f"replaying the final window with the trace armed ...")
-    replay = restore_system(payload)
-    replay.arm_trace(max(getattr(args, "trace", 0) or 0, 512))
-    try:
-        replay.run_to_completion()
-        replay.verify()
-    except AssertionError as exc:
-        print(f"violation recurred in replay: {exc}")
+    print(f"\nbisecting: restored snapshot @ "
+          f"{info['restored_from_ps'] / 1e6:.1f} us and replayed the final "
+          f"window with the trace armed")
+    if info["recurred"]:
+        print(f"violation recurred in replay: {info['replay_message']}")
     else:
         print("violation did not recur in the replayed window "
               "(depends on earlier state; shorten --checkpoint-every)")
-    print("\nprotocol trace tail (replayed window):")
-    for line in replay.checker.trace.dump(last=32).splitlines():
+    print(f"\nprotocol trace tail (replayed window, "
+          f"{len(info['trace_window'])} events):")
+    for line in info["trace_window"]:
         print("  " + line)
 
 
@@ -215,8 +207,6 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"(follow with: python -m repro watch {args.telemetry})")
     checkpointer = None
     if args.checkpoint_every:
-        from .checkpoint import PeriodicCheckpointer
-
         on_capture = None
         if stream is not None:
             def on_capture(now_ps, nbytes):
@@ -233,7 +223,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         # verify): with the flight recorder armed, restore the last
         # pre-violation snapshot and replay the final window traced
         print(f"VIOLATION: {exc}")
-        _bisect_run_violation(checkpointer, args)
+        _print_replay(replay_final_window(checkpointer, spec.trace_capacity,
+                                          tail=args.last))
         return 1
     finally:
         if stream is not None:
@@ -245,29 +236,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"\nsimulated time : {system.finish_ps() / 1e6:.1f} us")
         _print_measurement(result, system.workload.units_attr)
     _write_outputs(args, result)
+    trace = system.checker.trace if system.checker is not None else None
+    if trace is not None and spec.mode == "detailed":
+        print()
+        print(trace.dump(line=int(args.line, 0) if args.line else None,
+                         node=args.node, last=args.last))
+        counts = trace.summary()
+        print("\nevent totals: " + ", ".join(
+            f"{k}={counts[k]}" for k in sorted(counts)))
     if profiler is not None:
         print()
-        print(profiler.render(limit=10))
+        print(profiler.render())
     if args.report:
         print()
         _print_report(system)
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """``profile``: run one workload under the host profiler and print
-    where the *simulator* spent its host time, per layer and per
-    function — not where the simulated machine spent its time."""
-    system, spec = _build_checked_system(args)
-    print(f"profiling {args.workload} on {args.nodes} x {system.config.name} "
-          f"...", file=sys.stderr)
-    with HostProfiler() as profiler:
-        run_system(system, spec)
-    if args.json:
-        print(json.dumps(profiler.as_dict(limit=args.limit), indent=2,
-                         sort_keys=True))
-    else:
-        print(profiler.render(limit=args.limit))
     return 0
 
 
@@ -292,40 +274,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
         return 1
     for record in records[-args.last:]:
         print(render_record(record))
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """``report``: run one workload and print the performance-monitor
-    rollup — text tables by default, the structured metrics document
-    with ``--json``."""
-    system, spec = _build_checked_system(args)
-    print(f"simulating {args.workload} on {args.nodes} x {system.config.name} "
-          f"({system.config.cpus * args.nodes} CPUs) ...", file=sys.stderr)
-    result = run_system(system, spec)
-    if args.json:
-        print(json.dumps(result.extras["metrics"], indent=2, sort_keys=True))
-    else:
-        _print_report(system)
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """``trace``: run a workload with the protocol trace recording and
-    dump the (filtered) tail of the ring buffer."""
-    system, _spec = _build_checked_system(args)
-    trace = system.checker.trace
-    print(f"tracing {args.workload} on {args.nodes} x {system.config.name} "
-          f"(ring capacity {trace.capacity}) ...", file=sys.stderr)
-    system.run_to_completion()
-    if args.check:
-        system.verify()
-        print("protocol sanitizer audit: OK", file=sys.stderr)
-    line = int(args.line, 0) if args.line is not None else None
-    print(trace.dump(line=line, node=args.node, last=args.last))
-    counts = trace.summary()
-    print("\nevent totals: " + ", ".join(
-        f"{k}={counts[k]}" for k in sorted(counts)))
     return 0
 
 
@@ -663,7 +611,18 @@ def main(argv=None) -> int:
     run_p.add_argument("--trace", type=int, nargs="?", const=512, default=0,
                        metavar="N",
                        help="record the last N protocol events (default "
-                            "512); violations dump the per-line history")
+                            "512); violations dump the per-line history and "
+                            "a detailed run ends with the ring's tail and "
+                            "event totals")
+    run_p.add_argument("--line", default=None,
+                       help="--trace tail: only events for this line "
+                            "address (hex ok)")
+    run_p.add_argument("--node", type=int, default=None,
+                       help="--trace tail: only events from this node")
+    run_p.add_argument("--last", type=int, default=32,
+                       help="trailing protocol events printed (--trace "
+                            "tail and the flight recorder's replay; "
+                            "default 32)")
     run_p.add_argument("--report", action="store_true",
                        help="print the full per-module performance report")
     run_p.add_argument("--metrics", metavar="PATH", default=None,
@@ -683,7 +642,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--profile", action="store_true",
                        help="sample the host stack during the run and "
                             "print where host time went, per layer and "
-                            "per function")
+                            "for the 20 hottest functions")
     run_p.add_argument("--telemetry", metavar="PATH", default=None,
                        help="stream live heartbeat/interval/checkpoint "
                             "records (JSONL) here; follow with "
@@ -712,25 +671,6 @@ def main(argv=None) -> int:
                             "approximation; validation mode)")
     run_p.set_defaults(fn=cmd_run)
 
-    report_p = sub.add_parser(
-        "report", help="run a workload and print the perfmon rollup",
-        parents=[_point_parser(), _observe_parser()])
-    report_p.add_argument("--json", action="store_true",
-                          help="emit the structured metrics document "
-                               "instead of text tables")
-    report_p.set_defaults(fn=cmd_report)
-
-    profile_p = sub.add_parser(
-        "profile", help="run a workload under the host profiler and print "
-                        "where host time went, per layer and per function",
-        parents=[_point_parser()])
-    profile_p.add_argument("--limit", type=int, default=20,
-                           help="function rows to report (default 20)")
-    profile_p.add_argument("--json", action="store_true",
-                           help="emit the structured profile document "
-                                "instead of the table")
-    profile_p.set_defaults(fn=cmd_profile, scale=0.25)
-
     watch_p = sub.add_parser(
         "watch", help="render a live-telemetry JSONL stream "
                       "(from 'repro run --telemetry PATH')")
@@ -744,22 +684,6 @@ def main(argv=None) -> int:
                          help="without --follow: print the trailing N "
                               "records (default 20)")
     watch_p.set_defaults(fn=cmd_watch)
-
-    trace_p = sub.add_parser(
-        "trace", help="run a workload with the protocol trace and dump it",
-        parents=[_point_parser()])
-    trace_p.add_argument("--trace", type=int, nargs="?", const=4096,
-                         default=4096, metavar="N",
-                         help="ring capacity (default 4096)")
-    trace_p.add_argument("--check", action="store_true",
-                         help="also run the protocol sanitizer")
-    trace_p.add_argument("--line", default=None,
-                         help="only events for this line address (hex ok)")
-    trace_p.add_argument("--node", type=int, default=None,
-                         help="only events from this node")
-    trace_p.add_argument("--last", type=int, default=32,
-                         help="how many trailing events to print")
-    trace_p.set_defaults(fn=cmd_trace, workload="migratory", scale=0.25)
 
     sweep_p = sub.add_parser(
         "sweep", help="sweep one config field over a set of values")

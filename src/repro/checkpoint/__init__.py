@@ -23,14 +23,14 @@ from typing import Any, Dict, Optional, Tuple
 from .format import (CheckpointError, SCHEMA, build_manifest,
                      read_checkpoint, read_manifest, validate_manifest,
                      write_checkpoint)
-from .machine import (PeriodicCheckpointer, WarmCapture, restore_system,
-                      snapshot_bytes)
+from .machine import (PeriodicCheckpointer, WarmCapture,
+                      replay_final_window, restore_system, snapshot_bytes)
 from .store import WARM_STORE, WarmStore, warm_key
 
 __all__ = [
     "CheckpointError", "SCHEMA",
     "snapshot_bytes", "restore_system", "WarmCapture",
-    "PeriodicCheckpointer",
+    "PeriodicCheckpointer", "replay_final_window",
     "WarmStore", "WARM_STORE", "warm_key",
     "save_checkpoint", "load_checkpoint", "checkpoint_info",
     "build_manifest", "read_checkpoint", "read_manifest",

@@ -19,6 +19,11 @@ half-executed handler.  Every capture path here runs *between* events —
 the system schedules as its own 0-delay event), and
 :class:`PeriodicCheckpointer` ticks through ``schedule_every``.
 
+After a violation, :func:`replay_final_window` restores a
+:class:`PeriodicCheckpointer`'s last snapshot and replays the final
+window with the protocol trace armed; ``repro run`` and ``repro fuzz``
+both bisect through it.
+
 Restores never call :meth:`~repro.core.system.PiranhaSystem.start` —
 the restored event queue already holds the CPU continuations and
 periodic tickers; ``start()`` is idempotent so
@@ -30,13 +35,15 @@ from __future__ import annotations
 
 import pickle
 from collections import deque
+from types import SimpleNamespace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core import messages
+from ..core.checker import violation_signature
 
 __all__ = [
     "snapshot_bytes", "restore_system",
-    "WarmCapture", "PeriodicCheckpointer",
+    "WarmCapture", "PeriodicCheckpointer", "replay_final_window",
 ]
 
 
@@ -115,10 +122,10 @@ class PeriodicCheckpointer:
     """Keep the last *keep* snapshots on a fixed simulated-time period.
 
     The fuzz/sanitizer flows use this as a flight recorder: when a run
-    dies with a violation, the most recent pre-violation snapshot is
-    restored, the protocol trace is armed at full capacity, and only the
-    final window is replayed — seconds instead of the whole run, with
-    the interesting history guaranteed to fit the trace ring.
+    dies with a violation, :func:`replay_final_window` restores the most
+    recent pre-violation snapshot, arms the protocol trace at full
+    capacity and replays only the final window — seconds instead of the
+    whole run, with the interesting history guaranteed to fit the ring.
 
     The ticker rides ``schedule_every``, which means the pending tick is
     itself part of every snapshot (it is an event in the pickled queue).
@@ -188,3 +195,49 @@ class PeriodicCheckpointer:
             "checkpoint_captures": self.captures,
             "checkpoint_buffered": len(self.snapshots or ()),
         }
+
+
+def replay_final_window(checkpointer: Optional[PeriodicCheckpointer],
+                        trace_capacity: int = 0,
+                        tail: int = 48) -> Dict[str, Any]:
+    """Restore *checkpointer*'s most recent snapshot and replay the
+    final window with the protocol trace armed.
+
+    The snapshot lies strictly before the violation (the capturing tick
+    ran to completion), and the replay arms a fresh ring of at least 512
+    events, so the run's interesting history fits it.  The replay runs
+    the same end-of-run checks as a measurement: the quiesce audit and
+    the workload's ``post_run`` (the fuzz residue check).
+
+    Returns ``{}`` when no snapshot was buffered; otherwise
+    ``restored_from_ps``, ``captures``, ``recurred``, ``trace_window``
+    (the last *tail* events of the replayed window, formatted) and, when
+    the violation recurred, its ``replay_signature`` and
+    ``replay_message``.  A violation that does not recur means the
+    simulation is not a pure function of its state; callers report it.
+    """
+    snap = checkpointer.latest() if checkpointer is not None else None
+    if snap is None:
+        return {}
+    restored_ps, payload = snap
+    info: Dict[str, Any] = {
+        "restored_from_ps": restored_ps,
+        "captures": checkpointer.captures,
+        "recurred": False,
+    }
+    system = restore_system(payload)
+    if system.checker is not None:
+        system.arm_trace(max(trace_capacity, 512))
+    try:
+        system.run_to_completion()
+        system.verify()
+        post_run = getattr(system.workload, "post_run", None)
+        if post_run is not None:
+            post_run(system, SimpleNamespace(extras={}))
+    except (AssertionError, RuntimeError) as exc:
+        info.update(recurred=True, replay_signature=violation_signature(exc),
+                    replay_message=str(exc))
+    trace = system.checker.trace if system.checker is not None else None
+    info["trace_window"] = ([ev.format() for ev in trace.events(last=tail)]
+                            if trace is not None else [])
+    return info

@@ -36,6 +36,7 @@ Tests and the harness run simulations with the checker attached and call
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
@@ -45,6 +46,21 @@ from .trace import ProtocolTrace
 
 class CoherenceViolation(AssertionError):
     """A protocol invariant was broken."""
+
+
+def violation_signature(exc: BaseException) -> str:
+    """Stable identity of a failure, for same-bug matching while
+    shrinking a fuzz program or replaying a snapshot.  Violations
+    carrying a machine-readable ``kind`` (the reference checker's) use it
+    directly; anything else falls back to the exception class plus its
+    first message line with addresses and counts normalised away."""
+    kind = getattr(exc, "kind", None)
+    if kind:
+        return f"{type(exc).__name__}:{kind}"
+    text = str(exc).splitlines()[0] if str(exc) else ""
+    text = re.sub(r"0x[0-9a-fA-F]+", "#", text)
+    text = re.sub(r"\d+", "#", text)
+    return f"{type(exc).__name__}:{text}"
 
 
 Holder = Tuple[int, int]  # (node, cache_id)

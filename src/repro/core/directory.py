@@ -155,8 +155,38 @@ def add_sharer(entry: DirectoryEntry, node: int, num_nodes: int) -> DirectoryEnt
     return DirectoryEntry(DIR_SHARED, frozenset(sharers), None)
 
 
-def make_exclusive(node: int) -> DirectoryEntry:
+def make_exclusive(node: int, local: bool = False) -> DirectoryEntry:
+    """Grant *node* the line exclusively.  A *local* requester (the home
+    node itself) is never tracked: the home's on-chip state covers it."""
+    if local:
+        return _UNCACHED
     return DirectoryEntry(DIR_EXCLUSIVE, frozenset({node}), node)
+
+
+def share_with_owner(owner: int, node: int, local: bool,
+                     exclusive: bool) -> DirectoryEntry:
+    """The home forwarded *node*'s request to the remote *owner* (3-hop).
+    An *exclusive* request moves ownership to the requester; a read
+    leaves owner and requester sharing, a *local* requester untracked."""
+    if exclusive:
+        return make_exclusive(node, local)
+    return DirectoryEntry(
+        DIR_SHARED, frozenset((owner,) if local else (owner, node)), None)
+
+
+def remove_sharer(entry: DirectoryEntry, node: int) -> DirectoryEntry:
+    """*node* wrote the line back or gave its copy up.  A late write-back
+    (the home already granted the line to another owner; the forward
+    crossed the write-back in flight) leaves the entry as it is.  The
+    remaining sharers go back to limited pointers once they fit."""
+    if entry.state == DIR_EXCLUSIVE and entry.owner != node:
+        return entry
+    remaining = entry.sharers - {node}
+    if not remaining:
+        return _UNCACHED
+    return DirectoryEntry(
+        DIR_SHARED if len(remaining) <= MAX_POINTERS else DIR_SHARED_COARSE,
+        remaining, None)
 
 
 class DirectoryStore:

@@ -22,8 +22,8 @@ from ..interconnect.cmi import MAX_CMI_MESSAGES, plan_cmi
 from ..interconnect.packets import Packet, PacketType
 from ..mem.addr import line_addr
 from ..sim.engine import Component, Simulator, ns
-from .directory import (DIR_EXCLUSIVE, DIR_SHARED, DIR_SHARED_COARSE,
-                        DirectoryEntry, add_sharer, make_exclusive)
+from .directory import (DirectoryEntry, add_sharer, make_exclusive,
+                        remove_sharer, share_with_owner)
 from .messages import MODIFIED, SHARED
 from .microcode import Environment, Program, Sequencer, StepResult
 from .microprograms import (
@@ -664,9 +664,8 @@ class ProtocolEngine(Component):
         entry.vars["acks_needed"] = entry.vars.get("inval_count", 0)
 
     def _dir_make_exclusive_local(self, entry: TsrfEntry, _op: int) -> None:
-        # The home node's own exclusivity is never tracked in the
-        # directory (home sharers are covered by the on-chip state).
-        entry.vars["dir_next"] = DirectoryEntry.uncached()
+        entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"],
+                                                local=True)
         needed = entry.vars.get("inval_count", 0)
         entry.vars["acks_needed"] = needed
         if needed > entry.vars.get("acks_got", 0):
@@ -674,40 +673,15 @@ class ProtocolEngine(Component):
                                             entry.addr)
 
     def _dir_share_with_owner(self, entry: TsrfEntry, _op: int) -> None:
-        owner = entry.vars["owner"]
-        if entry.vars.get("fetch_excl"):
-            if entry.vars.get("is_local"):
-                entry.vars["dir_next"] = DirectoryEntry.uncached()
-            else:
-                entry.vars["dir_next"] = make_exclusive(entry.vars["req_node"])
-            return
-        sharers = {owner}
-        if not entry.vars.get("is_local"):
-            sharers.add(entry.vars["req_node"])
-        entry.vars["dir_next"] = DirectoryEntry(
-            DIR_SHARED, frozenset(sharers), None
-        )
+        v = entry.vars
+        v["dir_next"] = share_with_owner(
+            v["owner"], v["req_node"], v.get("is_local"), v.get("fetch_excl"))
 
     def _dir_clear(self, entry: TsrfEntry, _op: int) -> None:
         current = entry.vars.get("dir_entry")
         if current is None:
             current = self.chip.dirstore.read(entry.addr)
-        if (current.state == DIR_EXCLUSIVE
-                and current.owner != entry.vars["req_node"]):
-            # Late write-back: the home already granted the line to a
-            # new owner (the forward crossed the WB in flight).  The
-            # directory stays as-is; the WB is acked and its data is
-            # version-superseded.
-            entry.vars["dir_next"] = current
-            return
-        remaining = set(current.sharers) - {entry.vars["req_node"]}
-        if not remaining:
-            entry.vars["dir_next"] = DirectoryEntry.uncached()
-        else:
-            entry.vars["dir_next"] = DirectoryEntry(
-                DIR_SHARED if len(remaining) <= 4 else DIR_SHARED_COARSE,
-                frozenset(remaining), None,
-            )
+        entry.vars["dir_next"] = remove_sharer(current, entry.vars["req_node"])
 
     def _next_sharer(self, entry: TsrfEntry, _op: int) -> None:
         queue = entry.vars.get("_sharer_queue")

@@ -12,8 +12,8 @@ assertion.
 The buffer is a ``collections.deque(maxlen=capacity)``: recording is
 O(1), memory is bounded regardless of run length, and a full workload
 can run traced with negligible overhead.  Events can be filtered by
-line address, node, or event kind (``repro trace --line 0x... --node N``
-exposes this from the CLI).
+line address, node, or event kind (``repro run --trace N --line 0x...
+--node N`` exposes this from the CLI).
 """
 
 from __future__ import annotations

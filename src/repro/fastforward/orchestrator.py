@@ -135,6 +135,10 @@ class SampledRun:
             raise ValueError("period must be >= 0")
         if warming not in ("functional", "detailed"):
             raise ValueError(f"unknown warming mode {warming!r}")
+        workload = system.workload
+        if getattr(workload, "sampled_refusal", ""):
+            raise ValueError(f"sampled mode cannot run the {workload.name} "
+                             f"workload: {workload.sampled_refusal}")
         self.system = system
         self.window = int(window)
         self.period = int(period)

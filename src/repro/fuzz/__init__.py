@@ -8,6 +8,7 @@ minimal self-contained reproducers (:mod:`~repro.fuzz.shrink`).  See
 DESIGN.md §4f.
 """
 
+from ..core.checker import violation_signature
 from .mutations import MUTATIONS, apply_mutation
 from .program import FuzzProgram, Reproducer
 from .reference import MemoryModelViolation, ReferenceChecker
@@ -18,7 +19,7 @@ from .runner import (
     run_fuzz_program,
     shrink_failure,
 )
-from .shrink import ShrinkOutcome, shrink, violation_signature
+from .shrink import ShrinkOutcome, shrink
 from .stimulus import StimulusParams, generate, params_for
 
 __all__ = [

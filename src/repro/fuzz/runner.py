@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.checker import CoherenceViolation
+from ..checkpoint import PeriodicCheckpointer, replay_final_window
+from ..core.checker import CoherenceViolation, violation_signature
 from ..core.config import preset
 from ..core.cpu import WARMUP_DONE
 from ..core.messages import AccessKind
@@ -41,7 +42,7 @@ from ..workloads.base import Workload, WorkloadThread
 from .mutations import apply_mutation
 from .program import OP_KINDS, FuzzProgram, Reproducer
 from .reference import MemoryModelViolation, ReferenceChecker
-from .shrink import shrink, violation_signature
+from .shrink import shrink
 
 
 @dataclass
@@ -57,6 +58,9 @@ class FuzzWorkload(Workload):
     name = "fuzz"
     units_attr = "ops"
     ilp = 1.0
+    sampled_refusal = ("the memory-model reference checker follows only "
+                       "accesses the detailed path completes, so the items "
+                       "functional warming consumes would desync it")
 
     def __init__(self, program: FuzzProgram,
                  checkpoint_every_ps: int = 0) -> None:
@@ -100,8 +104,6 @@ class FuzzWorkload(Workload):
         p = self.program
         self.system = system
         if self.checkpoint_every_ps:
-            from ..checkpoint import PeriodicCheckpointer
-
             self.checkpointer = PeriodicCheckpointer(
                 system, self.checkpoint_every_ps)
             self.checkpointer.start()
@@ -221,8 +223,8 @@ class FuzzVerdict:
     trace_window: List[str] = field(default_factory=list)
     result: Optional[RunResult] = None
     #: violation-bisection outcome when periodic checkpointing was armed:
-    #: restored_from_ps, captures, recurred, replay_signature and the
-    #: full-fidelity replay trace window (empty dict otherwise)
+    #: :func:`~repro.checkpoint.replay_final_window`'s info dict (empty
+    #: otherwise)
     bisect: Dict[str, object] = field(default_factory=dict)
 
 
@@ -235,55 +237,6 @@ def _trace_tail(workload: FuzzWorkload, last: int = 48) -> List[str]:
     return [ev.format() for ev in trace.events(last=last)]
 
 
-def _bisect_replay(workload: FuzzWorkload, trace_capacity: int,
-                   tail: int = 48) -> Dict[str, object]:
-    """Restore the last pre-violation snapshot and replay the final window.
-
-    Long fuzz runs with small trace rings lose the interesting history by
-    the time a violation fires.  With periodic checkpointing armed, the
-    violation instead becomes: restore the most recent snapshot (strictly
-    before the violation — the capturing tick ran to completion), arm a
-    fresh full-capacity protocol trace, and re-run just the final window.
-    Determinism guarantees the violation recurs, now with its complete
-    event history in the ring.
-    """
-    from types import SimpleNamespace
-
-    from ..checkpoint import restore_system
-
-    ckpt = workload.checkpointer
-    snap = ckpt.latest() if ckpt is not None else None
-    if snap is None:
-        return {}
-    restored_ps, payload = snap
-    info: Dict[str, object] = {
-        "restored_from_ps": restored_ps,
-        "captures": ckpt.captures,
-    }
-    system = restore_system(payload)
-    if system.checker is not None:
-        system.arm_trace(max(trace_capacity, 512))
-    try:
-        system.run_to_completion()
-        system.verify()
-        post_run = getattr(system.workload, "post_run", None)
-        if post_run is not None:
-            post_run(system, SimpleNamespace(extras={}))
-    except (MemoryModelViolation, CoherenceViolation, RuntimeError) as exc:
-        info["recurred"] = True
-        info["replay_signature"] = violation_signature(exc)
-        trace = (system.checker.trace
-                 if system.checker is not None else None)
-        if trace is not None:
-            info["trace_window"] = [
-                ev.format() for ev in trace.events(last=tail)]
-        return info
-    # A non-recurring violation would mean the simulation is not a pure
-    # function of its state — report it rather than hide it.
-    info["recurred"] = False
-    return info
-
-
 def run_fuzz_program(program: FuzzProgram, check: bool = True,
                      trace_capacity: int = 2048,
                      checkpoint_every_ps: int = 0) -> FuzzVerdict:
@@ -293,13 +246,14 @@ def run_fuzz_program(program: FuzzProgram, check: bool = True,
     sanitizer (continuous audits + quiesce verify) and the reference
     checker (always on — it rides the workload hooks).  A violation
     from either — or a stalled simulation — becomes a failed verdict
-    carrying :func:`~repro.fuzz.shrink.violation_signature` and the
+    carrying :func:`~repro.core.checker.violation_signature` and the
     protocol-trace tail.
 
     ``checkpoint_every_ps`` arms the snapshot flight recorder: on a
     violation the last pre-violation snapshot is restored and the final
-    window replayed at full trace fidelity (see :func:`_bisect_replay`);
-    the outcome lands in ``FuzzVerdict.bisect``.
+    window replayed at full trace fidelity (see
+    :func:`~repro.checkpoint.replay_final_window`); the outcome lands in
+    ``FuzzVerdict.bisect``.
     """
     program.validate()
     config = preset(program.config)
@@ -324,7 +278,8 @@ def run_fuzz_program(program: FuzzProgram, check: bool = True,
             message=str(exc),
             counts=dict(workload.reference.counts()),
             trace_window=_trace_tail(workload),
-            bisect=_bisect_replay(workload, trace_capacity),
+            bisect=replay_final_window(workload.checkpointer,
+                                       trace_capacity),
         )
     return FuzzVerdict(ok=True,
                        counts=dict(result.extras.get("fuzz", {})),

@@ -26,26 +26,10 @@ cost nothing against the budget.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .program import FuzzProgram, Op
-
-
-def violation_signature(exc: BaseException) -> str:
-    """Stable identity of a failure, for same-bug matching while
-    shrinking.  Violations carrying a machine-readable ``kind`` (the
-    reference checker's) use it directly; anything else falls back to
-    the exception class plus its first message line with addresses and
-    counts normalised away."""
-    kind = getattr(exc, "kind", None)
-    if kind:
-        return f"{type(exc).__name__}:{kind}"
-    text = str(exc).splitlines()[0] if str(exc) else ""
-    text = re.sub(r"0x[0-9a-fA-F]+", "#", text)
-    text = re.sub(r"\d+", "#", text)
-    return f"{type(exc).__name__}:{text}"
 
 
 @dataclass

@@ -14,7 +14,7 @@ Keys (:meth:`repro.harness.runner.RunSpec.key`) combine:
 * a workload token (factory class + parameters, see
   :func:`workload_token`),
 * node count, ``REPRO_SCALE`` and every field of the resolved
-  ``RunSpec`` (units attribute, observers, sampled-mode settings),
+  ``RunSpec`` (sanitizer and trace, observers, sampled-mode settings),
 * a fingerprint of the installed ``repro`` source tree plus
   ``repro.__version__`` — any code change invalidates the whole cache,
   so stale results can never leak across library versions.
@@ -290,9 +290,9 @@ class DiskCache:
     def clear(self) -> int:
         """Delete every cached result; returns the number removed.
 
-        Warm checkpoints and sweep manifests under the same root are left
-        alone: clearing *results* must not discard warm state, which is
-        far more expensive to rebuild, or a resumable sweep's progress."""
+        Warm checkpoints under the same root are left alone: clearing
+        *results* must not discard warm state, which is far more
+        expensive to rebuild."""
         removed = 0
         for path in self._entries():
             try:

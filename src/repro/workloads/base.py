@@ -167,6 +167,9 @@ class Workload:
     #: instruction-level parallelism the OOO core can extract (the paper:
     #: small for OLTP due to dependent chains, larger for DSS loops)
     ilp = 1.0
+    #: why sampled mode cannot measure this workload ("" when it can);
+    #: :class:`~repro.fastforward.SampledRun` refuses before any event
+    sampled_refusal = ""
 
     def thread_for(self, node: int, cpu: int) -> Optional[WorkloadThread]:
         raise NotImplementedError

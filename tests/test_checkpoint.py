@@ -46,9 +46,8 @@ from repro.checkpoint.format import (
     validate_manifest,
 )
 from repro.core import CoherenceChecker, PiranhaSystem, preset
-from repro.core.checker import CoherenceViolation
+from repro.core.checker import CoherenceViolation, violation_signature
 from repro.fuzz.reference import MemoryModelViolation
-from repro.fuzz.shrink import violation_signature
 from repro.harness import DssFactory, Job, OltpFactory, clear_cache, run_jobs
 from repro.harness.runner import (DISK_CACHE, RunSpec, assemble_result,
                                   build_system, run_system, simulate)

@@ -50,9 +50,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "audit: OK" in out
 
-    def test_trace_subcommand_dumps_events(self, capsys):
-        assert main(["trace", "--config", "P2", "--workload", "migratory",
-                     "--scale", "0.2", "--last", "5"]) == 0
+    def test_run_trace_dumps_events(self, capsys):
+        assert main(["run", "--config", "P2", "--workload", "migratory",
+                     "--scale", "0.2", "--trace", "4096", "--last", "5"]) == 0
         out = capsys.readouterr().out
         assert "protocol trace" in out
         assert "event totals:" in out
@@ -60,15 +60,59 @@ class TestCli:
         assert 0 < sum(1 for l in out.splitlines()
                        if l.startswith("#")) <= 5
 
-    def test_trace_subcommand_line_filter(self, capsys):
-        assert main(["trace", "--config", "P2", "--workload", "migratory",
-                     "--scale", "0.2", "--node", "0", "--last", "3"]) == 0
+    def test_run_trace_node_and_line_filters(self, capsys):
+        assert main(["run", "--config", "P2", "--nodes", "2",
+                     "--workload", "migratory", "--scale", "0.2", "--check",
+                     "--trace", "4096", "--node", "0", "--last", "3"]) == 0
         out = capsys.readouterr().out
         assert "[node=0]" in out
+        events = [l for l in out.splitlines() if l.startswith("#")]
+        assert 0 < len(events) <= 3
+        assert all(" node0 " in l for l in events)
+        line = events[-1].split("line=")[1].split()[0]
+        assert main(["run", "--config", "P2", "--nodes", "2",
+                     "--workload", "migratory", "--scale", "0.2",
+                     "--trace", "4096", "--line", line]) == 0
+        out = capsys.readouterr().out
+        assert f"[line={line}]" in out
+        assert all(f"line={line} " in l for l in out.splitlines()
+                   if l.startswith("#"))
+
+    def test_run_without_trace_prints_no_ring(self, capsys):
+        assert main(["run", "--config", "P2", "--workload", "migratory",
+                     "--scale", "0.2", "--check"]) == 0
+        assert "event totals:" not in capsys.readouterr().out
 
     def test_unknown_config_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--config", "P99"])
+
+
+class TestRunFlightRecorder:
+    def test_violation_recurs_in_replay(self, monkeypatch, capsys):
+        """``run --checkpoint-every`` on a machine with a lost
+        invalidation: the run fails, and the replay from the last
+        snapshot makes the violation recur.  (It fires at quiesce, after
+        the last snapshot, so the replayed window may record no events.)"""
+        import repro.__main__ as cli
+        from repro.fuzz import apply_mutation
+
+        build = cli.build_system
+
+        def build_mutated(*args, **kwargs):
+            system, workload = build(*args, **kwargs)
+            apply_mutation(system, "lost_inval", 3)
+            return system, workload
+
+        monkeypatch.setattr(cli, "build_system", build_mutated)
+        assert main(["run", "--config", "P2", "--nodes", "2",
+                     "--workload", "migratory", "--scale", "0.2", "--check",
+                     "--checkpoint-every", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "VIOLATION: line 0x1c0: stale copies never invalidated" in out
+        assert "restored snapshot @ 25.0 us" in out
+        assert ("violation recurred in replay: line 0x1c0: stale copies "
+                "never invalidated") in out
 
 
 class TestFuzzCli:

@@ -17,9 +17,21 @@ from repro.core.directory import (
     ecc_accounting,
     encode,
     make_exclusive,
+    remove_sharer,
+    share_with_owner,
 )
 
 N = 1024  # node count used throughout (the paper's 1K-node scale)
+
+UNCACHED = DirectoryEntry.uncached()
+
+
+def shared(*nodes):
+    return DirectoryEntry(DirState.SHARED, frozenset(nodes), None)
+
+
+def coarse(*nodes):
+    return DirectoryEntry(DirState.SHARED_COARSE, frozenset(nodes), None)
 
 
 class TestEccAccounting:
@@ -170,3 +182,74 @@ class TestEntryValue:
         assert out == entry and type(out) is DirectoryEntry
         assert (out.state, out.sharers, out.owner) == (
             entry.state, entry.sharers, entry.owner)
+
+
+class TestNextStateRules:
+    """The directory next-state rules the protocol engines' handlers
+    call, one table per rule.  Every result must also fit the 44-bit
+    codec, since the home writes it straight back to the store."""
+
+    @staticmethod
+    def fits_codec(entry):
+        out = decode(encode(entry, N), N)
+        return out.state == entry.state and out.sharers >= entry.sharers
+
+    @pytest.mark.parametrize("entry, node, expected", [
+        (UNCACHED, 3, shared(3)),
+        (shared(1, 2, 3), 4, shared(1, 2, 3, 4)),
+        (shared(1, 2, 3, 4), 4, shared(1, 2, 3, 4)),          # no overflow
+        (shared(1, 2, 3, 4), 5, coarse(1, 2, 3, 4, 5)),       # overflow
+        (coarse(1, 2, 3, 4, 5), 6, coarse(1, 2, 3, 4, 5, 6)),
+        (coarse(1, 2), 3, coarse(1, 2, 3)),                   # stays coarse
+    ])
+    def test_add_sharer(self, entry, node, expected):
+        assert add_sharer(entry, node, N) == expected
+        assert self.fits_codec(expected)
+
+    @pytest.mark.parametrize("node, local, expected", [
+        (3, False, DirectoryEntry(DirState.EXCLUSIVE, frozenset({3}), 3)),
+        (0, True, UNCACHED),                # the home's own copy: untracked
+    ])
+    def test_make_exclusive(self, node, local, expected):
+        assert make_exclusive(node, local) == expected
+        assert self.fits_codec(expected)
+
+    @pytest.mark.parametrize("owner, node, local, exclusive, expected", [
+        (7, 3, False, False, shared(3, 7)),      # remote read: both share
+        (7, 0, True, False, shared(7)),          # local read: owner only
+        (7, 3, False, True, make_exclusive(3)),  # remote write: new owner
+        (7, 0, True, True, UNCACHED),            # local write: untracked
+    ])
+    def test_share_with_owner(self, owner, node, local, exclusive,
+                              expected):
+        assert share_with_owner(owner, node, local, exclusive) == expected
+        assert self.fits_codec(expected)
+
+    @pytest.mark.parametrize("entry, node, expected", [
+        (shared(3), 3, UNCACHED),
+        (shared(3, 5), 3, shared(5)),
+        (shared(3), 9, shared(3)),                         # not a sharer
+        (UNCACHED, 3, UNCACHED),
+        (coarse(1, 2, 3, 4, 5, 6), 6, coarse(1, 2, 3, 4, 5)),
+        (coarse(1, 2, 3, 4, 5), 5, shared(1, 2, 3, 4)),    # back to pointers
+        (make_exclusive(3), 3, UNCACHED),                  # owner writes back
+    ])
+    def test_remove_sharer(self, entry, node, expected):
+        assert remove_sharer(entry, node) == expected
+        assert self.fits_codec(expected)
+
+    def test_late_write_back_leaves_the_new_owner(self):
+        """The forward crossed the old owner's write-back in flight: the
+        home already granted the line to node 8, so node 3's write-back
+        changes nothing."""
+        entry = make_exclusive(8)
+        assert remove_sharer(entry, 3) is entry
+
+    def test_fallback_bound_is_the_pointer_count(self):
+        wide = coarse(*range(MAX_POINTERS + 2))
+        once = remove_sharer(wide, 0)
+        assert once.state == DirState.SHARED_COARSE
+        assert len(once.sharers) == MAX_POINTERS + 1
+        twice = remove_sharer(once, 1)
+        assert twice.state == DirState.SHARED
+        assert len(twice.sharers) == MAX_POINTERS

@@ -265,6 +265,27 @@ class TestHarnessIntegration:
         with pytest.raises(ValueError):
             simulate(preset("P1"), OltpFactory(OLTP_SMALL), mode="turbo")
 
+    def test_sampled_mode_refuses_fuzz_before_any_event(self, monkeypatch):
+        """Functional warming consumes items the fuzz reference checker
+        never sees, so a sampled fuzz run would only fail after
+        simulating (a desync); it is refused before the first event."""
+        from repro.fuzz import generate, params_for
+        from repro.fuzz.runner import FuzzFactory
+        from repro.harness.runner import run_configured
+        from repro.sim.engine import Simulator
+
+        def no_events(self, *args, **kwargs):
+            raise AssertionError("simulated before refusing")
+
+        monkeypatch.setattr(Simulator, "run", no_events)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        program = generate(params_for(0, total_ops=2000, nodes=1,
+                                      config="P2", cpus_per_node=2))
+        with pytest.raises(ValueError, match="sampled mode cannot run the "
+                                             "fuzz workload"):
+            run_configured(preset("P2"), FuzzFactory(program.canonical_json()),
+                           1, mode="sampled")
+
     def test_warm_store_roundtrip(self, tmp_path, monkeypatch):
         """A warm start restores the boundary snapshot and its payload
         equals the cold run's bit for bit: at the small test point, and

@@ -452,41 +452,40 @@ class TestCli:
         assert out.with_suffix(".csv").exists()
         assert "latency probes (1/8)" in capsys.readouterr().out
 
-    def test_report_json(self, capsys):
+    @staticmethod
+    def _metrics_doc(tmp_path, *flags):
+        """Run one point with ``--metrics`` and return the document."""
         from repro.__main__ import main
 
-        rc = main(["report", "--config", "P2", "--workload", "migratory",
-                   "--scale", "0.2", "--json", "--probe-rate", "8"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = tmp_path / "m.json"
+        assert main(["run", "--config", "P2", *flags,
+                     "--metrics", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_report_json(self, tmp_path):
+        doc = self._metrics_doc(tmp_path, "--workload", "migratory",
+                                "--scale", "0.2", "--probe-rate", "8")
         assert validate_metrics(doc) == []
         assert doc["probes"]["completed"] > 0
 
-    def test_report_json_implies_default_observability(self, capsys):
-        # --json without explicit rates implies the default probe and
+    def test_report_json_implies_default_observability(self, tmp_path):
+        # --metrics without explicit rates implies the default probe and
         # sampling settings, and the emitted doc records what ran.
-        from repro.__main__ import main
-
-        rc = main(["report", "--config", "P2", "--workload", "migratory",
-                   "--scale", "0.2", "--json"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = self._metrics_doc(tmp_path, "--workload", "migratory",
+                                "--scale", "0.2")
         assert validate_metrics(doc) == []
         assert doc["run"]["probe_rate"] == 64
         assert doc["probes"] is not None
         assert doc["timeseries"] is not None
 
-    def test_report_json_emits_every_probe_class(self, capsys):
+    def test_report_json_emits_every_probe_class(self, tmp_path):
         # Classes a tiny run never exercises (remote_dirty on one node)
         # must still appear with explicit zero counts — consumers index
         # the class table without guarding every key.
-        from repro.__main__ import main
         from repro.core.probe import PROBE_CLASSES
 
-        rc = main(["report", "--config", "P2", "--workload", "oltp",
-                   "--scale", "0.1", "--json", "--probe-rate", "1"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = self._metrics_doc(tmp_path, "--workload", "oltp",
+                                "--scale", "0.1", "--probe-rate", "1")
         classes = doc["probes"]["classes"]
         assert set(classes) == set(PROBE_CLASSES)
         for cls, block in classes.items():
@@ -496,14 +495,10 @@ class TestCli:
             for eng in node["engines"].values():
                 assert "tsrf_mean_occupancy" in eng
 
-    def test_report_json_multinode_io_homed(self, capsys):
-        from repro.__main__ import main
-
-        rc = main(["report", "--config", "P2", "--workload", "oltp",
-                   "--nodes", "2", "--scale", "0.1", "--json",
-                   "--probe-rate", "4"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_report_json_multinode_io_homed(self, tmp_path):
+        doc = self._metrics_doc(tmp_path, "--workload", "oltp",
+                                "--nodes", "2", "--scale", "0.1",
+                                "--probe-rate", "4")
         assert validate_metrics(doc) == []
         assert len(doc["counters"]) == 2
 
