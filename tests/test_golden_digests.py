@@ -13,18 +13,23 @@ and a one-chip fuzz program's upgrades, barriers and same-line races.
 An eight-node fuzz point reaches what four nodes cannot: cruise-missile
 invalidates and coarse-vector directory entries (four nodes have at most
 three remote sharers).
-Four sampled points pin functional warming (``L2Bank.warm_request``):
-P8, the inclusive-L2 ablation, P8 under the protocol sanitizer's
-checker hooks, and P2x2, whose multi-node declines leave misses cold.
-For those the warmer's ``extras["sampling"]["warm"]`` counters are
-pinned next to the digest.
+Five sampled points pin functional warming (``L2Bank.warm_request``)
+and the sampled run's phase lifecycle: P8, the inclusive-L2 ablation,
+P8 under the protocol sanitizer's checker hooks, P2x2, whose multi-node
+declines leave misses cold, and the OOO core, the only sampled run whose
+CPUs carry drain and fence flags across phases.  For those the warmer's
+``extras["sampling"]["warm"]`` counters are pinned next to the digest,
+and so is a digest of the whole ``extras["sampling"]`` document
+(windows, item counts and per-class confidence intervals).
 
-For the two multi-node points in :data:`COUNTER_POINTS` a second digest
-covers every statistic of every component — CPUs, L1s, L2 banks, memory
-controllers and RDRAM channels, the ICS, both protocol engines and their
-TSRFs, the system controller, routers and their links, the IQs and OQs —
-plus each directory store's read and write counts.  The payload digest
-never sees the interconnect and engine counters; this one does.
+For the points in :data:`COUNTER_POINTS` a second digest covers every
+statistic of every component — CPUs, L1s, L2 banks, memory controllers
+and RDRAM channels, the ICS, both protocol engines and their TSRFs, the
+system controller, routers and their links, the IQs and OQs — plus each
+directory store's read and write counts.  The payload digest never sees
+the interconnect and engine counters; this one does.  Two of them are
+sampled, so the counters also pin what the detailed windows leave on
+the machine between phases.
 
 The digest covers :meth:`RunResult.payload_tuple` exactly — every field
 the harness documents as deterministic — so any unintentional behaviour
@@ -114,11 +119,14 @@ CANONICAL = {
     "P8-oltp-sampled-checked": ("P8", OltpFactory(OLTP_Q), 1,
                                 dict(SAMPLED, check_coherence=True)),
     "P2x2-oltp-sampled": ("P2", OltpFactory(OLTP_Q), 2, SAMPLED),
+    # the out-of-order core across sampled phases
+    "OOO-oltp-sampled": ("OOO", OltpFactory(OLTP_Q), 1, SAMPLED),
 }
 
 
 #: points whose component statistics are pinned as well (see module doc)
-COUNTER_POINTS = ("P8x4-oltp", "P8x8-fuzz-2026")
+COUNTER_POINTS = ("P8x4-oltp", "P8x8-fuzz-2026", "P8-oltp-sampled",
+                  "P2x2-oltp-sampled")
 
 
 def payload_digest(result) -> str:
@@ -223,6 +231,16 @@ def warm_summary(result):
     return sampling["warm"] if sampling is not None else None
 
 
+def sampling_digest(result):
+    """SHA-256 over a sampled run's whole ``extras["sampling"]``
+    document (floats in their shortest round-trip form), else None."""
+    sampling = result.extras.get("sampling")
+    if sampling is None:
+        return None
+    blob = json.dumps(sampling, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def load_golden() -> dict:
     with open(GOLDEN_PATH) as fh:
         return json.load(fh)
@@ -240,6 +258,7 @@ def test_golden_digest_serial(name):
         f"If this change is intentional, regenerate with "
         f"`python tests/test_golden_digests.py --regen`.")
     assert warm_summary(result) == golden[name].get("warm")
+    assert sampling_digest(result) == golden[name].get("sampling")
 
 
 @pytest.mark.parametrize("name", COUNTER_POINTS)
@@ -287,6 +306,7 @@ def regen() -> None:
         }
         if warm_summary(result) is not None:
             doc[name]["warm"] = warm_summary(result)
+            doc[name]["sampling"] = sampling_digest(result)
         if name in COUNTER_POINTS:
             _result, system = run_point_system(name)
             doc[name]["counters"] = counters_digest(system)
