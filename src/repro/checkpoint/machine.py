@@ -159,7 +159,11 @@ class PeriodicCheckpointer:
         self.system.sim.schedule_every(self.every_ps, self.tick)
 
     def tick(self) -> bool:
-        """Capture one snapshot; stays scheduled while CPUs run."""
+        """Capture one snapshot while CPUs run; once none does, capture
+        nothing and stop (a snapshot past the last CPU's finish would
+        leave a replay nothing to record)."""
+        if not self.system.has_running_cpus():
+            return False
         saved, self.snapshots = self.snapshots, None
         try:
             payload = snapshot_bytes(self.system)
@@ -172,7 +176,7 @@ class PeriodicCheckpointer:
         cb = self.on_capture
         if cb is not None:
             cb(now, len(payload))
-        return self.system.has_running_cpus()
+        return True
 
     def __getstate__(self) -> Dict[str, Any]:
         # The pending tick (a bound method in the pickled event queue)

@@ -269,21 +269,15 @@ class PiranhaChip(Component):
     # Workload control
     # -----------------------------------------------------------------------
 
-    def start_cpus(self) -> None:
-        """Start every CPU that has a workload thread attached."""
-        for cpu in self.cpus:
-            if cpu.thread is not None:
-                self._cpus_running += 1
-                cpu.start()
+    def start_cpu(self, cpu) -> None:
+        """Start one of this chip's CPUs on its attached workload thread."""
+        self._cpus_running += 1
+        cpu.start()
 
     def cpu_finished(self, cpu_id: int) -> None:
         """A CPU's workload thread completed."""
         self._cpus_running -= 1
         self.system.cpu_finished(self.node_id, cpu_id)
-
-    @property
-    def cpus_running(self) -> int:
-        return self._cpus_running
 
     # -----------------------------------------------------------------------
     # Aggregated statistics

@@ -98,9 +98,12 @@ class CpuCore(Component):
         self.thread = thread
 
     def start(self) -> None:
-        """Begin consuming the attached workload thread."""
+        """Begin (or, parked after a drain, resume) consuming the
+        attached workload thread."""
         if self.thread is None:
             raise RuntimeError(f"{self.name}: no workload attached")
+        self.finished = False
+        self.finish_time = None
         # resolve the iL1/dL1 once; _run consults them per memory reference
         self._l1i = self.chip.l1_of(self.cpu_id, True)
         self._l1d = self.chip.l1_of(self.cpu_id, False)
@@ -259,6 +262,13 @@ class OooCpu(CpuCore):
         self._drained_cb = False
         #: a memory barrier is waiting for the streaming misses to drain
         self._draining_fence = False
+
+    def start(self) -> None:
+        # a core parked by a drain resumes with no drain or fence pending
+        self._drained_cb = False
+        self._blocked = False
+        self._draining_fence = False
+        super().start()
 
     def _ipc(self) -> float:
         ilp = getattr(self.thread, "ilp", 1.0)

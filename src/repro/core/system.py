@@ -134,17 +134,30 @@ class PiranhaSystem:
         continuations and observer ticks live in the restored event queue
         — so a second start must not re-arm anything (duplicate tickers
         would double-count sampler intervals and audits)."""
-        if self._started:
-            return
+        if not self._started:
+            self.start_cpus(list(self.all_cpus()))
+
+    def start_cpus(self, cpus) -> None:
+        """Start *cpus* — workload CPUs that are not running — and re-arm
+        the periodic observers.  :meth:`start` runs every CPU through
+        here once; sampled mode (:mod:`repro.fastforward`) runs each
+        detailed phase through here again, on CPUs parked by the last
+        drain, whose audit and sampler tickers stopped with it."""
         self._started = True
-        for node in self.nodes:
-            node.start_cpus()
-            self._running_cpus += node.cpus_running
+        for cpu in cpus:
+            cpu.chip.start_cpu(cpu)
+            self._running_cpus += 1
         if self._audit_interval_ps and self._running_cpus:
             self.sim.schedule_every(self._audit_interval_ps,
                                     self._continuous_audit)
         if self.sampler is not None and self._running_cpus:
-            self.sampler.start()
+            self.sampler.restart()
+
+    @property
+    def warmed_up(self) -> bool:
+        """True once every workload CPU has crossed its warm-up boundary
+        (a machine restored at or past it needs no warm-up)."""
+        return self._warmed_cpus >= sum(1 for _ in self.all_cpus())
 
     def cpu_warmed_up(self, node_id: int, cpu_id: int) -> None:
         """A CPU crossed its warm-up boundary; once all have, shared-module
@@ -152,10 +165,22 @@ class PiranhaSystem:
         so measurements cover only the steady-state phase."""
         self._warmed_cpus += 1
         if self._warmed_cpus >= self._running_cpus:
-            self.reset_module_stats()
-            if self.on_warm_boundary is not None:
-                callback, self.on_warm_boundary = self.on_warm_boundary, None
-                self.sim.schedule(0, callback)
+            self._warm_boundary()
+
+    def cross_warm_boundary(self) -> None:
+        """Put every workload CPU past its warm-up boundary at once — the
+        reset the CPUs do one by one in a detailed run, for a machine
+        warmed with no events (sampled mode's functional warming)."""
+        for cpu in self.all_cpus():
+            cpu.reset_accounting()
+        self._warmed_cpus = sum(1 for _ in self.all_cpus())
+        self._warm_boundary()
+
+    def _warm_boundary(self) -> None:
+        self.reset_module_stats()
+        if self.on_warm_boundary is not None:
+            callback, self.on_warm_boundary = self.on_warm_boundary, None
+            self.sim.schedule(0, callback)
 
     def reset_module_stats(self) -> None:
         # Time-weighted trackers are anchored at *now* so warm-up

@@ -15,7 +15,10 @@ A :class:`SampledRun` alternates two regimes over one built system:
 
 Every phase runs on the live machine, which sits between events at
 each phase boundary (queue drained, CPUs parked), so a snapshot can be
-taken there.  The bit-identity gate in ``tests/test_fastforward.py``
+taken there.  Phases start through the system's own
+:meth:`~repro.core.system.PiranhaSystem.start_cpus`, functional warming
+ends in its own warm-boundary reset, and a finished run is measured by
+the harness's one :func:`~repro.harness.runner.assemble_result`.  The bit-identity gate in ``tests/test_fastforward.py``
 uses that: with ``warming="detailed"`` (the skipped spans run through
 the detailed model too) it rebuilds the machine from a snapshot before
 every measurement window and must reproduce the live run exactly.
@@ -112,23 +115,19 @@ class SampledRun:
         ``"detailed"`` runs warm-up and the inter-window spans through
         the full model too — same phase structure, no approximation —
         which is what the bit-identity gate compares against.
-    skip_warm:
-        the system was already warmed (e.g. restored from the warm
-        checkpoint store at its boundary): skip straight to sampling.
-    on_warm:
-        callback invoked as ``on_warm(system)`` once the warm boundary
-        is reached (event queue drained, CPUs parked) — the runner uses
-        it to persist the warm state for later sampled runs.
     telemetry:
         optional :class:`~repro.observe.telemetry.TelemetryStream`; each
         measurement window emits a ``window`` record with its running
         per-class 95% CI half-widths (convergence visible live).
+
+    A machine already past its warm-up boundary (restored from a warm
+    snapshot) skips the warm-up.  Otherwise the run holds the system's
+    ``on_warm_boundary`` hook (a :class:`~repro.checkpoint.WarmCapture`)
+    through the warm-up and fires it once the CPUs are parked there.
     """
 
     def __init__(self, system, window: int, period: int,
-                 warming: str = "functional", skip_warm: bool = False,
-                 on_warm=None,
-                 telemetry=None) -> None:
+                 warming: str = "functional", telemetry=None) -> None:
         if window <= 0:
             raise ValueError("window must be a positive item count")
         if period < 0:
@@ -143,8 +142,7 @@ class SampledRun:
         self.window = int(window)
         self.period = int(period)
         self.warming = warming
-        self.skip_warm = bool(skip_warm)
-        self.on_warm = on_warm
+        self.skip_warm = system.warmed_up
         self.telemetry = telemetry
         self.warmer = FunctionalWarmer()
         self.windows: List[Dict[str, object]] = []
@@ -186,8 +184,7 @@ class SampledRun:
 
     def _functional_warm(self) -> None:
         """Consume each thread through its warm-up sentinel event-free,
-        then reproduce the monolithic warm-boundary reset."""
-        system = self.system
+        then cross the system's warm-up boundary."""
         buffers = []
         for cpu in self._live():
             buf, consumed, _hit, exhausted = self.warmer.collect(
@@ -198,45 +195,9 @@ class SampledRun:
                 self._exhausted.add(self._key(cpu))
         self.warmer.apply_interleaved(buffers)
         self._settle_warm_state()
-        for node in system.nodes:
-            for cpu in node.cpus:
-                if cpu.thread is not None:
-                    cpu.reset_accounting()
-        system._warmed_cpus = sum(
-            1 for n in system.nodes for c in n.cpus if c.thread is not None)
-        system.reset_module_stats()
-        if system.on_warm_boundary is not None:
-            callback, system.on_warm_boundary = system.on_warm_boundary, None
-            callback()
+        self.system.cross_warm_boundary()
 
     # -- detailed phases ---------------------------------------------------
-
-    def _start_cpus(self, system, cpus) -> None:
-        """Restart parked CPUs for one phase, mirroring what
-        ``System.start``/``Chip.start_cpus`` do for the first run."""
-        for cpu in cpus:
-            cpu.finished = False
-            cpu.finish_time = None
-            if hasattr(cpu, "_drained_cb"):
-                cpu._drained_cb = False
-                cpu._blocked = False
-                cpu._draining_fence = False
-            cpu.chip._cpus_running += 1
-            system._running_cpus += 1
-            cpu.start()
-        system._started = True
-        if system._audit_interval_ps and system._running_cpus:
-            system.sim.schedule_every(system._audit_interval_ps,
-                                      system._continuous_audit)
-        if system.sampler is not None and system._running_cpus:
-            if not system.sampler._started:
-                system.sampler.start()
-            else:
-                # the fast-forwarded span shows up as one partial
-                # interval; the ticker chain ended with the last drain
-                system.sampler.flush()
-                system.sim.schedule_every(system.sampler.interval_ps,
-                                          system.sampler.tick)
 
     def _run_detailed(self, budget: Optional[int], until_warm: bool,
                       record: bool) -> None:
@@ -255,12 +216,10 @@ class SampledRun:
                 stream.grant(budget)
             cpu.thread = stream
             streams.append((cpu, stream))
-        self._start_cpus(system, cpus)
+        system.start_cpus(cpus)
         system.sim.run()
-        if system._running_cpus != 0:
-            raise RuntimeError(
-                f"sampled phase stalled with {system._running_cpus} "
-                f"CPUs still running")
+        if system.has_running_cpus():
+            raise RuntimeError("sampled phase stalled with CPUs running")
         consumed: Dict[CpuKey, int] = {}
         for cpu, stream in streams:
             cpu.thread = stream.thread
@@ -355,13 +314,15 @@ class SampledRun:
         if self._ran:
             raise RuntimeError("SampledRun.run() is single-shot")
         self._ran = True
+        system = self.system
+        on_warm, system.on_warm_boundary = system.on_warm_boundary, None
         if not self.skip_warm:
             if self.warming == "functional":
                 self._functional_warm()
             else:
                 self._run_detailed(None, until_warm=True, record=False)
-            if self.on_warm is not None:
-                self.on_warm(self.system)
+            if on_warm is not None:
+                on_warm()
         while self._live():
             self._run_detailed(self.window, until_warm=False, record=True)
             if not self._live() or not self.period:
@@ -426,64 +387,23 @@ class SampledRun:
             "error": self.error_bounds(),
         }
 
-    # -- result assembly ---------------------------------------------------
-
-    def to_result(self, config, num_nodes: int, spec=None,
-                  wall: float = 0.0):
-        """Build a :class:`~repro.harness.runner.RunResult` whose totals
-        are the sampled (extrapolated) estimates, in the workload's own
-        units, measured under the resolved
-        :class:`~repro.harness.runner.RunSpec` *spec* (default: no
-        observers)."""
-        from ..harness.runner import RunResult, RunSpec
-
-        spec = spec or RunSpec()
-
-        system = self.system
-        workload = system.workload
-        sanitizer: Dict[str, object] = {}
-        if system.checker is not None:
-            sanitizer = dict(system.verify())
+    def totals(self) -> Tuple[float, Dict[str, int], Dict[str, int]]:
+        """The extrapolated totals, shaped like a detailed run's: the
+        slowest CPU's estimated post-warm time (ps), then the windows'
+        sums shaped like ``execution_summary()`` and ``miss_breakdown()``
+        (what :func:`~repro.harness.runner.assemble_result` measures)."""
         busy = sum(w["busy_ps"] for w in self.windows)
         onchip = sum(w["onchip_ps"] for w in self.windows)
         mem = sum(w["mem_ps"] for w in self.windows)
-        total = (busy + onchip + mem) or 1
-        miss: Dict[str, int] = {}
+        summary = {
+            "busy_ps": busy,
+            "l2_stall_ps": onchip,
+            "mem_stall_ps": mem,
+            "total_ps": busy + onchip + mem,
+            "instructions": sum(w["instructions"] for w in self.windows),
+        }
+        miss = {"l2_hit": 0, "l2_fwd": 0, "l2_miss": 0}
         for w in self.windows:
             for k, v in w["miss"].items():
-                miss[k] = miss.get(k, 0) + v
-        served = sum(miss.values()) or 1
-        units = getattr(workload.params, workload.units_attr)
-        per_cpu_ps = max(self._est_ps.values()) if self._est_ps else 0.0
-        time_per_unit_ns = per_cpu_ps / units / 1000.0 if units else 0.0
-        total_cpus = config.cpus * num_nodes
-        throughput = (total_cpus * 1e9 / time_per_unit_ns
-                      if time_per_unit_ns else 0.0)
-        result = RunResult(
-            config=config.name,
-            cpus=config.cpus,
-            nodes=num_nodes,
-            workload=getattr(workload, "name", "?"),
-            units=units,
-            time_per_unit_ns=time_per_unit_ns,
-            throughput=throughput,
-            busy_frac=busy / total,
-            l2_frac=onchip / total,
-            mem_frac=mem / total,
-            miss_hit_frac=miss.get("l2_hit", 0) / served,
-            miss_fwd_frac=miss.get("l2_fwd", 0) / served,
-            miss_mem_frac=miss.get("l2_miss", 0) / served,
-            sim_wall_s=wall,
-            extras=dict(sanitizer),
-        )
-        result.extras["sampling"] = self.sampling_summary()
-        if spec.probe_rate or spec.sample_interval_ps:
-            from ..harness.metrics import metrics_doc
-
-            result.extras["metrics"] = metrics_doc(
-                system, result, spec.probe_rate, spec.sample_interval_ps)
-        post = getattr(workload, "post_run", None)
-        if post is not None:
-            post(system, result)
-        return result
-
+                miss[k] += v
+        return max(self._est_ps.values(), default=0.0), summary, miss

@@ -271,34 +271,37 @@ def build_system(
     return system, workload
 
 
-def assemble_result(
-    system: PiranhaSystem,
-    workload,
-    config: ChipConfig,
-    num_nodes: int,
-    spec: RunSpec,
-    wall: float = 0.0,
-) -> RunResult:
+def assemble_result(system: PiranhaSystem, spec: RunSpec,
+                    wall: float = 0.0, sampled=None) -> RunResult:
     """Measure a drained system, run under the resolved *spec*, into a
     :class:`RunResult`.
 
-    One assembly implementation for the cold, warm-restored and
-    checkpoint-restored paths: whatever route the machine took to the
-    drained state, the measurement payload is computed identically.
+    The one assembly implementation, for the cold, warm-restored,
+    checkpoint-restored and sampled paths: whatever route the machine
+    took to the drained state, the measurement payload is computed
+    identically.  Config, node count and workload come from *system*.
+    A finished :class:`~repro.fastforward.SampledRun` passed as
+    *sampled* supplies its extrapolated totals in place of the machine's
+    counters and its ``extras["sampling"]`` document.
     """
     sanitizer: Dict[str, float] = {}
     if system.checker is not None:
         sanitizer = system.verify()
+    config, num_nodes = system.config, system.num_proc_nodes
+    workload = system.workload
 
+    if sampled is None:
+        per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
+        summary = system.execution_summary()
+        mb = system.miss_breakdown()
+    else:
+        per_cpu_ps, summary, mb = sampled.totals()
     units = getattr(workload.params, workload.units_attr)
-    per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
-    time_per_unit_ns = per_cpu_ps / units / 1000.0
+    time_per_unit_ns = per_cpu_ps / units / 1000.0 if units else 0.0
     total_cpus = config.cpus * num_nodes
-    throughput = total_cpus * 1e9 / time_per_unit_ns
-
-    summary = system.execution_summary()
+    throughput = (total_cpus * 1e9 / time_per_unit_ns
+                  if time_per_unit_ns else 0.0)
     total_ps = summary["total_ps"] or 1
-    mb = system.miss_breakdown()
     misses = sum(mb.values()) or 1
 
     result = RunResult(
@@ -318,14 +321,26 @@ def assemble_result(
         sim_wall_s=wall,
         extras=dict(sanitizer),
     )
+    if sampled is not None:
+        result.extras["sampling"] = sampled.sampling_summary()
+    # the metrics and trace documents are built purely from simulation
+    # state (probe stamps carry simulated time, kept transactions drop
+    # the process-global txn_id), so they are safe to cache and
+    # identical across the serial and ProcessPool paths
     if spec.probe_rate or spec.sample_interval_ps:
         from .metrics import metrics_doc
 
-        # deterministic (simulation-state-only), so it is safe to cache
-        # and identical across the serial and ProcessPool paths
         result.extras["metrics"] = metrics_doc(
             system, result, spec.probe_rate, spec.sample_interval_ps)
-    _attach_flightdeck_extras(result, system, config, num_nodes, spec)
+    if spec.trace_spans and system.spans is not None:
+        from ..observe.spans import trace_doc
+
+        protocol_events = None
+        if system.checker is not None and system.checker.trace is not None:
+            protocol_events = system.checker.trace.events()
+        result.extras["trace"] = trace_doc(
+            system.spans, config.name, num_nodes, spec.probe_rate,
+            protocol_events)
     post_run = getattr(workload, "post_run", None)
     if post_run is not None:
         # end-of-run workload audit (fuzz residue check + telemetry);
@@ -344,11 +359,10 @@ def simulate(
 ) -> RunResult:
     """Run one simulation point, uncached.
 
-    This is the single shared measurement implementation: the runner, the
-    sweep harness and the parallel workers all assemble their metrics
-    here, and the CLI through the same :func:`run_system`, so the
-    busy/L2/mem fractions and the miss breakdown cannot drift between
-    entry points.
+    The runner, the sweep harness and the parallel workers all measure
+    here, and the CLI through the same :func:`run_system` and
+    :func:`assemble_result`, so the busy/L2/mem fractions and the miss
+    breakdown cannot drift between entry points or modes.
 
     *fields* are :class:`RunSpec` fields (an unknown name raises
     TypeError).  ``check_coherence=True`` runs exactly what the CLI
@@ -370,24 +384,26 @@ def simulate(
     ``mode="sampled"`` switches to SMARTS-style sampled simulation
     (:mod:`repro.fastforward`): the machine fast-forwards through
     functional warming and runs only short detailed measurement windows
-    (``window`` items per CPU) every ``period`` items, handing off
-    between regimes through the checkpoint subsystem.  The result's
-    totals are extrapolated estimates and ``extras["sampling"]`` carries
-    per-metric-class 95% confidence intervals.  ``warmup=True`` composes
-    with sampled mode through the same warm store (under a variant key —
-    sampled snapshots park their CPUs at the boundary, so they never
-    answer a detailed ``warmup=True`` run or vice versa): the first
-    sampled run pays the functional warm-up and persists the boundary
-    snapshot; every later sampled run of the point restores it and pays
-    only the measurement windows, which is where the large sampled
-    speedups live.
+    (``window`` items per CPU) every ``period`` items, all on one live
+    machine.  The result's totals are extrapolated estimates and
+    ``extras["sampling"]`` carries per-metric-class 95% confidence
+    intervals.  ``warmup=True`` composes with sampled mode through the
+    same warm store (under a variant key — sampled snapshots park their
+    CPUs at the boundary, so they never answer a detailed
+    ``warmup=True`` run or vice versa): the first sampled run pays the
+    functional warm-up and persists the boundary snapshot; every later
+    one restores a machine already past its warm-up boundary and pays
+    only the measurement windows, where the large sampled speedups live.
 
-    A live telemetry stream attaches through :func:`run_system`.
+    Every warm snapshot is taken by one
+    :class:`~repro.checkpoint.WarmCapture` on the system's
+    ``on_warm_boundary`` hook; a sampled run fires it once its CPUs are
+    parked at the boundary.  A live telemetry stream attaches through
+    :func:`run_system`.
     """
     wall0 = time.time()
     spec = RunSpec(**fields).resolve()
-    system = None
-    skip_warm, key = False, None
+    system, key = None, None
     if warmup:
         from ..checkpoint import WARM_STORE, restore_system, warm_key
 
@@ -400,32 +416,25 @@ def simulate(
         hit = WARM_STORE.get(key)
         if hit is not None:
             # a restored detailed system resumes its measurement phase
-            # (start() is a no-op); a sampled one skips its warm-up
+            # (start() is a no-op); a sampled one is past its warm-up
+            # boundary and skips the warm-up
             system = restore_system(hit[1])
-            skip_warm, key = True, None
+            key = None
     if system is None:
         system, _workload = build_system(config, workload_factory, num_nodes,
                                          spec)
-    on_warm = None
     if key is not None:
         # persisted at the boundary, before the measurement phase: a run
         # killed mid-measurement still leaves warm state behind.  Opaque
         # workloads (no stable token) have no key and skip the snapshot
-        from ..checkpoint import WarmCapture, snapshot_bytes
+        from ..checkpoint import WarmCapture
 
         def put(payload, sim_now):
             _warm_put(key, config, workload_factory, system, payload,
                       sim_now)
 
-        if spec.mode == "sampled":
-            def on_warm(sys_):
-                put(snapshot_bytes(sys_), sys_.sim.now)
-        else:
-            WarmCapture(system, sink=put)
-    return run_system(system, spec, None, wall0, skip_warm=skip_warm,
-                      on_warm=on_warm)
-
-
+        WarmCapture(system, sink=put)
+    return run_system(system, spec, None, wall0)
 
 
 def _warm_put(key: str, config: ChipConfig, workload_factory: Callable,
@@ -444,19 +453,19 @@ def _warm_put(key: str, config: ChipConfig, workload_factory: Callable,
 
 
 def run_system(system: PiranhaSystem, spec: RunSpec, stream=None,
-               wall0: Optional[float] = None, *, skip_warm: bool = False,
-               on_warm: Optional[Callable] = None) -> RunResult:
+               wall0: Optional[float] = None) -> RunResult:
     """Run an already-built or restored *system* in ``spec.mode`` and
-    measure it into a :class:`RunResult`.
+    measure it into a :class:`RunResult` with :func:`assemble_result`.
 
     The one measurement path: :func:`simulate`'s cold and warm paths and
     every CLI verb that reports numbers come through here, so their
-    payloads, metrics and trace documents cannot drift apart.  *spec* is
-    resolved; *stream* (an open TelemetryStream, or None) receives the
-    ``run_start`` and ``run_end`` records; *wall0* is the host time the
-    run's wall clock starts from (default: now).  ``skip_warm`` and
-    ``on_warm`` are :class:`~repro.fastforward.SampledRun`'s warm-store
-    hooks and only matter in sampled mode.
+    payloads, metrics and trace documents cannot drift apart.  It only
+    chooses between running the machine to completion and running it
+    sampled; a sampled machine restored past its warm-up boundary skips
+    the warm-up.  *spec* is resolved; *stream* (an open TelemetryStream,
+    or None) receives the ``run_start`` and ``run_end`` records and the
+    sampler's interval records; *wall0* is the host time the run's wall
+    clock starts from (default: now).
 
     The cyclic garbage collector is paused for the run and left as it
     was found, also when the run raises: the model makes no reference
@@ -467,32 +476,26 @@ def run_system(system: PiranhaSystem, spec: RunSpec, stream=None,
     gc.disable()
     try:
         wall0 = time.time() if wall0 is None else wall0
-        config, num_nodes = system.config, system.num_proc_nodes
-        workload = system.workload
         if stream is not None:
             stream.emit(
-                "run_start", config=config.name,
-                workload=getattr(workload, "name", "?"),
-                num_nodes=num_nodes,
+                "run_start", config=system.config.name,
+                workload=getattr(system.workload, "name", "?"),
+                num_nodes=system.num_proc_nodes,
                 mode=spec.mode, probe_rate=spec.probe_rate,
                 sample_interval_ps=spec.sample_interval_ps,
                 trace_spans=spec.trace_spans)
         _arm_flightdeck(system, spec, stream)
+        sampled = None
         if spec.mode == "sampled":
             from ..fastforward import SampledRun
 
-            run = SampledRun(system, window=spec.window, period=spec.period,
-                             warming=spec.warming, skip_warm=skip_warm,
-                             on_warm=on_warm, telemetry=stream)
-            run.run()
-            result = run.to_result(config, num_nodes, spec,
-                                   time.time() - wall0)
-            _attach_flightdeck_extras(result, system, config, num_nodes,
-                                      spec)
+            sampled = SampledRun(system, window=spec.window,
+                                 period=spec.period, warming=spec.warming,
+                                 telemetry=stream)
+            sampled.run()
         else:
             system.run_to_completion()
-            result = assemble_result(system, workload, config, num_nodes,
-                                     spec, time.time() - wall0)
+        result = assemble_result(system, spec, time.time() - wall0, sampled)
         if stream is not None:
             stream.emit("run_end", config=result.config,
                         workload=result.workload, items=result.units,
@@ -522,29 +525,6 @@ def _arm_flightdeck(system: PiranhaSystem, spec: RunSpec, stream) -> None:
             system.probes.on_finish = None
     if stream is not None and system.sampler is not None:
         system.sampler.on_record = stream.on_interval
-
-
-def _attach_flightdeck_extras(result: RunResult, system: PiranhaSystem,
-                              config: ChipConfig, num_nodes: int,
-                              spec: RunSpec) -> None:
-    """Attach the span-trace document.
-
-    Shared by :func:`assemble_result` (detailed runs) and the sampled
-    path (``SampledRun.to_result`` assembles its own payload, so the
-    extras are grafted on afterwards).  The trace doc is deterministic
-    for the same reason the metrics doc is — built purely from
-    simulation state (probe stamps carry simulated time, kept txns drop
-    the process-global txn_id) — so it is safe to cache.
-    """
-    if spec.trace_spans and system.spans is not None:
-        from ..observe.spans import trace_doc
-
-        protocol_events = None
-        if system.checker is not None and system.checker.trace is not None:
-            protocol_events = system.checker.trace.events()
-        result.extras["trace"] = trace_doc(
-            system.spans, config.name, num_nodes, spec.probe_rate,
-            protocol_events)
 
 
 @dataclass(frozen=True)

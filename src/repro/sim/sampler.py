@@ -79,6 +79,16 @@ class IntervalSampler:
         self._prev_time = self.sim.now
         self.sim.schedule_every(self.interval_ps, self.tick)
 
+    def restart(self) -> None:
+        """Start sampling, or resume it once the ticker chain has ended
+        with a drain: the span since the last record (a fast-forwarded
+        stretch) shows up as one partial interval."""
+        if not self._started:
+            self.start()
+            return
+        self.flush()
+        self.sim.schedule_every(self.interval_ps, self.tick)
+
     def tick(self) -> bool:
         """Record one interval; return True to stay scheduled."""
         self._record(self.sim.now)

@@ -450,8 +450,7 @@ def _finish(system, spec):
     signature when a protocol mutation gets caught."""
     try:
         system.run_to_completion()
-        return assemble_result(system, system.workload, system.config,
-                               system.num_proc_nodes, spec).payload_tuple()
+        return assemble_result(system, spec).payload_tuple()
     except (MemoryModelViolation, CoherenceViolation) as exc:
         return violation_signature(exc)
 

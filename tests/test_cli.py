@@ -92,8 +92,10 @@ class TestRunFlightRecorder:
     def test_violation_recurs_in_replay(self, monkeypatch, capsys):
         """``run --checkpoint-every`` on a machine with a lost
         invalidation: the run fails, and the replay from the last
-        snapshot makes the violation recur.  (It fires at quiesce, after
-        the last snapshot, so the replayed window may record no events.)"""
+        snapshot makes the violation recur.  The last snapshot is the
+        last one taken while CPUs ran, so the replayed window records
+        events (the filtered per-line view of 0x1c0 may still be empty:
+        the violation fires at quiesce)."""
         import repro.__main__ as cli
         from repro.fuzz import apply_mutation
 
@@ -110,9 +112,11 @@ class TestRunFlightRecorder:
                      "--checkpoint-every", "5"]) == 1
         out = capsys.readouterr().out
         assert "VIOLATION: line 0x1c0: stale copies never invalidated" in out
-        assert "restored snapshot @ 25.0 us" in out
+        assert "restored snapshot @ 20.0 us" in out
         assert ("violation recurred in replay: line 0x1c0: stale copies "
                 "never invalidated") in out
+        assert "last 0 of 267 recorded (ring capacity 512)" in out
+        assert "protocol trace tail (replayed window, 32 events):" in out
 
 
 class TestFuzzCli:

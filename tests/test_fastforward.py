@@ -15,7 +15,9 @@ lets functional fast-forward trust its snapshots.
 Functional-warming behaviour (state equivalence, declines, statistics)
 is tested at unit scale.  A warm start from the warm-checkpoint store
 must reproduce the cold sampled payload bit for bit, at unit scale and
-at the quarter-scale P8 OLTP point with the default window and period.
+at the quarter-scale P8 OLTP point with the default window and period,
+and so must a warm snapshot restored by hand and run through
+``run_system`` (the machine itself says it is past its warm-up).
 Cross-mode *accuracy* is a statistical property, not a correctness
 invariant, so it is not asserted here: perfbench's ``p8-oltp-sampled``
 workload gates it (``warm.sample_error``).
@@ -30,7 +32,8 @@ from repro.core.config import preset
 from repro.core.messages import AccessKind
 from repro.fastforward import FunctionalWarmer, PhaseStream, SampledRun
 from repro.harness.experiments import OltpFactory
-from repro.harness.runner import RunSpec, build_system, simulate
+from repro.harness.runner import (RunSpec, assemble_result, build_system,
+                                  simulate)
 from repro.sim.engine import Simulator
 from repro.workloads import OltpParams
 
@@ -65,7 +68,7 @@ def _sampled(warming: str, check: bool = False, nodes: int = 1,
                                RunSpec(check_coherence=check))
     run = run_cls(system, window=WINDOW, period=PERIOD, warming=warming)
     run.run()
-    result = run.to_result(config, nodes)
+    result = assemble_result(run.system, RunSpec().resolve(), sampled=run)
     return run, result
 
 
@@ -285,6 +288,29 @@ class TestHarnessIntegration:
                                              "fuzz workload"):
             run_configured(preset("P2"), FuzzFactory(program.canonical_json()),
                            1, mode="sampled")
+
+    @pytest.mark.parametrize("warming", ["functional", "detailed"])
+    def test_restored_warm_snapshot_needs_no_flag(self, warming):
+        """A machine restored from a sampled warm snapshot is past its
+        warm-up boundary, so ``run_system`` with no extra argument skips
+        the warm-up and reproduces the cold run's payload (P8, quarter-
+        scale OLTP, the golden sampled settings)."""
+        from repro.checkpoint import WarmCapture
+        from repro.harness.runner import run_system
+
+        from .test_golden_digests import OLTP_Q, SAMPLED
+
+        spec = RunSpec(**dict(SAMPLED, warming=warming)).resolve()
+        system, _wl = build_system(preset("P8"), OltpFactory(OLTP_Q), 1,
+                                   spec)
+        capture = WarmCapture(system)
+        cold = run_system(system, spec)
+        assert capture.captured
+        warm = run_system(restore_system(capture.payload), spec)
+        assert (warm.extras["sampling"]["windows"]
+                == cold.extras["sampling"]["windows"] > 0)
+        assert payload_digest(warm) == payload_digest(cold)
+        assert warm.extras["sampling"]["skip_warm"]
 
     def test_warm_store_roundtrip(self, tmp_path, monkeypatch):
         """A warm start restores the boundary snapshot and its payload
