@@ -18,10 +18,11 @@ each phase boundary (queue drained, CPUs parked), so a snapshot can be
 taken there.  Phases start through the system's own
 :meth:`~repro.core.system.PiranhaSystem.start_cpus`, functional warming
 ends in its own warm-boundary reset, and a finished run is measured by
-the harness's one :func:`~repro.harness.runner.assemble_result`.  The bit-identity gate in ``tests/test_fastforward.py``
-uses that: with ``warming="detailed"`` (the skipped spans run through
-the detailed model too) it rebuilds the machine from a snapshot before
-every measurement window and must reproduce the live run exactly.
+the harness's one :func:`~repro.harness.runner.assemble_result`.  The
+bit-identity gate in ``tests/test_fastforward.py`` uses that: with
+``warming="detailed"`` (the skipped spans run through the detailed
+model too) it rebuilds the machine from a snapshot before every
+measurement window and must reproduce the live run exactly.
 
 End-to-end metrics are ratio estimates over the windows; per-class 95%
 confidence intervals (1.96·s/√n across windows) ride along in
