@@ -13,58 +13,43 @@ Quantifies the design choices the paper calls out:
   silent.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.core import CoherenceChecker, PiranhaSystem, preset
-from repro.harness import format_table, paper_vs_measured, scale_factor
-from repro.workloads import OltpParams, OltpWorkload
+from repro.core import preset
+from repro.harness import (OltpFactory, format_table, replace_field,
+                           scale_factor)
+from repro.harness.runner import RunSpec, build_system, run_system
+from repro.workloads import OltpParams
 
 
 def run_p8(inclusive=False):
     scale = scale_factor()
-    params = OltpParams(
+    factory = OltpFactory(OltpParams(
         transactions=max(20, int(60 * scale)),
         warmup_transactions=max(30, int(100 * scale)),
-    )
-    config = preset("P8")
-    if inclusive:
-        config = dataclasses.replace(
-            config, l2=dataclasses.replace(config.l2, inclusive=True))
-    system = PiranhaSystem(config, num_nodes=1)
-    system.attach_workload(OltpWorkload(params, cpus_per_node=8))
-    system.run_to_completion()
+    ))
+    config = replace_field(preset("P8"), "l2.inclusive", inclusive)
+    system, _ = build_system(config, factory)
+    result = run_system(system, RunSpec())
+    l2 = result.extras["counters"][0]["l2"]
 
+    # the duplication walk: which lines sit in an L1 and in the L2 at
+    # once (no counter tracks it, so it reads the drained machine)
     node = system.nodes[0]
-    l1_lines = set()
-    for l1 in node.l1i + node.l1d:
-        for s in l1.sets:
-            for tag in s:
-                l1_lines.add(tag)
-    l2_lines = set()
-    for bank in node.banks:
-        for s in bank.sets:
-            for tag in s:
-                l2_lines.add(tag)
+    l1_lines = {tag for l1 in node.l1i + node.l1d
+                for s in l1.sets for tag in s}
+    l2_lines = {tag for bank in node.banks for s in bank.sets for tag in s}
     duplicated = len(l1_lines & l2_lines)
-    filtered = sum(b.c_l1_evict_clean.value for b in node.banks)
-    written_back = sum(b.c_l1_wb_owner.value for b in node.banks)
     return {
         "l1_lines": len(l1_lines),
-        "l2_lines": len(l2_lines),
+        "l2_lines": l2["resident_lines"],
         "duplicated": duplicated,
-        "duplication_fraction": duplicated / max(1, len(l2_lines)),
-        "filtered_replacements": filtered,
-        "owner_writebacks": written_back,
+        "duplication_fraction": duplicated / max(1, l2["resident_lines"]),
+        "filtered_replacements": l2["filtered_evictions"],
+        "owner_writebacks": l2["owner_writebacks"],
         "on_chip_bytes": node.on_chip_resident_bytes(),
-        "time_per_txn_ns": max(c.total_ps for c in system.all_cpus())
-                           / params.transactions / 1000.0,
-        "mem_miss_frac": (
-            sum(b.miss_breakdown()["l2_miss"] for b in node.banks)
-            / max(1, sum(sum(b.miss_breakdown().values())
-                         for b in node.banks))
-        ),
+        "time_per_txn_ns": result.time_per_unit_ns,
+        "mem_miss_frac": result.miss_mem_frac,
     }
 
 

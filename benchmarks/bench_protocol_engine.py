@@ -10,10 +10,11 @@ engine behaviour under a multi-node OLTP run.
 
 import pytest
 
-from repro.core import CoherenceChecker, PiranhaSystem, preset
+from repro.core import preset
 from repro.core.microprograms import build_home_program, build_remote_program
-from repro.harness import format_table, scale_factor
-from repro.workloads import OltpParams, OltpWorkload
+from repro.harness import (Job, OltpFactory, format_table, run_jobs,
+                           scale_factor)
+from repro.workloads import OltpParams
 
 
 def run_multinode():
@@ -22,23 +23,20 @@ def run_multinode():
         transactions=max(15, int(40 * scale)),
         warmup_transactions=max(20, int(60 * scale)),
     )
-    system = PiranhaSystem(preset("P4"), num_nodes=2)
-    system.attach_workload(
-        OltpWorkload(params, cpus_per_node=4, num_nodes=2))
-    system.run_to_completion()
+    result = run_jobs([Job(preset("P4"), OltpFactory(params), num_nodes=2)])[0]
 
     stats = {"per_node": []}
-    for node in system.nodes:
-        for engine in (node.home_engine, node.remote_engine):
-            threads = engine.c_threads.value
-            instrs = engine.c_instructions.value
+    for node in result.extras["counters"]:
+        for name, engine in node["engines"].items():
+            threads = engine["threads"]
+            instrs = engine["instructions"]
             stats["per_node"].append({
-                "engine": engine.name,
+                "engine": f"{node['node']}.{name}",
                 "threads": threads,
                 "instructions": instrs,
                 "instr_per_thread": instrs / threads if threads else 0.0,
-                "tsrf_high_water": engine.tsrf.high_water,
-                "tsrf_stalls": engine.c_tsrf_stalls.value,
+                "tsrf_high_water": engine["tsrf_high_water"],
+                "tsrf_stalls": engine["tsrf_stalls"],
             })
     remote = build_remote_program()
     home = build_home_program()

@@ -6,42 +6,31 @@ sweeps the keep-open window under the OLTP address stream and regenerates
 that claim.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.core import PiranhaSystem, preset
-from repro.harness import format_table, scale_factor
-from repro.workloads import OltpParams, OltpWorkload
+from repro.core import preset
+from repro.harness import (Job, OltpFactory, format_table, run_jobs,
+                           scale_factor, sweep_configs)
+from repro.workloads import OltpParams
+
+KEEP_OPEN_NS = (0.0, 100.0, 500.0, 1000.0, 4000.0)
 
 
-def run_with_keep_open(keep_open_ns: float) -> float:
+def sweep():
     scale = scale_factor()
-    params = OltpParams(
+    factory = OltpFactory(OltpParams(
         transactions=max(20, int(60 * scale)),
         warmup_transactions=max(30, int(100 * scale)),
         # include the DB-writer's sequential block traffic: OLTP's DRAM
         # stream is transactions' random rows *plus* these bursts, and the
         # bursts are where the open-page locality lives
         block_io_lines_per_txn=48,
-    )
-    config = preset("P8")
-    config = dataclasses.replace(
-        config,
-        memory=dataclasses.replace(config.memory,
-                                   page_keep_open_ns=keep_open_ns),
-    )
-    system = PiranhaSystem(config, num_nodes=1)
-    system.attach_workload(OltpWorkload(params, cpus_per_node=8))
-    system.run_to_completion()
-    hits = sum(mc.channel.c_page_hits.value for mc in system.nodes[0].mcs)
-    accesses = sum(mc.channel.c_accesses.value for mc in system.nodes[0].mcs)
-    return hits / accesses if accesses else 0.0
-
-
-def sweep():
-    return {ns: run_with_keep_open(ns)
-            for ns in (0.0, 100.0, 500.0, 1000.0, 4000.0)}
+    ))
+    configs = sweep_configs(preset("P8"), "memory.page_keep_open_ns",
+                            KEEP_OPEN_NS)
+    results = run_jobs([Job(config, factory) for config in configs])
+    return {ns: r.extras["counters"][0]["memory"]["page_hit_rate"]
+            for ns, r in zip(KEEP_OPEN_NS, results)}
 
 
 def test_open_page_hit_rate(benchmark):

@@ -9,50 +9,41 @@ close to the DSS factor (~2.3x) rather than the OLTP one (~2.9x).
 
 import pytest
 
-from repro.core import PiranhaSystem, preset
-from repro.harness import format_table, paper_vs_measured, scale_factor
-from repro.workloads.web import WebParams, WebWorkload
+from repro.core import preset
+from repro.harness import (Job, WebFactory, format_table, paper_vs_measured,
+                           run_jobs, scale_factor)
+from repro.workloads.web import WebParams
 
-
-def run(config_name: str):
-    scale = scale_factor()
-    params = WebParams(queries=max(50, int(150 * scale)),
-                       warmup_queries=max(20, int(40 * scale)))
-    config = preset(config_name)
-    system = PiranhaSystem(config, num_nodes=1)
-    system.attach_workload(WebWorkload(params, cpus_per_node=config.cpus))
-    system.run_to_completion()
-    per_cpu = max(c.total_ps for c in system.all_cpus())
-    summary = system.execution_summary()
-    return {
-        "throughput": config.cpus * 1e12 / (per_cpu / params.queries),
-        "busy_frac": summary["busy_ps"] / summary["total_ps"],
-    }
+CONFIGS = ("P1", "P8", "OOO")
 
 
 def experiment():
-    return {name: run(name) for name in ("P1", "P8", "OOO")}
+    scale = scale_factor()
+    factory = WebFactory(WebParams(queries=max(50, int(150 * scale)),
+                                   warmup_queries=max(20, int(40 * scale))))
+    return dict(zip(CONFIGS, run_jobs([Job(preset(name), factory)
+                                       for name in CONFIGS])))
 
 
 def test_web_is_dss_shaped(benchmark):
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
-    p8_over_ooo = results["P8"]["throughput"] / results["OOO"]["throughput"]
-    p8_over_p1 = results["P8"]["throughput"] / results["P1"]["throughput"]
+    p8_over_ooo = results["P8"].throughput / results["OOO"].throughput
+    p8_over_p1 = results["P8"].throughput / results["P1"].throughput
     print()
     print(format_table(
         ["config", "busy fraction", "throughput vs P1"],
-        [[n, f"{r['busy_frac']:.2f}",
-          f"{r['throughput'] / results['P1']['throughput']:.2f}"]
+        [[n, f"{r.busy_frac:.2f}",
+          f"{r.throughput / results['P1'].throughput:.2f}"]
          for n, r in results.items()],
         title="Section 6: search/web workload"))
     print(paper_vs_measured("Web ~ DSS", [
         ("P8 / OOO", "~2.3 (DSS-like)", p8_over_ooo),
-        ("busy-dominated", "> 0.7", results["P8"]["busy_frac"]),
+        ("busy-dominated", "> 0.7", results["P8"].busy_frac),
     ]))
 
     # DSS-shaped: busy-dominated, near-linear CMP scaling, a P8 advantage
     # in DSS's band rather than OLTP's
-    assert results["P8"]["busy_frac"] > 0.65
+    assert results["P8"].busy_frac > 0.65
     assert 6.5 <= p8_over_p1 <= 8.2
     assert 1.7 <= p8_over_ooo <= 2.9

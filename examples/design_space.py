@@ -12,17 +12,13 @@ Run:  python examples/design_space.py
 
 import dataclasses
 
-from repro import OltpParams, OltpWorkload, preset
-from repro.core import PiranhaSystem
-from repro.harness import format_table, record_from_result, run_configured
-from repro.harness.sweep import replace_field
+from repro import OltpParams, preset
+from repro.harness import (Job, OltpFactory, format_table,
+                           record_from_result, run_configured, run_jobs)
+from repro.harness.sweep import replace_field, sweep_configs
 
 PARAMS = OltpParams(transactions=30, warmup_transactions=60)
-
-
-def oltp_factory(config, num_nodes):
-    return OltpWorkload(PARAMS, cpus_per_node=config.cpus,
-                        num_nodes=num_nodes)
+OLTP_FACTORY = OltpFactory(PARAMS)
 
 
 def cores_vs_cache() -> None:
@@ -33,7 +29,7 @@ def cores_vs_cache() -> None:
     for cpus, kb in variants:
         config = preset("P8").with_cpus(cpus, f"P{cpus}")
         config = replace_field(config, "l2.size_bytes", kb * 1024)
-        record = record_from_result(run_configured(config, oltp_factory))
+        record = record_from_result(run_configured(config, OLTP_FACTORY))
         if base is None:
             base = record["throughput"]
         rows.append([cpus, kb, f"{record['throughput'] / base:.2f}",
@@ -51,7 +47,7 @@ def inclusion() -> None:
         config = dataclasses.replace(
             preset("P8"),
             l2=dataclasses.replace(preset("P8").l2, inclusive=inclusive))
-        record = record_from_result(run_configured(config, oltp_factory))
+        record = record_from_result(run_configured(config, OLTP_FACTORY))
         rows.append(["inclusive" if inclusive else "non-inclusive",
                      f"{record['time_per_unit_ns']:.0f}",
                      f"{record['miss_mem_frac']:.2f}"])
@@ -63,24 +59,15 @@ def inclusion() -> None:
 
 def keep_open() -> None:
     print("3. RDRAM page keep-open window (Section 2.4)")
-    rows = []
-    params = dataclasses.replace(PARAMS, block_io_lines_per_txn=32)
-
-    def factory(config, num_nodes):
-        return OltpWorkload(params, cpus_per_node=config.cpus)
-
-    for window_ns in (0.0, 500.0, 1000.0, 4000.0):
-        config = replace_field(preset("P8"), "memory.page_keep_open_ns",
-                               window_ns)
-        system = PiranhaSystem(config, num_nodes=1)
-        system.attach_workload(factory(config, 1))
-        system.run_to_completion()
-        hits = sum(mc.channel.c_page_hits.value
-                   for mc in system.nodes[0].mcs)
-        accesses = sum(mc.channel.c_accesses.value
-                       for mc in system.nodes[0].mcs)
-        rows.append([f"{window_ns:.0f}",
-                     f"{hits / max(1, accesses):.2f}"])
+    factory = OltpFactory(dataclasses.replace(PARAMS,
+                                              block_io_lines_per_txn=32))
+    windows_ns = (0.0, 500.0, 1000.0, 4000.0)
+    configs = sweep_configs(preset("P8"), "memory.page_keep_open_ns",
+                            windows_ns)
+    results = run_jobs([Job(config, factory) for config in configs])
+    rows = [[f"{window_ns:.0f}",
+             f"{r.extras['counters'][0]['memory']['page_hit_rate']:.2f}"]
+            for window_ns, r in zip(windows_ns, results)]
     print(format_table(["keep-open (ns)", "page-hit rate"], rows))
     print("   -> the knee sits just below the paper's ~1 us policy")
 

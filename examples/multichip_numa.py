@@ -3,45 +3,41 @@
 
 Builds 1-, 2- and 4-node systems of 4-CPU Piranha chips connected by the
 hot-potato interconnect, runs OLTP across them, and reports the NUMA
-scaling curve plus inter-node protocol statistics: engine traffic, remote
-miss latencies, and write-back activity.
+scaling curve plus inter-node protocol statistics: engine traffic and
+packets, read from each result's per-node counter rollup
+(``extras["counters"]``).
+
+The points run through the cached harness (``run_jobs``): set
+``REPRO_JOBS=N`` to simulate them on N worker processes; a re-run
+answers from the result cache.
 
 Run:  python examples/multichip_numa.py
 """
 
-from repro import OltpParams, OltpWorkload, PiranhaSystem, preset
-from repro.harness import format_table
+from repro import OltpParams, preset
+from repro.harness import Job, OltpFactory, format_table, run_jobs
 
-
-def run(nodes: int, params: OltpParams):
-    config = preset("P4")
-    system = PiranhaSystem(config, num_nodes=nodes)
-    system.attach_workload(
-        OltpWorkload(params, cpus_per_node=config.cpus, num_nodes=nodes))
-    system.run_to_completion()
-    per_cpu_ps = max(cpu.total_ps for cpu in system.all_cpus())
-    throughput = config.cpus * nodes * 1e12 / (per_cpu_ps / params.transactions)
-    he_threads = sum(n.home_engine.c_threads.value for n in system.nodes)
-    re_instrs = sum(n.remote_engine.c_instructions.value
-                    for n in system.nodes)
-    packets = sum(n.c_packets_sent.value for n in system.nodes)
-    return throughput, he_threads, re_instrs, packets
+NODES = (1, 2, 4)
 
 
 def main() -> None:
-    params = OltpParams(transactions=30, warmup_transactions=60)
+    factory = OltpFactory(OltpParams(transactions=30, warmup_transactions=60))
     # (shortened for a quick demo; the benchmark suite uses the full
     #  calibrated scale, where the ratios match the paper most closely)
+    print("running " + ", ".join(f"{n}-node ({n * 4} CPUs)" for n in NODES)
+          + " systems ...")
+    results = run_jobs([Job(preset("P4"), factory, num_nodes=n)
+                        for n in NODES])
+    base = results[0].throughput
     rows = []
-    base = None
-    for nodes in (1, 2, 4):
-        print(f"running {nodes}-node system "
-              f"({nodes * 4} CPUs total) ...")
-        tput, he, re_i, pkts = run(nodes, params)
-        if base is None:
-            base = tput
-        rows.append([nodes, nodes * 4, f"{tput / base:.2f}",
-                     he, re_i, pkts])
+    for nodes, result in zip(NODES, results):
+        counters = result.extras["counters"]
+        rows.append([
+            nodes, nodes * 4, f"{result.throughput / base:.2f}",
+            sum(n["engines"]["he"]["threads"] for n in counters),
+            sum(n["engines"]["re"]["instructions"] for n in counters),
+            sum(n["packets_sent"] for n in counters),
+        ])
     print()
     print(format_table(
         ["chips", "CPUs", "speedup", "home-engine txns",

@@ -53,8 +53,9 @@ def main() -> None:
     chip = system.nodes[0]
     print(f"\non-chip resident data: {chip.on_chip_resident_bytes() / 1024:.0f} KB "
           f"(non-inclusive L1s + L2)")
-    rates = [mc.channel.page_hit_rate for mc in chip.mcs]
-    print(f"RDRAM open-page hit rate: {sum(rates) / len(rates):.0%}")
+    page_hits = sum(mc.channel.c_page_hits.value for mc in chip.mcs)
+    accesses = sum(mc.channel.c_accesses.value for mc in chip.mcs)
+    print(f"RDRAM open-page hit rate: {page_hits / accesses:.0%}")
 
 
 if __name__ == "__main__":

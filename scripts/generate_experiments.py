@@ -202,6 +202,15 @@ def main() -> None:
     w("REPRO_SCALE=0.5 pytest benchmarks/ --benchmark-only   # quick pass")
     w("python scripts/generate_experiments.py     # refresh this file")
     w("```")
+    w()
+    w("Every benchmark that simulates a Piranha system measures through the")
+    w("harness's `run_jobs`, so `REPRO_JOBS=N` fans its points out over N")
+    w("worker processes and the result cache answers a re-run of unchanged")
+    w("code without simulating")
+    w("(`REPRO_NO_CACHE=1` forces re-simulation).  The one exception is the")
+    w("§2.3 non-inclusion A/B (`bench_l2_noninclusion.py`): it counts the")
+    w("lines held in both an L1 and the L2 by walking the drained machine, so")
+    w("its two points run uncached through `build_system` + `run_system`.")
 
     with open("EXPERIMENTS.md", "w") as fh:
         fh.write(out.getvalue())

@@ -131,12 +131,6 @@ def _print_sampled(result, units_attr: str) -> None:
     print(f"\nwall time      : {result.sim_wall_s:.2f} s")
 
 
-def _print_report(system) -> None:
-    from .harness.perfmon import render_report, system_report
-
-    print(render_report(system_report(system, now_ps=system.sim.now)))
-
-
 def _write_outputs(args: argparse.Namespace, result) -> None:
     """Write the result's ``--metrics`` document (plus its time-series
     CSV sibling) and its span trace (to ``--trace-out``)."""
@@ -248,8 +242,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(profiler.render())
     if args.report:
+        from .harness.perfmon import render_report
+
         print()
-        _print_report(system)
+        print(render_report(result.extras["counters"]))
     return 0
 
 

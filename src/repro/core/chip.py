@@ -121,7 +121,6 @@ class PiranhaChip(Component):
         #: (enable_probes() refreshes this cache when called later).
         self.probes = system.probes
         self._send_packet_fn: Optional[Callable[[Packet], bool]] = None
-        self._cpus_running = 0
         self.c_packets_sent = self.stats.counter("packets_sent")
         self.c_acks_completed = self.stats.counter("ack_sets_completed")
         #: eager exclusive grants whose invalidation acks are still in
@@ -269,14 +268,8 @@ class PiranhaChip(Component):
     # Workload control
     # -----------------------------------------------------------------------
 
-    def start_cpu(self, cpu) -> None:
-        """Start one of this chip's CPUs on its attached workload thread."""
-        self._cpus_running += 1
-        cpu.start()
-
     def cpu_finished(self, cpu_id: int) -> None:
         """A CPU's workload thread completed."""
-        self._cpus_running -= 1
         self.system.cpu_finished(self.node_id, cpu_id)
 
     # -----------------------------------------------------------------------

@@ -145,7 +145,7 @@ class PiranhaSystem:
         drain, whose audit and sampler tickers stopped with it."""
         self._started = True
         for cpu in cpus:
-            cpu.chip.start_cpu(cpu)
+            cpu.start()
             self._running_cpus += 1
         if self._audit_interval_ps and self._running_cpus:
             self.sim.schedule_every(self._audit_interval_ps,

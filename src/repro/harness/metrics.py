@@ -41,9 +41,7 @@ def metrics_doc(system, result, probe_rate: int = 0,
                 sample_interval_ps: int = 0) -> Dict[str, object]:
     """Assemble the full metrics document from a finished system and the
     :class:`~repro.harness.runner.RunResult` measured from it (the
-    run-summary block)."""
-    from .perfmon import system_report
-
+    run-summary block and the counter rollup)."""
     now = system.sim.now
     run = {
         "config": result.config,
@@ -70,7 +68,7 @@ def metrics_doc(system, result, probe_rate: int = 0,
         else None,
         "timeseries": system.sampler.as_dict() if system.sampler is not None
         else None,
-        "counters": system_report(system, now_ps=now),
+        "counters": result.extras["counters"],
         # independent cross-check data for the probe means (see
         # counter_latency_ns): CPU-side per-source stall accounting
         "stall_latency": counter_latency_ns(system),

@@ -3,11 +3,13 @@
 Section 2 lists performance monitoring among the system controller's
 functions.  This module rolls every module's counters into one structured
 report per node — CPUs, L1s, ICS, L2 banks, memory channels, protocol
-engines, router — and renders it as text.  Used by the CLI's ``--report``
-flag and handy in notebooks::
+engines, router — and renders it as text.  The harness stores the
+rollup of every measured run in ``RunResult.extras["counters"]``
+(:func:`~repro.harness.runner.assemble_result`), which the CLI's
+``--report`` flag renders::
 
-    from repro.harness.perfmon import system_report, render_report
-    print(render_report(system_report(system)))
+    from repro.harness.perfmon import render_report
+    print(render_report(result.extras["counters"]))
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ def node_report(node, now_ps: Optional[int] = None) -> Dict[str, object]:
         "conflicts": sum(b.c_conflicts.value for b in node.banks),
         "resident_lines": sum(b.resident_lines() for b in node.banks),
     }
+    page_hits = sum(mc.channel.c_page_hits.value for mc in node.mcs)
+    accesses = sum(mc.channel.c_accesses.value for mc in node.mcs)
     memory = {
         "reads": sum(mc.channel.c_reads.value for mc in node.mcs),
         "writes": sum(mc.channel.c_writes.value for mc in node.mcs),
-        "page_hit_rate": _avg(mc.channel.page_hit_rate for mc in node.mcs),
+        # pooled over the channels, not a mean of per-channel rates
+        "page_hit_rate": page_hits / accesses if accesses else 0.0,
         "queued": sum(mc.channel.c_queued.value for mc in node.mcs),
     }
     ics = {

@@ -53,6 +53,7 @@ from .cache import (
     library_fingerprint,
     workload_token,
 )
+from .perfmon import system_report
 
 
 def scale_factor() -> float:
@@ -86,9 +87,10 @@ class RunResult:
     miss_fwd_frac: float         # ... by another on-chip L1
     miss_mem_frac: float         # ... by local/remote memory
     sim_wall_s: float = 0.0
-    #: structured payloads (sanitizer counters, the "metrics" document
-    #: from the observability layer); values are floats or JSON-shaped
-    #: nested dicts — everything pickles/serialises
+    #: structured payloads (the perfmon "counters" rollup, sanitizer
+    #: counters, the "metrics" document from the observability layer);
+    #: values are floats or JSON-shaped nested dicts — everything
+    #: pickles/serialises
     extras: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -282,7 +284,11 @@ def assemble_result(system: PiranhaSystem, spec: RunSpec,
     identically.  Config, node count and workload come from *system*.
     A finished :class:`~repro.fastforward.SampledRun` passed as
     *sampled* supplies its extrapolated totals in place of the machine's
-    counters and its ``extras["sampling"]`` document.
+    counters and its ``extras["sampling"]`` document.  Every result
+    carries the machine's perfmon counter rollup
+    (:func:`~repro.harness.perfmon.system_report`) in
+    ``extras["counters"]``; callers read counts from it rather than
+    walking the machine.
     """
     sanitizer: Dict[str, float] = {}
     if system.checker is not None:
@@ -321,6 +327,9 @@ def assemble_result(system: PiranhaSystem, spec: RunSpec,
         sim_wall_s=wall,
         extras=dict(sanitizer),
     )
+    # the counters as the run leaves them, never extrapolated: in a
+    # sampled run, its detailed windows plus what functional warming counts
+    result.extras["counters"] = system_report(system, now_ps=system.sim.now)
     if sampled is not None:
         result.extras["sampling"] = sampled.sampling_summary()
     # the metrics and trace documents are built purely from simulation

@@ -22,7 +22,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.config import ChipConfig, preset
-from .runner import Job, RunResult, RunSpec, run_jobs
+from .runner import Job, RunResult, run_jobs
 
 
 def parse_sweep_value(text: str):
@@ -100,16 +100,13 @@ def sweep_configs(base: ChipConfig, dotted: str,
 def sweep_field(base, workload_factory: Callable, dotted: str,
                 values: Sequence, num_nodes: int = 1,
                 jobs: Optional[int] = None,
-                check_coherence: bool = False,
                 warmup: bool = False) -> List[Dict]:
     """Sweep one config field over *values*; returns one record per point
     (with the swept value under ``"value"``).
 
     ``jobs`` (default: the ``REPRO_JOBS`` environment variable, else 1)
     fans the points out across worker processes; records are identical to
-    a serial sweep regardless of the worker count.  ``check_coherence``
-    runs every point under the protocol sanitizer (any violation raises
-    out of the sweep).
+    a serial sweep regardless of the worker count.
 
     ``warmup`` routes every point through the warm-checkpoint store —
     note the points of a *field* sweep have distinct configs and so
@@ -120,10 +117,9 @@ def sweep_field(base, workload_factory: Callable, dotted: str,
     """
     base_config = preset(base) if isinstance(base, str) else base
     configs = sweep_configs(base_config, dotted, values)
-    spec = RunSpec(check_coherence=check_coherence)
     results = run_jobs(
         [Job(config=c, factory=workload_factory, num_nodes=num_nodes,
-             spec=spec, warmup=warmup)
+             warmup=warmup)
          for c in configs],
         jobs=jobs,
     )

@@ -86,10 +86,21 @@ def micro_jobs(n=4):
 
 
 class TestParallelEquivalence:
-    def test_parallel_sweep_matches_serial(self):
+    def test_parallel_sweep_matches_serial(self, monkeypatch):
         """Acceptance: a jobs=4 sweep, and a repeat the disk cache
         serves, return records identical to the serial, uncached sweep
-        (a migratory and an OLTP L2-size sweep on P2)."""
+        (a migratory and an OLTP L2-size sweep on P2), and results
+        whose counter rollups are identical too."""
+        import repro.harness.sweep as sweep_module
+
+        counters = []  # each sweep's per-point extras["counters"]
+
+        def recording_run_jobs(*args, **kwargs):
+            results = run_jobs(*args, **kwargs)
+            counters.append([r.extras["counters"] for r in results])
+            return results
+
+        monkeypatch.setattr(sweep_module, "run_jobs", recording_run_jobs)
         sweeps = [
             (MigratoryFactory(TINY_MICRO),
              [(128 + 64 * i) << 10 for i in range(6)]),
@@ -112,6 +123,7 @@ class TestParallelEquivalence:
                                  jobs=4)
             assert cached == serial
             assert DISK_CACHE.hits - hits == len(values)
+            assert counters[-3] == counters[-2] == counters[-1]
 
     def test_run_jobs_preserves_input_order(self):
         jobs = micro_jobs(4)

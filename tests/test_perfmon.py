@@ -39,6 +39,17 @@ class TestNodeReport:
             assert 0.0 <= cpu["busy_frac"] <= 1.0
 
 
+    def test_page_hit_rate_pooled_over_channels(self):
+        # summed hits over summed accesses (3 + 0) / (4 + 1), not the
+        # mean of the per-channel rates (0.75 + 0.0) / 2
+        node = PiranhaSystem(preset("P1"), num_nodes=1).nodes[0]
+        node.mcs = node.mcs[:2]
+        for mc, (hits, accesses) in zip(node.mcs, [(3, 4), (0, 1)]):
+            mc.channel.c_page_hits.value = hits
+            mc.channel.c_accesses.value = accesses
+        assert node_report(node)["memory"]["page_hit_rate"] == 0.6
+
+
 class TestSystemReport:
     def test_one_report_per_node(self, run_system):
         reports = system_report(run_system)
