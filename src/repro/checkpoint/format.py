@@ -72,7 +72,10 @@ MAGIC = b"RPCKPT01"
 #: Schema 8: the topology keeps its own node and neighbour maps in place
 #: of a networkx graph, and CPUs and L1 parameters carry no TLB state, so
 #: a schema-7 topology or core no longer restores.
-SCHEMA = 8
+#: Schema 9: a duplicate-tag entry keeps one sharer map (cache id ->
+#: MESI) and no separate sharer set, so schema-8 entries no longer
+#: restore.
+SCHEMA = 9
 
 _LEN = struct.Struct(">I")
 

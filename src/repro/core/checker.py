@@ -270,7 +270,7 @@ def audit_non_inclusion(system) -> int:
                 entry = bank.dup.entry(line)
                 if entry is None:
                     continue
-                for sharer, state in entry.states.items():
+                for sharer, state in entry.sharers.items():
                     if state in (MESI.EXCLUSIVE, MESI.MODIFIED):
                         raise CoherenceViolation(decorate_violation(
                             f"{node.name}: non-inclusion violated for "

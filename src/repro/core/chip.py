@@ -299,13 +299,12 @@ class PiranhaChip(Component):
             for cache_id, l1 in enumerate(self.l1s)}
         for bank in self.banks:
             for line_addr_, entry in bank.dup.entries.items():
-                for sharer in entry.sharers:
+                for sharer, mirrored in entry.sharers.items():
                     held = actual.get(sharer, {}).get(line_addr_)
                     assert held is not None, (
                         f"{self.name}: dup tags list cache {sharer} for "
                         f"{line_addr_:#x} but its L1 does not hold it"
                     )
-                    mirrored = entry.states.get(sharer)
                     # E and M are indistinguishable to the L2 controller
                     # exactly as in hardware; anything else must match.
                     assert (_mirror_bucket(mirrored)

@@ -26,21 +26,38 @@ L2_OWNER = -1
 
 
 class DupEntry:
-    """Duplicate tag/state for one line with at least one on-chip copy."""
+    """Duplicate tag/state for one line with at least one on-chip copy.
 
-    __slots__ = ("sharers", "owner", "states")
+    ``sharers`` maps each holding L1's cache id (cpu*2+instr) to its MESI
+    state, an exact duplicate of the L1's own; it is the one record of
+    which L1s hold the line and how."""
+
+    __slots__ = ("sharers", "owner")
 
     def __init__(self) -> None:
-        self.sharers: Set[int] = set()   # cache ids (cpu*2+instr)
+        self.sharers: Dict[int, MESI] = {}
         self.owner: Optional[int] = None  # cache id, L2_OWNER, None
-        #: per-sharer MESI state mirror (exact duplicate of the L1 state)
-        self.states: Dict[int, MESI] = {}
+
+    def add(self, cache_id: int, state: MESI, make_owner: bool) -> None:
+        """L1 *cache_id* holds the line in *state*; it becomes the owner
+        when *make_owner* says so or when the line has no owner."""
+        self.sharers[cache_id] = state
+        if make_owner or self.owner is None:
+            self.owner = cache_id
+
+    def remove(self, cache_id: int) -> bool:
+        """L1 *cache_id* no longer holds the line, and an ownership it
+        held goes with it.  True when no sharer and no owner is left."""
+        self.sharers.pop(cache_id, None)
+        if self.owner == cache_id:
+            self.owner = None
+        return not self.sharers and self.owner is None
 
     def is_exclusive(self) -> bool:
         return (
             len(self.sharers) == 1
-            and self.owner in self.sharers
-            and self.states.get(self.owner) in (MESI.EXCLUSIVE, MESI.MODIFIED)
+            and self.sharers.get(self.owner) in (MESI.EXCLUSIVE,
+                                                 MESI.MODIFIED)
         )
 
 
@@ -74,12 +91,7 @@ class DuplicateTags:
         e = self.entries.get(line)
         if e is None:
             e = self.entries[line] = DupEntry()
-        e.sharers.add(cache_id)
-        e.states[cache_id] = state
-        if make_owner:
-            e.owner = cache_id
-        elif e.owner is None:
-            e.owner = cache_id
+        e.add(cache_id, state, make_owner)
         return e
 
     def set_l2_owner(self, line: int) -> None:
@@ -91,20 +103,14 @@ class DuplicateTags:
     def set_state(self, line: int, cache_id: int, state: MESI) -> None:
         e = self.entries.get(line)
         if e is not None and cache_id in e.sharers:
-            e.states[cache_id] = state
+            e.sharers[cache_id] = state
 
     def remove_sharer(self, line: int, cache_id: int) -> None:
         """L1 replacement or invalidation: drop one sharer; ownership moves
         to the L2 only when the transaction flow says so (the caller
         decides whether a write-back accompanied the removal)."""
         e = self.entries.get(line)
-        if e is None:
-            return
-        e.sharers.discard(cache_id)
-        e.states.pop(cache_id, None)
-        if e.owner == cache_id:
-            e.owner = None
-        if not e.sharers and e.owner is None:
+        if e is not None and e.remove(cache_id):
             del self.entries[line]
 
     def drop_line(self, line: int) -> None:

@@ -43,7 +43,7 @@ from ..sim.engine import Component, Simulator, ns
 from .config import ChipConfig
 from .directory import (DIR_EXCLUSIVE, DIR_SHARED, DIR_SHARED_COARSE,
                         DIR_UNCACHED, DirectoryEntry)
-from .dup_tags import L2_OWNER, DuplicateTags
+from .dup_tags import L2_OWNER, DupEntry, DuplicateTags
 from .messages import (
     EXCLUSIVE,
     EXCLUSIVE_NO_DATA,
@@ -343,7 +343,8 @@ class L2Bank(Component):
         self.c_hits.value += 1
         version = l2line.version
         if reqtype == READ:
-            if (not self._others_hold(line, req.cache_id)
+            if (not self._others_hold(self.dup.entries.get(line),
+                                      req.cache_id)
                     and line not in self.remote_cached
                     and self.our_mode.get(line) != "S"):
                 # Clean-exclusive optimisation: hand the only copy to the
@@ -366,9 +367,10 @@ class L2Bank(Component):
                        L2_HIT)
             self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
 
-    def _others_hold(self, line: int, cache_id: int) -> bool:
-        """Does an L1 other than *cache_id* hold *line*?"""
-        e = self.dup.entries.get(line)
+    @staticmethod
+    def _others_hold(e: Optional[DupEntry], cache_id: int) -> bool:
+        """Does an L1 other than *cache_id* hold the line whose
+        duplicate-tag entry is *e* (None: no L1 holds it)?"""
         if e is None:
             return False
         sharers = e.sharers
@@ -548,16 +550,19 @@ class L2Bank(Component):
 
     def _fill(self, req: MemRequest, line: int, state: MESI, owner: bool,
               version: int, dirty: bool, source: ReplySource) -> None:
-        self._install(req.cache_id, line, state, owner, version, dirty,
-                      source, req)
+        self._install(self.dup.entries.get(line), req.cache_id, line, state,
+                      owner, version, dirty, source, req)
         self._resolve_pending(line)
 
-    def _install(self, cache_id: int, line: int, state: MESI, owner: bool,
-                 version: int, dirty: bool, source: ReplySource,
+    def _install(self, e: Optional[DupEntry], cache_id: int, line: int,
+                 state: MESI, owner: bool, version: int, dirty: bool,
+                 source: ReplySource,
                  req: Optional[MemRequest] = None) -> None:
         """Fill *line* into L1 *cache_id*: the L2 and duplicate-tag side,
         the checker hook, then *req*'s completion (detailed fills; a warm
-        fill has no request), then the L1 victim.
+        fill has no request), then the L1 victim.  *e* is the line's
+        duplicate-tag entry as the caller found it (None: it has none),
+        so a caller that has already looked it up does not look again.
 
         The victim goes to the bank its address interleaves to, which may
         differ from this one.  An owner victim is written back into that
@@ -576,19 +581,23 @@ class L2Bank(Component):
         if state is EXCLUSIVE or state is MODIFIED:
             # Single-writer invariant: an exclusive grant sweeps every
             # other on-chip copy (ICS ordering makes this ack-free).
-            e = self.dup.entries.get(line)
-            if e is not None and e.sharers and (
-                    len(e.sharers) > 1 or cache_id not in e.sharers):
+            if e is not None and self._others_hold(e, cache_id):
                 self._invalidate_on_chip(line, cache_id)
+                # the sweep deletes the entry if it leaves it empty
+                e = self.dup.entries.get(line)
             # (inclusive mode keeps the L2 copy at its old version; the
             # dup tags' owner pointer routes reads to the fresh L1 copy,
             # and eviction recovers the freshest version from the L1s)
             tag = line >> LINE_SHIFT
-            if not inclusive and tag in self.sets[
-                    (tag >> self._nbank_bits) & self._set_mask]:
-                self._drop_l2_copy(line)
+            lset = self.sets[(tag >> self._nbank_bits) & self._set_mask]
+            if not inclusive and tag in lset:
+                del lset[tag]
+                if e is not None and e.owner == L2_OWNER:
+                    e.owner = None
         victim = chip.l1s[cache_id].fill(line, state, owner, version, dirty)
-        self.dup.add_sharer(line, cache_id, state, owner)
+        if e is None:
+            e = self.dup.entries[line] = DupEntry()
+        e.add(cache_id, state, owner)
         checker = chip.checker
         if checker is not None:
             checker.on_fill(chip.node_id, cache_id, line, state, version)
@@ -602,19 +611,26 @@ class L2Bank(Component):
         vtag = victim.tag
         vline = vtag << LINE_SHIFT
         bank = chip.banks[vtag & chip._bank_mask]
-        bank.dup.remove_sharer(vline, cache_id)
+        entries = bank.dup.entries
+        ve = entries.get(vline)
+        if ve is not None and ve.remove(cache_id) and not victim.owner:
+            # no on-chip L1 copy is left and no owner will write back
+            del entries[vline]
+            ve = None
         if checker is not None:
             # the holder is gone (its data may live on in the L2)
             checker.on_invalidate(chip.node_id, cache_id, vline)
         if victim.owner:
             bank.c_l1_wb_owner.value += 1
             bank._victim_fill(vline, victim.version, victim.dirty)
-            bank.dup.set_l2_owner(vline)
+            if ve is None:
+                ve = entries[vline] = DupEntry()
+            ve.owner = L2_OWNER
             return
         if bank.inclusive and victim.dirty:
             bank._victim_fill(vline, victim.version, True)
         bank.c_l1_evict_clean.value += 1
-        if vline not in bank.dup.entries and vtag not in bank.sets[
+        if ve is None and vtag not in bank.sets[
                 (vtag >> bank._nbank_bits) & bank._set_mask]:
             bank._line_left_chip(vline)
 
@@ -674,67 +690,78 @@ class L2Bank(Component):
             # grant here would have to drive a remote invalidation
             # campaign through the home engine
             return None
-        dup_e = self.dup.entries.get(line)
-        l1_owner = dup_e.owner if dup_e is not None else None
-        if (l1_owner is not None and l1_owner != L2_OWNER
-                and l1_owner != cache_id):
-            owner_l1 = chip.l1s[l1_owner]
-            owner_line = owner_l1.peek(line)
-            if owner_line is None:
-                return None
-            self.c_requests.value += 1
-            self.c_fwds.value += 1
-            version = owner_line.version
-            if reqtype == READ:
-                dirty = owner_line.dirty
-                owner_l1.downgrade(line)
-                owner_l1.set_owner(line, False)
-                if chip.checker is not None:
-                    chip.checker.on_downgrade(chip.node_id, l1_owner, line)
-                # dirtiness travels with ownership (see _finish_fwd)
-                owner_line.dirty = False
-                if l1_owner in dup_e.sharers:
-                    dup_e.states[l1_owner] = SHARED
-                dup_e.owner = None
-                self._install(cache_id, line, SHARED, True, version, dirty,
-                              L2_FWD)
-            else:
-                self._install(cache_id, line, MODIFIED, True, version + 1,
-                              True, L2_FWD)
-            return L2_FWD
-        if dup_e is not None and cache_id in dup_e.sharers:
-            own = chip.l1s[cache_id].peek(line)
-            if own is not None:
+        e = self.dup.entries.get(line)
+        if e is not None:
+            l1_owner = e.owner
+            if (l1_owner is not None and l1_owner != L2_OWNER
+                    and l1_owner != cache_id):
+                owner_line = chip.l1s[l1_owner].peek(line)
+                if owner_line is None:
+                    return None
                 self.c_requests.value += 1
+                self.c_fwds.value += 1
+                version = owner_line.version
                 if reqtype == READ:
-                    self._install(cache_id, line, own.state, own.owner,
-                                  own.version, own.dirty, L2_HIT)
+                    # the owner keeps a shared copy and hands over
+                    # ownership, and dirtiness travels with ownership
+                    # (see _finish_fwd)
+                    dirty = owner_line.dirty
+                    owner_line.state = SHARED
+                    owner_line.owner = False
+                    if chip.checker is not None:
+                        chip.checker.on_downgrade(chip.node_id, l1_owner,
+                                                  line)
+                    owner_line.dirty = False
+                    sharers = e.sharers
+                    if l1_owner in sharers:
+                        sharers[l1_owner] = SHARED
+                    e.owner = None
+                    self._install(e, cache_id, line, SHARED, True, version,
+                                  dirty, L2_FWD)
                 else:
-                    self.c_upgrades.value += 1
-                    self._install(cache_id, line, MODIFIED, True,
-                                  own.version + 1, True, L2_HIT)
-                return L2_HIT
+                    self._install(e, cache_id, line, MODIFIED, True,
+                                  version + 1, True, L2_FWD)
+                return L2_FWD
+            if cache_id in e.sharers:
+                own = chip.l1s[cache_id].peek(line)
+                if own is not None:
+                    self.c_requests.value += 1
+                    if reqtype == READ:
+                        self._install(e, cache_id, line, own.state,
+                                      own.owner, own.version, own.dirty,
+                                      L2_HIT)
+                    else:
+                        self.c_upgrades.value += 1
+                        self._install(e, cache_id, line, MODIFIED, True,
+                                      own.version + 1, True, L2_HIT)
+                    return L2_HIT
         tag = line >> LINE_SHIFT
-        l2line = self.sets[(tag >> self._nbank_bits) & self._set_mask].get(tag)
+        lset = self.sets[(tag >> self._nbank_bits) & self._set_mask]
+        l2line = lset.get(tag)
         if l2line is not None:
             self.c_requests.value += 1
             self.c_hits.value += 1
             version = l2line.version
             if reqtype != READ:
-                self._install(cache_id, line, MODIFIED, True, version + 1,
+                self._install(e, cache_id, line, MODIFIED, True, version + 1,
                               True, L2_HIT)
-            elif (not self._others_hold(line, cache_id)
+            elif (not self._others_hold(e, cache_id)
                   and line not in self.remote_cached
                   and self.our_mode.get(line) != "S"):
-                # clean-exclusive hand-off (see _finish_l2_hit)
+                # clean-exclusive hand-off (see _finish_l2_hit), dropping
+                # the L2 copy as _drop_l2_copy does
                 if not self.inclusive:
-                    self._drop_l2_copy(line)
-                self._install(cache_id, line, EXCLUSIVE, True, version,
+                    del lset[tag]
+                    if e is not None and e.owner == L2_OWNER:
+                        e.owner = None
+                self._install(e, cache_id, line, EXCLUSIVE, True, version,
                               l2line.dirty, L2_HIT)
             else:
-                self.dup.set_l2_owner(line)
-                self._install(cache_id, line, SHARED, False, version, False,
-                              L2_HIT)
+                if e is None:
+                    e = self.dup.entries[line] = DupEntry()
+                e.owner = L2_OWNER
+                self._install(e, cache_id, line, SHARED, False, version,
+                              False, L2_HIT)
             return L2_HIT
         # L2 miss: only home-local, remotely-uncached lines can be filled
         # without engine involvement.
@@ -751,11 +778,11 @@ class L2Bank(Component):
             self.mc.warm_read_line(line)
         version = chip.mem_version(line)
         if reqtype == READ:
-            self._install(cache_id, line, EXCLUSIVE, True, version, False,
+            self._install(e, cache_id, line, EXCLUSIVE, True, version, False,
                           LOCAL_MEM)
         else:
-            self._install(cache_id, line, MODIFIED, True, version + 1, True,
-                          LOCAL_MEM)
+            self._install(e, cache_id, line, MODIFIED, True, version + 1,
+                          True, LOCAL_MEM)
         return LOCAL_MEM
 
     # -----------------------------------------------------------------------

@@ -110,8 +110,8 @@ def request_for(kind: AccessKind, current: MESI) -> RequestType:
 class CacheId:
     """Identity of one first-level cache: (cpu index, instruction/data).
 
-    Encoded as ``cpu * 2 + (0 if data else 1)`` so dup-tag sharer sets can
-    be small integers/bitmasks.  :meth:`encode` is the only place that
+    Encoded as ``cpu * 2 + (0 if data else 1)`` so dup-tag sharer maps key
+    on small integers.  :meth:`encode` is the only place that
     layout is written: requests, the warming path and the chip's
     cache-id -> L1 table all go through it.
     """

@@ -130,14 +130,6 @@ class Program:
     def words_used(self) -> int:
         return sum(1 for w in self.store if w is not None)
 
-    def word_at(self, addr: int) -> Word:
-        if not 0 <= addr < MICROSTORE_WORDS:
-            raise MicrocodeError(f"PC {addr} outside microstore")
-        word = self.store[addr]
-        if word is None:
-            raise MicrocodeError(f"jump into unprogrammed address {addr}")
-        return word
-
 
 class Assembler:
     """Translate a symbolic protocol program into the 1024-word store.

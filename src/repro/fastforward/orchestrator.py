@@ -186,15 +186,12 @@ class SampledRun:
     def _functional_warm(self) -> None:
         """Consume each thread through its warm-up sentinel event-free,
         then cross the system's warm-up boundary."""
-        buffers = []
-        for cpu in self._live():
-            buf, consumed, _hit, exhausted = self.warmer.collect(
-                cpu, stop_at_boundary=True)
-            buffers.append((cpu, buf))
+        cpus = self._live()
+        for cpu, (consumed, exhausted) in zip(
+                cpus, self.warmer.warm_up(cpus)):
             self.ff_items += consumed
             if exhausted:
                 self._exhausted.add(self._key(cpu))
-        self.warmer.apply_interleaved(buffers)
         self._settle_warm_state()
         self.system.cross_warm_boundary()
 
@@ -293,8 +290,8 @@ class SampledRun:
         buffers = []
         for cpu in self._live():
             key = self._key(cpu)
-            buf, consumed, _hit, exhausted = self.warmer.collect(
-                cpu, max_items=items, tail=FF_TAIL)
+            buf, consumed, exhausted = self.warmer.collect(
+                cpu, items, FF_TAIL)
             buffers.append((cpu, buf))
             self.ff_items += consumed
             est = consumed * self._rate.get(key, 0.0)

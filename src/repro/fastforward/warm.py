@@ -1,8 +1,8 @@
 """Functional (event-free) warming of the memory hierarchy.
 
 Fast-forward phases advance the machine *without the event queue*: work
-items are pulled straight off each CPU's workload thread in batches and
-their cache effects applied synchronously — L1 lookups (with their LRU /
+items are pulled straight off each CPU's workload thread and their cache
+effects applied synchronously — L1 lookups (with their LRU /
 silent-upgrade side effects) and, for L1 misses, the L2 bank's
 :meth:`~repro.core.l2.L2Bank.warm_request`, which changes the same objects
 through the same fill routine as the detailed service path (duplicate
@@ -12,10 +12,13 @@ detailed measurement window opened right after a fast-forward phase sees
 the L1s, L2, duplicate tags, directory and DRAM row buffers in the state
 a monolithic run would have left them.
 
-Items are pulled as flat per-CPU reference-stream chunks, one
-:meth:`~repro.workloads.base.WorkloadThread.take` call each, so the
-per-item cost is the generator's own; the cache mutations themselves are
-inherently sequential.
+The warm-up streams: :meth:`FunctionalWarmer.warm_up` pulls one
+``SLICE_ITEMS`` slice per CPU with one
+:meth:`~repro.workloads.base.WorkloadThread.take` call, applies it, and
+moves to the next CPU, so no more than one slice per CPU is ever held.
+Fast-forward periods keep only a bounded tail of each CPU's span
+(:meth:`~FunctionalWarmer.collect`) and apply the tails in the same
+round-robin slices (:meth:`~FunctionalWarmer.apply_interleaved`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Optional
+from typing import Dict, List, Tuple
 
 from ..core.cpu import WARMUP_DONE
 from ..core.messages import IFETCH, MEMBAR, WH64, CacheId, request_for
@@ -31,8 +34,25 @@ from ..mem.addr import LINE_SHIFT
 
 #: work items pulled from a thread per batch during fast-forward periods
 CHUNK_ITEMS = 2048
+#: work items one CPU applies before the next CPU's turn.  Interleaving
+#: in small slices matters for shared lines: applying one CPU's whole
+#: span before the next would leave every contended line owned by the
+#: last CPU processed, skewing the L1-forward mix the following detailed
+#: window measures
+SLICE_ITEMS = 128
 
 _INSTRUCTIONS = itemgetter(0)
+_LINE_MASK = ~((1 << LINE_SHIFT) - 1)
+
+
+def _lane(cpu) -> tuple:
+    """What applying one CPU's items needs, looked up once per phase:
+    the CPU, its chip's banks and bank mask, its L1s, and its
+    instruction and data cache ids."""
+    chip = cpu.chip
+    return (cpu, chip.banks, len(chip.banks) - 1, chip.l1s,
+            CacheId.encode(cpu.cpu_id, True),
+            CacheId.encode(cpu.cpu_id, False))
 
 
 class FunctionalWarmer:
@@ -67,107 +87,114 @@ class FunctionalWarmer:
 
     # -- stream consumption ------------------------------------------------
 
-    def collect(self, cpu, max_items: Optional[int] = None,
-                stop_at_boundary: bool = False,
-                tail: Optional[int] = None):
-        """Consume items from *cpu*'s thread WITHOUT applying them yet.
+    def warm_up(self, cpus) -> List[Tuple[int, bool]]:
+        """Consume and apply each of *cpus*' threads through its warm-up
+        sentinel, one ``SLICE_ITEMS`` slice per CPU in turn.
+
+        A CPU drops out of the rotation at its sentinel (consumed, never
+        applied) or when its thread ends before it.  Returns one
+        ``(consumed, exhausted)`` pair per CPU, in order; *exhausted* is
+        True for a thread that ended short of its sentinel.
+        """
+        lanes = [_lane(cpu) for cpu in cpus]
+        consumed = [0] * len(lanes)
+        exhausted = [False] * len(lanes)
+        live = list(range(len(lanes)))
+        while live:
+            still = []
+            for i in live:
+                lane = lanes[i]
+                items, hit = lane[0].thread.take(SLICE_ITEMS, WARMUP_DONE)
+                consumed[i] += len(items) + hit
+                self.instructions += sum(map(_INSTRUCTIONS, items))
+                self._apply(lane, items)
+                if hit:
+                    self.skimmed += 1   # the sentinel is never applied
+                elif len(items) < SLICE_ITEMS:
+                    exhausted[i] = True
+                else:
+                    still.append(i)
+            live = still
+        self.items += sum(consumed)
+        return list(zip(consumed, exhausted))
+
+    def collect(self, cpu, max_items: int, tail: int):
+        """Consume *max_items* items from *cpu*'s thread WITHOUT applying
+        them yet.
 
         Counts instructions as it goes and keeps the last *tail* items
-        (all of them when ``tail`` is None) for later application via
-        :meth:`apply_interleaved` — items are plain tuples, so applying
-        them after collection is identical to applying them at
-        consumption time (the warm path is time-free).  Dropping all but
-        the tail of a long span is the classic warming-window
-        approximation: the recency state the next detailed window reads
-        is rebuilt by the tail, while the skimmed prefix only costs
-        stream generation, a fraction of a full cache update's cost
-        (DESIGN.md §4n).
-
-        With ``stop_at_boundary=True`` consumption stops after the
-        warm-up sentinel (which is never buffered).  Returns
-        ``(buffered_items, consumed, hit_boundary, exhausted)``.
+        for later application via :meth:`apply_interleaved`: items are
+        plain tuples, so applying them after collection is identical to
+        applying them at consumption time (the warm path is time-free).
+        Dropping all but the tail of a long span is the classic
+        warming-window approximation: the recency state the next
+        detailed window reads is rebuilt by the tail, while the skimmed
+        prefix only costs stream generation, a fraction of a full cache
+        update's cost (DESIGN.md §4n).  Returns ``(buffered_items,
+        consumed, exhausted)``.
         """
         thread = cpu.thread
         consumed = 0
-        hit_boundary = False
         exhausted = False
         buf = deque(maxlen=tail)
-        until = WARMUP_DONE if stop_at_boundary else None
-        remaining = (int(max_items) if max_items is not None
-                     and not stop_at_boundary else -1)
-        while remaining:
-            want = CHUNK_ITEMS if remaining < 0 else min(CHUNK_ITEMS,
-                                                         remaining)
-            batch, hit_boundary = thread.take(want, until)
-            consumed += len(batch) + hit_boundary
+        remaining = int(max_items)
+        while remaining > 0:
+            want = min(CHUNK_ITEMS, remaining)
+            batch, _hit = thread.take(want)
+            consumed += len(batch)
             self.instructions += sum(map(_INSTRUCTIONS, batch))
             buf.extend(batch)
-            if hit_boundary:
-                break
             if len(batch) < want:
                 exhausted = True
                 break
-            if remaining > 0:
-                remaining -= len(batch)
+            remaining -= len(batch)
         self.items += consumed
         self.skimmed += consumed - len(buf)
-        return buf, consumed, hit_boundary, exhausted
+        return buf, consumed, exhausted
 
-    def apply_interleaved(self, buffers, batch: int = 128) -> None:
-        """Apply collected item buffers, round-robin across CPUs.
-
-        *buffers* is a list of ``(cpu, items)`` pairs.  Interleaving in
-        small batches matters for shared lines: applying one CPU's whole
-        span before the next would leave every contended line owned by
-        the last CPU processed, skewing the L1-forward mix the following
-        detailed window measures.
-
-        Each item's cache effects are applied inline, with no time and no
-        event: a fence is an instant no-op (no eager-grant acks can be
-        outstanding between events) that only keeps its counter moving,
-        a reference looks up its L1, and an L1 miss is served by
-        its bank's :meth:`~repro.core.l2.L2Bank.warm_request`.
-        """
-        work = []
-        for cpu, items in buffers:
-            chip = cpu.chip
-            work.append((cpu, chip.banks, len(chip.banks) - 1, chip.l1s,
-                         CacheId.encode(cpu.cpu_id, True),
-                         CacheId.encode(cpu.cpu_id, False), iter(items)))
-        line_mask = ~((1 << LINE_SHIFT) - 1)
-        refs = l1_hits = warmed = skipped = membars = 0
+    def apply_interleaved(self, buffers) -> None:
+        """Apply collected item buffers, one ``SLICE_ITEMS`` slice per
+        CPU in turn.  *buffers* is a list of ``(cpu, items)`` pairs."""
+        work = [(_lane(cpu), iter(items)) for cpu, items in buffers]
         while work:
-            still = []
-            for entry in work:
-                cpu, banks, bank_mask, l1s, icache, dcache, it = entry
-                n = 0
-                for _instrs, kind, addr, _dep in islice(it, batch):
-                    n += 1
-                    if kind is None:
-                        continue
-                    if kind == MEMBAR:
-                        membars += 1
-                        cpu.c_membar.value += 1
-                        continue
-                    refs += 1
-                    cache_id = icache if kind == IFETCH else dcache
-                    result = l1s[cache_id].lookup(addr, kind)
-                    if result.hit:
-                        l1_hits += 1
-                        continue
-                    if kind == WH64:
-                        cpu.c_wh64.value += 1
-                    if banks[(addr >> LINE_SHIFT) & bank_mask].warm_request(
-                            cache_id, request_for(kind, result.state),
-                            addr & line_mask) is None:
-                        skipped += 1
-                    else:
-                        warmed += 1
-                if n == batch:
-                    still.append(entry)
-            work = still
+            work = [(lane, it) for lane, it in work
+                    if self._apply(lane, list(islice(it, SLICE_ITEMS)))
+                    == SLICE_ITEMS]
+
+    def _apply(self, lane: tuple, items: list) -> int:
+        """Apply one CPU's *items* with no time and no event: a fence is
+        an instant no-op (no eager-grant acks can be outstanding between
+        events) that only keeps its counter moving, a reference looks up
+        its L1, and an L1 miss is served by its bank's
+        :meth:`~repro.core.l2.L2Bank.warm_request`.  Returns the number
+        of items applied."""
+        cpu, banks, bank_mask, l1s, icache, dcache = lane
+        line_mask = _LINE_MASK
+        refs = l1_hits = warmed = skipped = membars = 0
+        for _instrs, kind, addr, _dep in items:
+            if kind is None:
+                continue
+            if kind == MEMBAR:
+                membars += 1
+                continue
+            refs += 1
+            cache_id = icache if kind == IFETCH else dcache
+            result = l1s[cache_id].lookup(addr, kind)
+            if result.hit:
+                l1_hits += 1
+                continue
+            if kind == WH64:
+                cpu.c_wh64.value += 1
+            if banks[(addr >> LINE_SHIFT) & bank_mask].warm_request(
+                    cache_id, request_for(kind, result.state),
+                    addr & line_mask) is None:
+                skipped += 1
+            else:
+                warmed += 1
+        cpu.c_membar.value += membars
         self.refs += refs
         self.l1_hits += l1_hits
         self.warmed += warmed
         self.skipped += skipped
         self.membars += membars
+        return len(items)

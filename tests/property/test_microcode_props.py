@@ -110,14 +110,23 @@ class TestSequencerProperties:
 # -- decode-once sequencer vs a word-at-a-time reference ----------------------
 
 
+def word_at(program, pc):
+    """The word at *pc* of *program*'s store; an unprogrammed one is a
+    fault."""
+    word = program.store[pc]
+    if word is None:
+        raise MicrocodeError(f"jump into unprogrammed address {pc}")
+    return word
+
+
 def reference_run(program, env, entry, dispatch_code=None):
-    """Step *program* one word at a time through ``Program.word_at`` and
-    *env*'s symbol tables: the plain interpreter the decoded
-    :class:`Sequencer` must agree with."""
+    """Step *program* one word at a time through its store and *env*'s
+    symbol tables: the plain interpreter the decoded :class:`Sequencer`
+    must agree with."""
     executed = 0
     pc = entry.pc
     if dispatch_code is not None:
-        word = program.word_at(pc)
+        word = word_at(program, pc)
         if word.op not in (Op.RECEIVE, Op.LRECEIVE):
             raise MicrocodeError(f"dispatch into non-receive instruction at {pc}")
         executed += 1
@@ -126,7 +135,7 @@ def reference_run(program, env, entry, dispatch_code=None):
         if pc == END:
             entry.pc = END
             return executed, StepResult.DONE
-        word = program.word_at(pc)
+        word = word_at(program, pc)
         if word.op in (Op.RECEIVE, Op.LRECEIVE):
             entry.pc = pc
             return executed, (StepResult.BLOCKED_EXTERNAL

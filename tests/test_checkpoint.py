@@ -236,6 +236,9 @@ class TestCheckpointFormat:
         6: b"N.",
         # pickles the topology as a networkx graph and CPUs with TLBs
         7: b"N.",
+        # pickles duplicate-tag entries with a sharer set and a separate
+        # state map
+        8: b"N.",
     }
 
     @pytest.mark.parametrize("schema", sorted(RETIRED_SCHEMAS))

@@ -1,5 +1,7 @@
 """Unit tests for the duplicate L1 tags and ownership (§2.3)."""
 
+import pickle
+
 import pytest
 
 from repro.core import MESI, PIRANHA_P8
@@ -74,7 +76,18 @@ class TestStateMirror:
     def test_set_state(self, dup):
         dup.add_sharer(LINE, 0, MESI.EXCLUSIVE, make_owner=True)
         dup.set_state(LINE, 0, MESI.SHARED)
-        assert dup.entry(LINE).states[0] == MESI.SHARED
+        assert dup.entry(LINE).sharers[0] == MESI.SHARED
+
+    def test_entry_pickle_round_trip(self, dup):
+        # one sharer map and an owner are the whole entry (checkpoints
+        # pickle the duplicate tags with the machine)
+        dup.add_sharer(LINE, 3, MESI.SHARED, make_owner=True)
+        dup.add_sharer(LINE, 0, MESI.EXCLUSIVE, make_owner=False)
+        copy = pickle.loads(pickle.dumps(dup.entry(LINE)))
+        assert copy.sharers == {3: MESI.SHARED, 0: MESI.EXCLUSIVE}
+        assert list(copy.sharers) == [3, 0]
+        assert copy.owner == 3
+        assert not hasattr(copy, "__dict__")
 
     def test_drop_line(self, dup):
         dup.add_sharer(LINE, 0, MESI.SHARED, make_owner=True)

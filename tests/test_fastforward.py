@@ -168,10 +168,9 @@ class TestFunctionalWarmer:
     def test_advance_counts_and_boundary(self):
         _, cpu = self._one_cpu_system()
         warmer = FunctionalWarmer()
-        buf, consumed, hit, exhausted = warmer.collect(
-            cpu, stop_at_boundary=True)
-        warmer.apply_interleaved([(cpu, buf)])
-        assert hit and not exhausted
+        ((consumed, exhausted),) = warmer.warm_up([cpu])
+        assert cpu.thread.emitted == consumed  # through the sentinel
+        assert not exhausted
         assert warmer.items == consumed
         assert warmer.refs > 0
         assert warmer.l1_hits + warmer.warmed + warmer.skipped == warmer.refs
@@ -179,10 +178,49 @@ class TestFunctionalWarmer:
         assert summary["items"] == consumed
         assert summary["instructions"] == warmer.instructions
 
+    def test_warm_up_holds_one_slice_per_cpu(self, monkeypatch):
+        # the warm-up streams: every take asks for one slice, so a CPU's
+        # span is never buffered whole
+        from repro.fastforward.warm import SLICE_ITEMS
+        from repro.workloads.base import WorkloadThread
+
+        from .test_golden_digests import OLTP_Q
+
+        limits = []
+        take = WorkloadThread.take
+
+        def recording_take(thread, limit, until=None):
+            limits.append(limit)
+            return take(thread, limit, until)
+
+        monkeypatch.setattr(WorkloadThread, "take", recording_take)
+        system, _ = build_system(preset("P8"), OltpFactory(OLTP_Q), 1)
+        run = SampledRun(system, window=WINDOW, period=PERIOD)
+        run._functional_warm()
+        assert len(limits) > 8 and max(limits) == SLICE_ITEMS
+        assert system.warmed_up
+
+    def test_thread_ending_before_sentinel_is_exhausted(self):
+        # a thread that runs dry inside its warm-up span is marked
+        # exhausted there and never runs in a detailed window
+        from repro.workloads.base import WorkloadThread
+
+        system, _ = build_system(preset("P2"), OltpFactory(OLTP_SMALL), 1)
+        cpu = system.nodes[0].cpus[0]
+        items = [(2, AccessKind.LOAD, 0x10000 + 64 * i, True)
+                 for i in range(300)]
+        cpu.attach(WorkloadThread(iter(items)))
+        run = SampledRun(system, window=WINDOW, period=PERIOD)
+        run.run()
+        assert run._key(cpu) in run._exhausted
+        assert cpu.thread.emitted == len(items)
+        assert cpu.instructions == 0   # nothing after the warm boundary
+        assert run.windows and run.measured_items > 0
+
     def test_tail_skims_prefix(self):
         _, cpu = self._one_cpu_system()
         warmer = FunctionalWarmer()
-        buf, consumed, _hit, _ex = warmer.collect(cpu, max_items=500, tail=64)
+        buf, consumed, _ex = warmer.collect(cpu, 500, 64)
         assert consumed == 500
         assert len(buf) == 64
         assert warmer.skimmed == 500 - 64
@@ -205,10 +243,7 @@ class TestFunctionalWarmer:
         sys_f, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
         (cpu_f,) = [c for n in sys_f.nodes for c in n.cpus
                     if c.thread is not None]
-        warmer = FunctionalWarmer()
-        buf, _consumed, _hit, _ex = warmer.collect(cpu_f,
-                                                   stop_at_boundary=True)
-        warmer.apply_interleaved([(cpu_f, buf)])
+        FunctionalWarmer().warm_up([cpu_f])
 
         sys_d, _ = build_system(config, OltpFactory(OLTP_SMALL), 1)
         run = SampledRun(sys_d, window=WINDOW, period=0, warming="detailed")

@@ -59,26 +59,26 @@ class TestAssembler:
 
     def test_fallthrough_chain(self):
         program = assemble_simple()
-        assert program.word_at(0).next_addr == 1
-        assert program.word_at(1).next_addr == 2
+        assert program.store[0].next_addr == 1
+        assert program.store[1].next_addr == 2
 
     def test_branch_table_aligned(self):
         program = assemble_simple()
-        receive = program.word_at(2)
+        receive = program.store[2]
         assert receive.next_addr % 16 == 0
         # slot 3 is a MOVE trampoline jumping to 'got'
-        tramp = program.word_at(receive.next_addr | 3)
+        tramp = program.store[receive.next_addr | 3]
         assert tramp.op == Op.MOVE
         assert tramp.next_addr == 3
 
     def test_unused_branch_slots_unprogrammed(self):
         program = assemble_simple()
-        receive = program.word_at(2)
+        receive = program.store[2]
         assert program.store[receive.next_addr | 7] is None
 
     def test_terminal_goes_to_end(self):
         program = assemble_simple()
-        assert program.word_at(3).next_addr == END
+        assert program.store[3].next_addr == END
 
     def test_duplicate_label_rejected(self):
         asm = Assembler("dup")
@@ -118,10 +118,10 @@ class TestAssembler:
             Instr(Op.SET, "a", label="zero", next="end"),
             Instr(Op.SET, "b", label="other", next="end"),
         ])
-        base = program.word_at(0).next_addr
-        assert program.word_at(base | 0).next_addr == 1
+        base = program.store[0].next_addr
+        assert program.store[base | 0].next_addr == 1
         for code in range(1, 16):
-            assert program.word_at(base | code).next_addr == 2
+            assert program.store[base | code].next_addr == 2
 
 
 def run_program(instrs, handlers=None, entry="start", dispatch=None,

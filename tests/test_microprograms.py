@@ -50,17 +50,17 @@ class TestRemoteReadIsFourInstructions:
         pc = remote.entry_points["re_read"]
         ops = []
         # SEND
-        word = remote.word_at(pc)
+        word = remote.store[pc]
         ops.append(word.op)
         # RECEIVE (fall-through)
-        word = remote.word_at(word.next_addr)
+        word = remote.store[word.next_addr]
         ops.append(word.op)
         assert ops == [Op.SEND, Op.RECEIVE]
         # after dispatch: TEST then LSEND
-        test_word = remote.word_at(remote.entry_points["re_read_test"])
+        test_word = remote.store[remote.entry_points["re_read_test"]]
         assert test_word.op == Op.TEST
-        fill_s = remote.word_at(remote.entry_points["re_read_ls_s"])
-        fill_e = remote.word_at(remote.entry_points["re_read_ls_e"])
+        fill_s = remote.store[remote.entry_points["re_read_ls_s"]]
+        fill_e = remote.store[remote.entry_points["re_read_ls_e"]]
         assert fill_s.op == Op.LSEND and fill_e.op == Op.LSEND
 
 
@@ -102,7 +102,7 @@ class TestThreeHopNoConfirmation:
         pc = home.entry_points["he_read_dirty"]
         seen_ops = []
         for _ in range(10):
-            word = home.word_at(pc)
+            word = home.store[pc]
             seen_ops.append(word.op)
             if word.next_addr == MICROSTORE_WORDS - 1:  # END
                 break
