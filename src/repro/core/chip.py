@@ -290,8 +290,8 @@ class PiranhaChip(Component):
 
         Raises AssertionError on any divergence: a dup entry naming a line
         its L1 doesn't hold, an L1-resident line missing from the dup
-        tags, a state mismatch, or a line with multiple/zero owners while
-        copies exist.
+        tags, a state mismatch, a line with multiple/zero owners while
+        copies exist, or an entry with no sharer and no owner.
         """
         # collect actual L1 contents per cache id
         actual: Dict[int, Dict[int, object]] = {
@@ -299,6 +299,10 @@ class PiranhaChip(Component):
             for cache_id, l1 in enumerate(self.l1s)}
         for bank in self.banks:
             for line_addr_, entry in bank.dup.entries.items():
+                assert entry.sharers or entry.owner is not None, (
+                    f"{self.name}: dup entry for {line_addr_:#x} has no "
+                    f"sharer and no owner"
+                )
                 for sharer, mirrored in entry.sharers.items():
                     held = actual.get(sharer, {}).get(line_addr_)
                     assert held is not None, (

@@ -53,13 +53,6 @@ class DupEntry:
             self.owner = None
         return not self.sharers and self.owner is None
 
-    def is_exclusive(self) -> bool:
-        return (
-            len(self.sharers) == 1
-            and self.sharers.get(self.owner) in (MESI.EXCLUSIVE,
-                                                 MESI.MODIFIED)
-        )
-
 
 class DuplicateTags:
     """Duplicate L1 tags for the subset of lines mapping to one L2 bank."""
@@ -94,11 +87,13 @@ class DuplicateTags:
         e.add(cache_id, state, make_owner)
         return e
 
-    def set_l2_owner(self, line: int) -> None:
+    def set_l2_owner(self, line: int) -> DupEntry:
+        """The L2 holds a copy of *line* and claims its ownership."""
         e = self.entries.get(line)
         if e is None:
             e = self.entries[line] = DupEntry()
         e.owner = L2_OWNER
+        return e
 
     def set_state(self, line: int, cache_id: int, state: MESI) -> None:
         e = self.entries.get(line)

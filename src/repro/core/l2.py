@@ -67,6 +67,10 @@ from .rdram import MemoryController
 
 _LINE_MASK = ~((1 << LINE_SHIFT) - 1)
 
+#: the cases of an L1 miss (:meth:`L2Bank._classify`): another L1 owns the
+#: line, the requester's own L1 holds it, the L2 holds it, or neither
+FORWARD, OWN_COPY, L2_COPY, MEMORY = range(4)
+
 #: the packet type a remote-home request of each kind travels as
 _REMOTE_REQUEST_PTYPE = {
     READ: PacketType.READ,
@@ -219,153 +223,134 @@ class L2Bank(Component):
                           line: int) -> None:
         if req.probe is not None:
             req.probe.stamp("l2_tag", self.sim.now)
-        cache_id = req.cache_id
         e = self.dup.entries.get(line)
-        if e is not None:
-            l1_owner = e.owner
-            if (l1_owner is not None and l1_owner != L2_OWNER
-                    and l1_owner != cache_id):
-                self._serve_fwd(req, reqtype, line, l1_owner)
-                return
-            if cache_id in e.sharers:
-                # The requester's own L1 already holds the line — a
-                # non-blocking core can have queued this request behind an
-                # earlier miss to the same line that has since filled.
-                own = self.chip.l1s[cache_id].peek(line)
-                if own is not None:
-                    if reqtype == READ:
-                        # Complete from the local copy (hit-equivalent).
-                        self.schedule(self.t_ics, self._fill, req, line,
-                                      own.state, own.owner, own.version,
-                                      own.dirty, L2_HIT)
-                        return
-                    # Exclusive-class requests become upgrades — exactly
-                    # what the protocol's dedicated 'exclusive' request
-                    # type is for.
-                    self._serve_upgrade(req, line, cache_id)
-                    return
         tag = line >> LINE_SHIFT
         l2line = self.sets[(tag >> self._nbank_bits) & self._set_mask].get(tag)
-        if l2line is not None:
-            self._serve_l2_hit(req, reqtype, line, l2line)
-            return
-        # A line in the write-back buffer is NOT served locally: the buffer
-        # exists solely to satisfy *forwarded* requests until the home acks
-        # (no-NAK guarantee).  A local re-reference goes back to the home,
-        # which orders it against the in-flight write-back.
-        if reqtype == UPGRADE:
-            # The S copy vanished between the L1 lookup and now (conflict
-            # resolution); fall back to a full read-exclusive.
-            reqtype = READ_EXCLUSIVE
-        self._serve_miss(req, reqtype, line)
-
-    # -- on-chip service paths ---------------------------------------------
-
-    def _serve_upgrade(self, req: MemRequest, line: int, cache_id: int) -> None:
-        """Exclusive-upgrade grant to a CPU that already holds the line:
-        a control-only reply (no data crosses the ICS)."""
-        delay = self.t_ics  # grant message back to the L1
-        self.schedule(delay, self._finish_upgrade, req, line, cache_id)
-
-    def _finish_upgrade(self, req: MemRequest, line: int, cache_id: int) -> None:
-        own_line = self.chip.l1s[cache_id].peek(line)
-        if own_line is None:
-            # The requester's copy was invalidated between the duplicate-
-            # tag lookup and the grant (a racing exclusive swept it): the
-            # upgrade degenerates into a full read-exclusive.
-            self._serve_miss(req, READ_EXCLUSIVE, line)
-            return
-        if self._must_wait_for_home(line):
-            self._launch_remote_request(req, UPGRADE, line)
-            return
-        self.c_upgrades.inc()
-        version = own_line.version
-        self._fill(req, line, MODIFIED, owner=True, version=version + 1,
-                   dirty=True, source=L2_HIT)
-        self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
-
-    def _serve_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
-                   owner_id: int) -> None:
-        """Another on-chip L1 owns the line: forward and serve L1-to-L1."""
-        delay = self.t_ics + self.t_owner + self.t_ics
-        if req.probe is not None:
-            req.probe.stamp("fwd_owner",
-                            self.sim.now + self.t_ics + self.t_owner)
-        self.schedule(delay, self._finish_fwd, req, reqtype, line, owner_id)
-
-    def _finish_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
-                    owner_id: int) -> None:
-        chip = self.chip
-        owner_l1 = chip.l1s[owner_id]
-        owner_line = owner_l1.peek(line)
-        if owner_line is None:
-            # Owner evicted while we were in flight (its eviction is queued
-            # behind our pending entry only for *its* bank); retry the tag
-            # lookup — the dup tags have been updated meanwhile.
-            self.schedule(self.t_tag, self._after_tag_lookup, req, reqtype, line)
-            return
-        self.c_fwds.value += 1
-        version = owner_line.version
-        dirty = owner_line.dirty
-        if reqtype == READ:
-            owner_l1.downgrade(line)
-            owner_l1.set_owner(line, False)
-            if chip.checker is not None:
-                chip.checker.on_downgrade(chip.node_id, owner_id, line)
-            # dirtiness travels with ownership
-            owner_line.dirty = False
-            dup = self.dup
-            dup.set_state(line, owner_id, SHARED)
-            e = dup.entries.get(line)
-            if e is not None:
-                e.owner = None
-            self._fill(req, line, SHARED, True, version, dirty,
-                       L2_FWD)
-        else:
-            if self._must_wait_for_home(line):
-                self._launch_remote_request(req, UPGRADE, line)
-                return
-            self._fill(req, line, MODIFIED, True, version + 1, True,
-                       L2_FWD)
-            self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
-
-    def _serve_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
-                      l2line: L2Line) -> None:
-        delay = self.t_data + self.t_ics
-        if req.probe is not None:
-            # the whole delay is charged in one event, so stamp the data
-            # array completion at its computed (future) time
-            req.probe.stamp("l2_data", self.sim.now + self.t_data)
-        self.schedule(delay, self._finish_l2_hit, req, reqtype, line, l2line)
-
-    def _finish_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
-                       l2line: L2Line) -> None:
-        self.c_hits.value += 1
-        version = l2line.version
-        if reqtype == READ:
-            if (not self._others_hold(self.dup.entries.get(line),
-                                      req.cache_id)
-                    and line not in self.remote_cached
-                    and self.our_mode.get(line) != "S"):
-                # Clean-exclusive optimisation: hand the only copy to the
-                # L1; the L2 copy is invalidated so a silent E->M upgrade
-                # cannot leave it stale.  (Inclusive mode keeps the copy;
-                # the duplicate-tag owner pointer covers staleness.)
-                if not self.inclusive:
-                    self._drop_l2_copy(line)
-                self._fill(req, line, EXCLUSIVE, True, version,
-                           l2line.dirty, L2_HIT)
+        case = self._classify(e, l2line, req.cache_id, line)
+        if case == FORWARD:
+            # forward to the owning L1 and serve L1-to-L1
+            if req.probe is not None:
+                req.probe.stamp("fwd_owner",
+                                self.sim.now + self.t_ics + self.t_owner)
+            self.schedule(self.t_ics + self.t_owner + self.t_ics,
+                          self._finish_fwd, req, reqtype, line, e.owner)
+        elif case == OWN_COPY:
+            if reqtype == READ:
+                state, owner, version, dirty, source, _, _, _ = \
+                    self._grant_own(self.chip.l1s[req.cache_id].peek(line),
+                                    READ, line)
+                self.schedule(self.t_ics, self._fill, req, line, state,
+                              owner, version, dirty, source)
             else:
-                self.dup.set_l2_owner(line)
-                self._fill(req, line, SHARED, False, version, False,
-                           L2_HIT)
+                # an upgrade: a control-only grant back to the L1
+                self.schedule(self.t_ics, self._finish_upgrade, req, line)
+        elif case == L2_COPY:
+            if req.probe is not None:
+                # the whole delay is charged in one event, so stamp the data
+                # array completion at its computed (future) time
+                req.probe.stamp("l2_data", self.sim.now + self.t_data)
+            self.schedule(self.t_data + self.t_ics, self._finish_l2_hit, req,
+                          reqtype, line, l2line)
         else:
-            if self._must_wait_for_home(line):
-                self._launch_remote_request(req, UPGRADE, line)
-                return
-            self._fill(req, line, MODIFIED, True, version + 1, True,
-                       L2_HIT)
-            self._invalidate_remote_sharers_if_home(line, version + 1, req.cpu_id)
+            # A line in the write-back buffer is NOT served locally: the
+            # buffer exists solely to satisfy *forwarded* requests until the
+            # home acks (no-NAK guarantee).  A local re-reference goes back
+            # to the home, which orders it against the in-flight write-back.
+            if reqtype == UPGRADE:
+                # The S copy vanished between the L1 lookup and now
+                # (conflict resolution); fall back to a full read-exclusive.
+                reqtype = READ_EXCLUSIVE
+            self._serve_miss(req, reqtype, line)
+
+    # -- the miss decision (shared with functional warming) -----------------
+    #
+    # ``_classify`` names the case of a miss; each case has one grant
+    # function, which changes nothing and returns the grant as one tuple:
+    # (MESI state, owner flag, version, dirty flag, reply source, whether
+    # the owning L1 is downgraded, whether the home must order the request,
+    # whether the home engine must run an invalidation campaign).  An
+    # exclusive grant drops the L2's copy in ``_install``, whoever asks.
+
+    def _classify(self, e: Optional[DupEntry], l2line: Optional[L2Line],
+                  cache_id: int, line: int) -> int:
+        """The case of a miss of L1 *cache_id* on *line*, from the line's
+        duplicate-tag entry *e* and L2 copy *l2line* (None: none)."""
+        if e is not None:
+            owner = e.owner
+            if owner is not None and owner != L2_OWNER and owner != cache_id:
+                return FORWARD
+            # A non-blocking core can queue a request behind an earlier
+            # miss to the same line that has since filled.
+            if (cache_id in e.sharers
+                    and self.chip.l1s[cache_id].peek(line) is not None):
+                return OWN_COPY
+        return MEMORY if l2line is None else L2_COPY
+
+    def _grant_write(self, version: int, source: ReplySource,
+                     line: int) -> tuple:
+        """An exclusive grant on top of an on-chip copy at *version*.
+
+        A remote-home line held only SHARED cannot be upgraded locally: the
+        grant must come from the home, which serialises all writers.  (The
+        paper's *eager exclusive replies* are about granting before
+        invalidation acks return — the grant itself always flows through
+        the home.)  A home line other nodes cache is granted at once, and
+        the home engine then invalidates the remote copies."""
+        home = self._single_node or self.chip.is_home(line)
+        return (MODIFIED, True, version + 1, True, source, False,
+                not home and self.our_mode.get(line) == "S",
+                home and line in self.remote_cached)
+
+    def _grant_fwd(self, owner_line, reqtype: RequestType,
+                   line: int) -> tuple:
+        """Another L1 owns the line (*owner_line*): serve L1-to-L1."""
+        if reqtype == READ:
+            # the owner keeps a shared copy and hands over its ownership,
+            # and dirtiness travels with ownership
+            return (SHARED, True, owner_line.version, owner_line.dirty,
+                    L2_FWD, True, False, False)
+        return self._grant_write(owner_line.version, L2_FWD, line)
+
+    def _grant_own(self, own, reqtype: RequestType, line: int) -> tuple:
+        """The requester's own L1 holds the line (*own*): a read completes
+        from it, anything else is an upgrade."""
+        if reqtype == READ:
+            return (own.state, own.owner, own.version, own.dirty, L2_HIT,
+                    False, False, False)
+        return self._grant_write(own.version, L2_HIT, line)
+
+    def _grant_l2_hit(self, e: Optional[DupEntry], l2line: L2Line,
+                      cache_id: int, reqtype: RequestType,
+                      line: int) -> tuple:
+        """The L2 holds the line (*l2line*)."""
+        if reqtype != READ:
+            return self._grant_write(l2line.version, L2_HIT, line)
+        if (not self._others_hold(e, cache_id)
+                and line not in self.remote_cached
+                and self.our_mode.get(line) != "S"):
+            # Clean-exclusive optimisation: hand the only copy to the L1;
+            # the L2 copy is invalidated so a silent E->M upgrade cannot
+            # leave it stale.  (Inclusive mode keeps the copy; the
+            # duplicate-tag owner pointer covers staleness.)
+            return (EXCLUSIVE, True, l2line.version, l2line.dirty, L2_HIT,
+                    False, False, False)
+        # a shared copy; the L2 keeps its copy and its ownership
+        return (SHARED, False, l2line.version, False, L2_HIT, False, False,
+                False)
+
+    def _grant_miss(self, reqtype: RequestType, version: int,
+                    direntry: Optional[DirectoryEntry]) -> tuple:
+        """Home memory holds the line at *version*; *direntry* is its
+        directory entry (None: a one-node system has no directory).  A
+        read is exclusive only when no other node caches the line."""
+        uncached = direntry is None or direntry.state == DIR_UNCACHED
+        if reqtype == READ:
+            return (EXCLUSIVE if uncached else SHARED, True, version, False,
+                    LOCAL_MEM, False, not uncached, False)
+        return (MODIFIED, True, version + 1, True, LOCAL_MEM, False,
+                not uncached,
+                not uncached and direntry.state in (DIR_SHARED,
+                                                    DIR_SHARED_COARSE))
 
     @staticmethod
     def _others_hold(e: Optional[DupEntry], cache_id: int) -> bool:
@@ -375,6 +360,78 @@ class L2Bank(Component):
             return False
         sharers = e.sharers
         return len(sharers) > (1 if cache_id in sharers else 0)
+
+    def _downgrade_owner(self, e: DupEntry, owner_id: int, owner_line,
+                         line: int) -> None:
+        """A read forward: the owning L1 *owner_id* keeps *owner_line* as
+        a clean shared copy without ownership."""
+        owner_line.state = SHARED
+        owner_line.owner = False
+        chip = self.chip
+        if chip.checker is not None:
+            chip.checker.on_downgrade(chip.node_id, owner_id, line)
+        owner_line.dirty = False
+        sharers = e.sharers
+        if owner_id in sharers:
+            sharers[owner_id] = SHARED
+        e.owner = None
+
+    # -- on-chip grants (event path) -----------------------------------------
+
+    def _finish_upgrade(self, req: MemRequest, line: int) -> None:
+        own_line = self.chip.l1s[req.cache_id].peek(line)
+        if own_line is None:
+            # The requester's copy was invalidated between the duplicate-
+            # tag lookup and the grant (a racing exclusive swept it): the
+            # upgrade degenerates into a full read-exclusive.
+            self._serve_miss(req, READ_EXCLUSIVE, line)
+            return
+        state, owner, version, dirty, source, _, home, campaign = \
+            self._grant_own(own_line, UPGRADE, line)
+        if home:
+            self._launch_remote_request(req, UPGRADE, line)
+            return
+        self.c_upgrades.inc()
+        self._fill(req, line, state, owner, version, dirty, source)
+        if campaign:
+            self._invalidate_remote_sharers(line, version, req.cpu_id)
+
+    def _finish_fwd(self, req: MemRequest, reqtype: RequestType, line: int,
+                    owner_id: int) -> None:
+        owner_line = self.chip.l1s[owner_id].peek(line)
+        if owner_line is None:
+            # Owner evicted while we were in flight (its eviction is queued
+            # behind our pending entry only for *its* bank); retry the tag
+            # lookup — the dup tags have been updated meanwhile.
+            self.schedule(self.t_tag, self._after_tag_lookup, req, reqtype, line)
+            return
+        self.c_fwds.value += 1
+        state, owner, version, dirty, source, downgrade, home, campaign = \
+            self._grant_fwd(owner_line, reqtype, line)
+        if downgrade:
+            self._downgrade_owner(self.dup.entries[line], owner_id,
+                                  owner_line, line)
+        elif home:
+            self._launch_remote_request(req, UPGRADE, line)
+            return
+        self._fill(req, line, state, owner, version, dirty, source)
+        if campaign:
+            self._invalidate_remote_sharers(line, version, req.cpu_id)
+
+    def _finish_l2_hit(self, req: MemRequest, reqtype: RequestType, line: int,
+                       l2line: L2Line) -> None:
+        self.c_hits.value += 1
+        state, owner, version, dirty, source, _, home, campaign = \
+            self._grant_l2_hit(self.dup.entries.get(line), l2line,
+                               req.cache_id, reqtype, line)
+        if home:
+            self._launch_remote_request(req, UPGRADE, line)
+            return
+        if not owner:
+            self.dup.set_l2_owner(line)
+        self._fill(req, line, state, owner, version, dirty, source)
+        if campaign:
+            self._invalidate_remote_sharers(line, version, req.cpu_id)
 
     # -- miss path -----------------------------------------------------------
 
@@ -401,39 +458,32 @@ class L2Bank(Component):
             # 3-hop: a remote node owns the line dirty.
             self._hand_to_home_engine_fetch(req, reqtype, line, direntry)
             return
-        version = self.chip.mem_version(line)
-        if reqtype == READ:
-            self.c_local_mem.value += 1
-            if direntry is None or direntry.state == DIR_UNCACHED:
-                self._fill(req, line, EXCLUSIVE, True, version, False,
-                           LOCAL_MEM)
-            else:
-                self.remote_cached.add(line)
-                self._fill(req, line, SHARED, True, version, False,
-                           LOCAL_MEM)
-        else:
-            self.c_local_mem.value += 1
-            needs_invals = direntry is not None and direntry.state in (
-                DIR_SHARED, DIR_SHARED_COARSE)
-            if needs_invals:
-                # The background campaign below must write the directory
-                # before any other home-side transaction for the line runs
-                # (its sharer snapshot is only valid under serialisation).
-                self._local_inval_due.add(line)
-            self._fill(req, line, MODIFIED, True, version + 1, True,
-                       LOCAL_MEM)
-            if needs_invals:
-                # Eager exclusive grant; the home engine drives the remote
-                # invalidations and gathers the acks in the background.
-                # (no probe: the campaign runs after the eager grant
-                # completed the miss, off its critical path)
-                self.chip.home_engine.deliver_local(
-                    "NEW_LOCAL_INVAL", line,
-                    req_node=self.chip.node_id, is_local=True,
-                    sharers=sorted(direntry.sharers - {self.chip.node_id}),
-                    dir_entry=direntry, req_cpu=req.cpu_id,
-                    version=version,  # epoch: sharers hold <= this version
-                )
+        memory_version = self.chip.mem_version(line)
+        self.c_local_mem.value += 1
+        state, owner, version, dirty, source, _, _, campaign = \
+            self._grant_miss(reqtype, memory_version, direntry)
+        if state is SHARED:
+            # other nodes share the line
+            self.remote_cached.add(line)
+        elif campaign:
+            # The background campaign below must write the directory
+            # before any other home-side transaction for the line runs
+            # (its sharer snapshot is only valid under serialisation).
+            self._local_inval_due.add(line)
+        self._fill(req, line, state, owner, version, dirty, source)
+        if campaign:
+            # Eager exclusive grant; the home engine drives the remote
+            # invalidations and gathers the acks in the background.
+            # (no probe: the campaign runs after the eager grant
+            # completed the miss, off its critical path)
+            self.chip.home_engine.deliver_local(
+                "NEW_LOCAL_INVAL", line,
+                req_node=self.chip.node_id, is_local=True,
+                sharers=sorted(direntry.sharers - {self.chip.node_id}),
+                dir_entry=direntry, req_cpu=req.cpu_id,
+                # epoch: sharers hold <= this version
+                version=memory_version,
+            )
 
     def _hand_to_home_engine_fetch(self, req: MemRequest, reqtype: RequestType,
                                    line: int, direntry: DirectoryEntry) -> None:
@@ -508,27 +558,13 @@ class L2Bank(Component):
             self._fill(req, line, MODIFIED, owner=True,
                        version=version + 1, dirty=True, source=src)
 
-    def _must_wait_for_home(self, line: int) -> bool:
-        """A remote-home line held only SHARED cannot be upgraded locally:
-        the exclusive grant must come from the home, which serialises all
-        writers.  (The paper's *eager exclusive replies* are about granting
-        before invalidation acks return — the grant itself always flows
-        through the home.)"""
-        if self._single_node or self.chip.is_home(line):
-            return False
-        return self.our_mode.get(line) == "S"
-
-    def _invalidate_remote_sharers_if_home(self, line: int,
-                                           granted_version: int,
-                                           req_cpu: int = 0) -> None:
-        """Home-local eager exclusive grant: drive the remote invalidations
-        through the home engine (which re-reads the directory and gathers
-        the acks).  Sound because the bank's pending entry serialises this
-        line at the home for the duration of the grant."""
-        if self._single_node or not self.chip.is_home(line):
-            return
-        if line not in self.remote_cached:
-            return
+    def _invalidate_remote_sharers(self, line: int, granted_version: int,
+                                   req_cpu: int) -> None:
+        """Home-local eager exclusive grant of a line other nodes cache:
+        drive the remote invalidations through the home engine (which
+        re-reads the directory and gathers the acks).  Sound because the
+        bank's pending entry serialises this line at the home for the
+        duration of the grant."""
         self.remote_cached.discard(line)
         # Hold the line at the home until the campaign's directory write:
         # an interleaved grant would otherwise be clobbered by it.  The
@@ -664,126 +700,78 @@ class L2Bank(Component):
 
     def warm_request(self, cache_id: int, reqtype: RequestType,
                      line: int) -> Optional[ReplySource]:
-        """Serve one miss of L1 *cache_id* synchronously: the state
-        changes of the event path (L1 fill and victim, duplicate tags,
-        DRAM page state, checker hooks, counters) through the same
-        :meth:`_install`, in zero simulated time and with no event.
+        """Serve one miss of L1 *cache_id* synchronously: the event path's
+        decision (:meth:`_classify` and the grant functions) and its state
+        changes (L1 fill and victim, duplicate tags, DRAM page state,
+        checker hooks, counters) through the same :meth:`_install`, in
+        zero simulated time and with no event.
 
         Fast-forward phases use this to keep the memory hierarchy warm
         between detailed measurement windows.  Returns the
         :class:`ReplySource` the detailed path would have charged, or
         ``None`` when the access is not warm-eligible — a line still
         in flight from a previous window, or a multi-node access that
-        would need a protocol-engine transaction (remote home, remote
-        sharers, or an upgrade the home must serialise).  Declined
-        accesses leave all state untouched; the caller advances its
-        stream statistically instead.
+        would need a protocol-engine transaction (the home must order it,
+        or its engine must invalidate remote copies).  Declined accesses
+        leave all state untouched; the caller advances its stream
+        statistically instead.
         """
         if line in self.pending or line in self.wb_buffer:
             return None
         chip = self.chip
-        multi = not self._single_node
-        if multi and reqtype != READ and (
-                self._must_wait_for_home(line)
-                or (chip.is_home(line) and line in self.remote_cached)):
-            # the home must order this upgrade, or an eager exclusive
-            # grant here would have to drive a remote invalidation
-            # campaign through the home engine
-            return None
         e = self.dup.entries.get(line)
-        if e is not None:
-            l1_owner = e.owner
-            if (l1_owner is not None and l1_owner != L2_OWNER
-                    and l1_owner != cache_id):
-                owner_line = chip.l1s[l1_owner].peek(line)
-                if owner_line is None:
-                    return None
-                self.c_requests.value += 1
-                self.c_fwds.value += 1
-                version = owner_line.version
-                if reqtype == READ:
-                    # the owner keeps a shared copy and hands over
-                    # ownership, and dirtiness travels with ownership
-                    # (see _finish_fwd)
-                    dirty = owner_line.dirty
-                    owner_line.state = SHARED
-                    owner_line.owner = False
-                    if chip.checker is not None:
-                        chip.checker.on_downgrade(chip.node_id, l1_owner,
-                                                  line)
-                    owner_line.dirty = False
-                    sharers = e.sharers
-                    if l1_owner in sharers:
-                        sharers[l1_owner] = SHARED
-                    e.owner = None
-                    self._install(e, cache_id, line, SHARED, True, version,
-                                  dirty, L2_FWD)
-                else:
-                    self._install(e, cache_id, line, MODIFIED, True,
-                                  version + 1, True, L2_FWD)
-                return L2_FWD
-            if cache_id in e.sharers:
-                own = chip.l1s[cache_id].peek(line)
-                if own is not None:
-                    self.c_requests.value += 1
-                    if reqtype == READ:
-                        self._install(e, cache_id, line, own.state,
-                                      own.owner, own.version, own.dirty,
-                                      L2_HIT)
-                    else:
-                        self.c_upgrades.value += 1
-                        self._install(e, cache_id, line, MODIFIED, True,
-                                      own.version + 1, True, L2_HIT)
-                    return L2_HIT
         tag = line >> LINE_SHIFT
-        lset = self.sets[(tag >> self._nbank_bits) & self._set_mask]
-        l2line = lset.get(tag)
-        if l2line is not None:
-            self.c_requests.value += 1
-            self.c_hits.value += 1
-            version = l2line.version
-            if reqtype != READ:
-                self._install(e, cache_id, line, MODIFIED, True, version + 1,
-                              True, L2_HIT)
-            elif (not self._others_hold(e, cache_id)
-                  and line not in self.remote_cached
-                  and self.our_mode.get(line) != "S"):
-                # clean-exclusive hand-off (see _finish_l2_hit), dropping
-                # the L2 copy as _drop_l2_copy does
-                if not self.inclusive:
-                    del lset[tag]
-                    if e is not None and e.owner == L2_OWNER:
-                        e.owner = None
-                self._install(e, cache_id, line, EXCLUSIVE, True, version,
-                              l2line.dirty, L2_HIT)
-            else:
-                if e is None:
-                    e = self.dup.entries[line] = DupEntry()
-                e.owner = L2_OWNER
-                self._install(e, cache_id, line, SHARED, False, version,
-                              False, L2_HIT)
-            return L2_HIT
-        # L2 miss: only home-local, remotely-uncached lines can be filled
-        # without engine involvement.
-        if multi and (not chip.is_home(line)
-                      or chip.dirstore.read(line).state != DIR_UNCACHED):
+        l2line = self.sets[(tag >> self._nbank_bits) & self._set_mask].get(tag)
+        case = self._classify(e, l2line, cache_id, line)
+        # (cases tested in the order of their frequency when warming)
+        if case == L2_COPY:
+            grant = self._grant_l2_hit(e, l2line, cache_id, reqtype, line)
+        elif case == FORWARD:
+            holder = chip.l1s[e.owner].peek(line)
+            if holder is None:
+                return None
+            grant = self._grant_fwd(holder, reqtype, line)
+        elif case == OWN_COPY:
+            grant = self._grant_own(chip.l1s[cache_id].peek(line), reqtype,
+                                    line)
+        elif self._single_node:
+            grant = self._grant_miss(reqtype, chip.mem_version(line), None)
+        elif chip.is_home(line) and (reqtype == READ
+                                     or line not in self.remote_cached):
+            grant = self._grant_miss(reqtype, chip.mem_version(line),
+                                     chip.dirstore.read(line))
+        else:
+            # a remote home serves this miss; a write here to a line other
+            # nodes may cache waits for the home engine (declined before
+            # the directory is read)
+            return None
+        state, owner, version, dirty, source, downgrade, home, campaign = \
+            grant
+        if home or campaign:
             return None
         self.c_requests.value += 1
-        self.c_local_mem.value += 1
-        if reqtype == EXCLUSIVE_NO_DATA:
-            self.c_wh64_data_avoided.value += 1
-            if multi:
+        if case == L2_COPY:
+            self.c_hits.value += 1
+            if not owner:
+                e = self.dup.set_l2_owner(line)
+        elif case == FORWARD:
+            self.c_fwds.value += 1
+            if downgrade:
+                self._downgrade_owner(e, e.owner, holder, line)
+        elif case == OWN_COPY:
+            if reqtype != READ:
+                self.c_upgrades.value += 1
+        else:
+            self.c_local_mem.value += 1
+            if reqtype == EXCLUSIVE_NO_DATA:
+                self.c_wh64_data_avoided.value += 1
+                if not self._single_node:
+                    self.mc.warm_read_line(line)
+            else:
                 self.mc.warm_read_line(line)
-        else:
-            self.mc.warm_read_line(line)
-        version = chip.mem_version(line)
-        if reqtype == READ:
-            self._install(e, cache_id, line, EXCLUSIVE, True, version, False,
-                          LOCAL_MEM)
-        else:
-            self._install(e, cache_id, line, MODIFIED, True, version + 1,
-                          True, LOCAL_MEM)
-        return LOCAL_MEM
+        self._install(e, cache_id, line, state, owner, version, dirty,
+                      source)
+        return source
 
     # -----------------------------------------------------------------------
     # L1 replacement handling (victim-cache fill policy)
@@ -881,13 +869,14 @@ class L2Bank(Component):
 
     def _drop_l2_copy(self, line: int) -> None:
         """Remove the L2's copy of *line*; an L2 ownership claim goes with
-        it.  The copy may already be gone: an L2 read hit holds the line
-        it looked up across its data-array delay, and a victim fill or an
-        invalidation can evict it in that window."""
+        it, and so does a duplicate-tag entry that claim alone kept."""
         self.sets[self._set_of(line)].pop(line >> LINE_SHIFT, None)
-        e = self.dup.entries.get(line)
+        entries = self.dup.entries
+        e = entries.get(line)
         if e is not None and e.owner == L2_OWNER:
             e.owner = None
+            if not e.sharers:
+                del entries[line]
 
     # -----------------------------------------------------------------------
     # On-chip invalidation (no acks needed: ICS ordering, Section 2.3)

@@ -4,13 +4,13 @@ Fast-forward phases advance the machine *without the event queue*: work
 items are pulled straight off each CPU's workload thread and their cache
 effects applied synchronously — L1 lookups (with their LRU /
 silent-upgrade side effects) and, for L1 misses, the L2 bank's
-:meth:`~repro.core.l2.L2Bank.warm_request`, which changes the same objects
-through the same fill routine as the detailed service path (duplicate
-tags, victim-cache flow, DRAM page state, checker hooks).  No
-simulated time passes and no timing is charged; the point is that a
-detailed measurement window opened right after a fast-forward phase sees
-the L1s, L2, duplicate tags, directory and DRAM row buffers in the state
-a monolithic run would have left them.
+:meth:`~repro.core.l2.L2Bank.warm_request`, which makes the detailed
+service path's miss decision and changes the same objects through the
+same fill routine (duplicate tags, victim-cache flow, DRAM page state,
+checker hooks).  No simulated time passes and no timing is charged; the
+point is that a detailed measurement window opened right after a
+fast-forward phase sees the L1s, L2, duplicate tags, directory and DRAM
+row buffers in the state a monolithic run would have left them.
 
 The warm-up streams: :meth:`FunctionalWarmer.warm_up` pulls one
 ``SLICE_ITEMS`` slice per CPU with one

@@ -65,12 +65,6 @@ class TestOwnership:
         assert dup.owner(LINE) is None
         assert dup.promote_any_owner(LINE) == 1
 
-    def test_is_exclusive(self, dup):
-        dup.add_sharer(LINE, 0, MESI.MODIFIED, make_owner=True)
-        assert dup.entry(LINE).is_exclusive()
-        dup.add_sharer(LINE, 1, MESI.SHARED, make_owner=False)
-        assert not dup.entry(LINE).is_exclusive()
-
 
 class TestStateMirror:
     def test_set_state(self, dup):
